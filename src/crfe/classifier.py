@@ -214,16 +214,6 @@ def train_ova(
     return LinearModelSet(models=tuple(models), lam=lam, active_features=tuple(active_features))
 
 
-def decision_value(model: LinearModel, X) -> np.ndarray:
-    """Scores X @ w + b for one model; X columns must match len(w)."""
-    X = _check_matrix(X)
-    if X.shape[1] != model.w.shape[0]:
-        raise DimensionMismatchError(
-            f"X has {X.shape[1]} columns, model expects {model.w.shape[0]}"
-        )
-    return X @ model.w + model.b
-
-
 def decision_matrix(ms: LinearModelSet, X) -> np.ndarray:
     """All per-class scores, shape (n_samples, n_classes).
 
@@ -252,16 +242,6 @@ def restrict(ms: LinearModelSet, positions) -> LinearModelSet:
     models = tuple(LinearModel(w=m.w[positions], b=m.b) for m in ms.models)
     active = tuple(ms.active_features[p] for p in positions)
     return LinearModelSet(models=models, lam=ms.lam, active_features=active)
-
-
-def hinge_objective(model: LinearModel, X, z, c: float = 1.0) -> float:
-    """Regularized hinge objective the solver minimizes (bias penalized too)."""
-    X = _check_matrix(X)
-    z = np.asarray(z, dtype=float)
-    margins = z * decision_value(model, X)
-    hinge = np.maximum(0.0, 1.0 - margins).mean()
-    penalty = (model.w @ model.w + model.b * model.b) / (2.0 * c * X.shape[0])
-    return float(hinge + penalty)
 
 
 # ------------------------------------------------------------- serialization

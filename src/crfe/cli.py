@@ -18,12 +18,11 @@ from .classifier import TrainConfig, save_model, train_ova
 from .conformal import calibrate, conformal_predict, write_prediction_csv
 from .data import (
     SyntheticSpec,
-    apply_scaler,
-    fit_scaler,
     impute_knn,
     load_csv,
     save_synthetic,
-    split_with_all_classes,
+    scaled_split,
+    write_csv,
 )
 from .exceptions import (
     ConfigError,
@@ -33,11 +32,11 @@ from .exceptions import (
     MissingLabelColumnError,
 )
 from .harness import (
+    CONSISTENCY_COLUMNS,
     config_from_json,
     consistency_report,
     run_all,
     run_comparison,
-    write_consistency_csv,
 )
 from .selection import (
     BetaCriterion,
@@ -85,11 +84,7 @@ def _cmd_select(args) -> int:
     if d.has_missing():
         d = impute_knn(d)
     policy = _parse_stop(args.stop, args.sigma, args.psi)
-    sp = split_with_all_classes(d, args.seed)
-    ds = apply_scaler(fit_scaler(d, sp.train_idx), d)
-    X_tr, y_tr = ds.X[sp.train_idx], ds.y[sp.train_idx]
-    X_cal, y_cal = ds.X[sp.calib_idx], ds.y[sp.calib_idx]
-    X_te = ds.X[sp.test_idx]
+    sp, (X_tr, y_tr), (X_cal, y_cal), (X_te, _) = scaled_split(d, args.seed)
     tcfg = TrainConfig(seed=args.seed)
     runner = run_crfe if args.method == "crfe" else run_rfe
     trace = runner(X_tr, y_tr, X_cal, y_cal, d.n_classes, policy, tcfg, args.lam)
@@ -118,8 +113,8 @@ def _cmd_bench(args) -> int:
 def _cmd_consistency(args) -> int:
     table = run_comparison(config_from_json(args.config))
     os.makedirs(args.out, exist_ok=True)
-    write_consistency_csv(consistency_report(table),
-                          os.path.join(args.out, "consistency.csv"))
+    write_csv(os.path.join(args.out, "consistency.csv"), CONSISTENCY_COLUMNS,
+              consistency_report(table))
     return 0
 
 

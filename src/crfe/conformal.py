@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import LinearModelSet, decision_matrix
+from .data import write_csv
 from .exceptions import (
     ConfigError,
     DimensionMismatchError,
@@ -21,39 +22,12 @@ from .exceptions import (
 )
 
 
-def theta(y, k):
-    """Agreement sign: +1 where y == k, else -1. Broadcasts like numpy."""
-    return np.where(np.asarray(y) == np.asarray(k), 1, -1)
-
-
-def binary_nonconformity(d, y, k):
-    """Non-conformity of one binary model's score d for true label y.
-
-    Samples of class k (theta = +1) are stranger the lower their score;
-    all other samples are stranger the higher it.
-    """
-    return -theta(y, k) * np.asarray(d, dtype=float)
-
-
-def multiclass_nonconformity(d_values, own_class: int, lam: float) -> float:
-    """Combine per-class scores into one score for the candidate label.
-
-    The own-class model contributes -lam * d_own; every other model
-    contributes its score weighted by (1 - lam) / (m - 1).
-    """
-    d = np.asarray(d_values, dtype=float)
-    m = d.shape[0]
-    if not 0 <= own_class < m:
-        raise ConfigError(f"own_class {own_class} out of range for {m} classes")
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigError("lam must lie in [0, 1]")
-    lam_prime = (1.0 - lam) / (m - 1)
-    rest = d.sum() - d[own_class]
-    return float(-lam * d[own_class] + lam_prime * rest)
-
-
 def nonconformity_all_labels(D, lam: float) -> np.ndarray:
     """Score every sample under every candidate label.
+
+    For candidate label y, the own-class score contributes -lam * D[i, y]
+    and every other class contributes its score weighted by
+    (1 - lam) / (m - 1).
 
     Parameters
     ----------
@@ -108,43 +82,14 @@ def calibrate(ms: LinearModelSet, X_cal, y_cal) -> CalibrationRecord:
     return CalibrationRecord(alphas=A[np.arange(y_cal.size), y_cal])
 
 
-def p_value(record: CalibrationRecord, alpha: float) -> float:
-    """(#{calibration scores >= alpha} + 1) / (n + 1)."""
-    ge = record.n - int(np.searchsorted(record.alphas, alpha, side="left"))
-    return (ge + 1) / (record.n + 1)
-
-
 def p_value_matrix(record: CalibrationRecord, A) -> np.ndarray:
-    """Vectorized p_value over a matrix of candidate-label scores."""
+    """p-value of every candidate-label score in A.
+
+    Entry-wise (#{calibration scores >= a} + 1) / (n + 1).
+    """
     A = np.asarray(A, dtype=float)
     ge = record.n - np.searchsorted(record.alphas, A, side="left")
     return (ge + 1) / (record.n + 1)
-
-
-@dataclass(frozen=True, eq=False)
-class PredictionSet:
-    """Label set for one sample at significance epsilon.
-
-    members holds the class ids whose p-value strictly exceeds epsilon,
-    in ascending order.
-    """
-
-    p: np.ndarray
-    epsilon: float
-    members: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def is_singleton(self) -> bool:
-        return len(self.members) == 1
-
-    def is_empty(self) -> bool:
-        return not self.members
-
-    def contains(self, y: int) -> bool:
-        return int(y) in self.members
 
 
 def _check_epsilon(epsilon: float) -> float:
@@ -152,14 +97,6 @@ def _check_epsilon(epsilon: float) -> float:
     if not 0.0 <= epsilon <= 1.0:
         raise ConfigError("epsilon must lie in [0, 1]")
     return epsilon
-
-
-def prediction_set(p_row, epsilon: float) -> PredictionSet:
-    """Keep the labels whose p-value exceeds epsilon."""
-    epsilon = _check_epsilon(epsilon)
-    p = np.asarray(p_row, dtype=float)
-    members = tuple(int(k) for k in np.flatnonzero(p > epsilon))
-    return PredictionSet(p=p, epsilon=epsilon, members=members)
 
 
 def prediction_mask(P, epsilon: float) -> np.ndarray:
@@ -201,10 +138,9 @@ def write_prediction_csv(path, P, mask, class_names, sample_ids=None) -> None:
         raise DimensionMismatchError("P, mask and class_names disagree on shape")
     if sample_ids is None:
         sample_ids = range(n)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("sample_id," + ",".join(f"p_class_{k}" for k in range(m)) + ",set\n")
-        for i, sid in zip(range(n), sample_ids):
-            cells = [str(sid)]
-            cells += [repr(float(v)) for v in P[i]]
-            cells.append("|".join(class_names[k] for k in np.flatnonzero(mask[i])))
-            fh.write(",".join(cells) + "\n")
+    columns = ["sample_id", *(f"p_class_{k}" for k in range(m)), "set"]
+    rows = (
+        [sid, *P[i], "|".join(class_names[k] for k in np.flatnonzero(mask[i]))]
+        for i, sid in zip(range(n), sample_ids)
+    )
+    write_csv(path, columns, rows)

@@ -9,7 +9,6 @@ equal-cardinality subsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -101,14 +100,3 @@ def kuncheva(a, b, universe_size: int) -> float:
         raise InvalidCardinalityError("cardinality must satisfy 0 < kappa < s")
     r = len(a & b)
     return (r * universe_size - kappa * kappa) / (kappa * (universe_size - kappa))
-
-
-def kuncheva_family(family: SubsetFamily, universe_size: int) -> float:
-    """Mean pairwise index over all unordered pairs in the family."""
-    if family.n < 2:
-        raise InvalidFamilyError("need at least two subsets for pairwise agreement")
-    vals = [
-        kuncheva(a, b, universe_size)
-        for a, b in combinations(family.subsets, 2)
-    ]
-    return float(np.mean(vals))

@@ -10,11 +10,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .exceptions import (
+    DegenerateLabelsError,
+    DimensionMismatchError,
     EmptyRowSetError,
     InvalidSpecError,
     MissingFileError,
@@ -61,24 +64,24 @@ class Dataset:
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         object.__setattr__(self, "class_names", tuple(self.class_names))
         if self.X.ndim != 2:
-            raise ValueError("X must be 2-dimensional")
-        if self.X.shape[0] != self.y.shape[0]:
-            raise ValueError("X row count does not match y length")
+            raise DimensionMismatchError("X must be 2-dimensional")
+        if self.y.shape != (self.X.shape[0],):
+            raise DimensionMismatchError("y must hold one label per row of X")
         if len(self.feature_names) != self.X.shape[1]:
-            raise ValueError("feature_names length does not match X columns")
+            raise DimensionMismatchError("feature_names length does not match X columns")
         m = len(self.class_names)
         if m < 2:
             raise SingleClassError("a dataset needs at least two classes")
-        counts = np.bincount(self.y, minlength=m)
         if self.y.size and (self.y.min() < 0 or self.y.max() >= m):
-            raise ValueError("class ids out of range")
+            raise DegenerateLabelsError("class ids out of range")
+        counts = np.bincount(self.y, minlength=m)
         if (counts == 0).any():
             missing = [self.class_names[i] for i in np.flatnonzero(counts == 0)]
-            raise ValueError(f"classes never observed: {missing}")
+            raise DegenerateLabelsError(f"classes never observed: {missing}")
         if self.missing_mask is not None:
             mask = np.asarray(self.missing_mask, dtype=bool)
             if mask.shape != self.X.shape:
-                raise ValueError("missing_mask shape does not match X")
+                raise DimensionMismatchError("missing_mask shape does not match X")
             object.__setattr__(self, "missing_mask", mask)
 
     @property
@@ -144,6 +147,8 @@ class SyntheticSpec:
             raise InvalidSpecError("informative + redundant exceeds n_features")
         if self.n_classes < 2:
             raise InvalidSpecError("need at least two classes")
+        if self.n_samples < self.n_classes:
+            raise InvalidSpecError("fewer samples than classes")
         if self.n_classes > 2 ** self.n_informative:
             raise InvalidSpecError("more classes than informative hypercube vertices")
         if not 0.0 <= self.flip_y <= 1.0:
@@ -256,6 +261,35 @@ def save_csv(d: Dataset, path, label_column: str = "label", missing_token: str =
                     row.append(repr(float(d.X[i, j])))
             row.append(d.class_names[d.y[i]])
             writer.writerow(row)
+
+
+def csv_cell(v) -> str:
+    """Report-CSV cell: empty for None and NaN, round-trip repr for floats.
+
+    numpy floats are converted first, because numpy 2 spells
+    ``repr(np.float64(0.5))`` as ``np.float64(0.5)``.
+    """
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        v = float(v)
+        return "" if math.isnan(v) else repr(v)
+    return str(v)
+
+
+def write_csv(path, columns, rows) -> None:
+    """Write a header line of ``columns``, then one line per row.
+
+    A row is a sequence of cells in column order, or a mapping from
+    column name to cell in which a missing column stays empty. Cells are
+    never quoted: report cells hold no comma, quote or line break.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            if isinstance(row, Mapping):
+                row = [row.get(c) for c in columns]
+            fh.write(",".join(map(csv_cell, row)) + "\n")
 
 
 def impute_knn(d: Dataset, k: int = DEFAULT_IMPUTE_NEIGHBORS) -> Dataset:
@@ -372,6 +406,18 @@ def split_with_all_classes(d: Dataset, seed: int, max_tries: int = 10) -> DataSp
     raise TooFewSamplesError(
         f"no split kept all {m} classes in train and calibration after {max_tries} tries"
     )
+
+
+def scaled_split(d: Dataset, seed: int):
+    """Class-preserving split, standardized with train-row statistics.
+
+    Returns the DataSplit followed by the (X, y) pairs of its train,
+    calibration and test rows.
+    """
+    sp = split_with_all_classes(d, seed)
+    ds = apply_scaler(fit_scaler(d, sp.train_idx), d)
+    parts = (sp.train_idx, sp.calib_idx, sp.test_idx)
+    return (sp, *((ds.X[idx], ds.y[idx]) for idx in parts))
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:

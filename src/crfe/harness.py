@@ -24,12 +24,11 @@ from .consistency import SubsetFamily, jaccard_multi, kuncheva, weighted_consist
 from .data import (
     Dataset,
     SyntheticSpec,
-    apply_scaler,
-    fit_scaler,
     generate_synthetic,
     impute_knn,
     load_csv,
-    split_with_all_classes,
+    scaled_split,
+    write_csv,
 )
 from .exceptions import ConfigError, DegenerateLabelsError
 from .metrics import PointMetricsReport, SetMetricsReport, point_metrics, point_predict, set_metrics
@@ -54,6 +53,24 @@ METRIC_COLUMNS = (
     "macro_recall",
     "macro_f1",
 )
+
+RESULTS_COLUMNS = (
+    ("dataset", "method", "subset_size", "seed")
+    + METRIC_COLUMNS
+    + tuple(c + "_std" for c in METRIC_COLUMNS)
+)
+
+CONSISTENCY_COLUMNS = (
+    "method", "subset_size", "i_j", "i_w",
+    "kuncheva_mean", "kuncheva_std", "jaccard_mean", "jaccard_std",
+)
+
+STOPPING_COLUMNS = (
+    "dataset", "method", "n", "mean_size", "std_size",
+    "mean_inefficiency", "std_inefficiency", "mean_certainty", "std_certainty",
+)
+
+FREQUENCY_COLUMNS = ("dataset", "method", "feature_index", "feature_name", "count")
 
 SELECTORS = ("crfe", "rfe")
 
@@ -232,21 +249,19 @@ class ResultsTable:
         return out
 
     def to_csv(self, path) -> None:
-        header = ["dataset", "method", "subset_size", "seed"]
-        header += list(METRIC_COLUMNS)
-        header += [c + "_std" for c in METRIC_COLUMNS]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for r in self.rows:
-                cells = [r.dataset, r.method, str(r.subset_size), str(r.seed)]
-                cells += [repr(float(r.metric(c))) for c in METRIC_COLUMNS]
-                cells += [""] * len(METRIC_COLUMNS)
-                fh.write(",".join(cells) + "\n")
-            for a in self.aggregates():
-                cells = [self.dataset, a["method"], str(a["subset_size"]), "aggregate"]
-                cells += [repr(a[c]) for c in METRIC_COLUMNS]
-                cells += [repr(a[c + "_std"]) for c in METRIC_COLUMNS]
-                fh.write(",".join(cells) + "\n")
+        """Per-seed rows (std cells empty), then one aggregate row per group."""
+        no_std = [None] * len(METRIC_COLUMNS)
+        rows = [
+            [r.dataset, r.method, r.subset_size, r.seed,
+             *(r.metric(c) for c in METRIC_COLUMNS), *no_std]
+            for r in self.rows
+        ]
+        rows += [
+            [self.dataset, a["method"], a["subset_size"], "aggregate",
+             *(a[c] for c in METRIC_COLUMNS), *(a[c + "_std"] for c in METRIC_COLUMNS)]
+            for a in self.aggregates()
+        ]
+        write_csv(path, RESULTS_COLUMNS, rows)
 
 
 def _evaluate(ms, X_cal, y_cal, X_test, y_test, epsilon, n_classes):
@@ -272,11 +287,7 @@ def run_comparison(cfg: ExperimentConfig) -> ResultsTable:
     traces: dict = {}
     seeds = tuple(cfg.master_seed + r for r in range(cfg.repeats))
     for r, seed in enumerate(seeds):
-        sp = split_with_all_classes(d, seed)
-        ds = apply_scaler(fit_scaler(d, sp.train_idx), d)
-        X_tr, y_tr = ds.X[sp.train_idx], ds.y[sp.train_idx]
-        X_cal, y_cal = ds.X[sp.calib_idx], ds.y[sp.calib_idx]
-        X_te, y_te = ds.X[sp.test_idx], ds.y[sp.test_idx]
+        _, (X_tr, y_tr), (X_cal, y_cal), (X_te, y_te) = scaled_split(d, seed)
         tcfg = replace(cfg.train, seed=cfg.train.seed + r)
         for method in cfg.selectors:
             collected: dict[int, tuple] = {}
@@ -381,10 +392,6 @@ def consistency_report(table: ResultsTable) -> list[dict]:
     return rows
 
 
-def run_consistency(cfg: ExperimentConfig, table: ResultsTable | None = None) -> list[dict]:
-    return consistency_report(table if table is not None else run_comparison(cfg))
-
-
 # ---------------------------------------------------------------- stopping
 
 
@@ -426,11 +433,7 @@ def run_stopping_benchmark(cfg: ExperimentConfig):
     per_run: list[dict] = []
     for r in range(cfg.stopping.repeats):
         seed = cfg.master_seed + r
-        sp = split_with_all_classes(d, seed)
-        ds = apply_scaler(fit_scaler(d, sp.train_idx), d)
-        X_tr, y_tr = ds.X[sp.train_idx], ds.y[sp.train_idx]
-        X_cal, y_cal = ds.X[sp.calib_idx], ds.y[sp.calib_idx]
-        X_te, y_te = ds.X[sp.test_idx], ds.y[sp.test_idx]
+        _, (X_tr, y_tr), (X_cal, y_cal), (X_te, y_te) = scaled_split(d, seed)
         tcfg = replace(cfg.train, seed=cfg.train.seed + r)
         chosen: dict[str, tuple[int, ...]] = {}
         if "crfe" in cfg.selectors:
@@ -494,46 +497,6 @@ def run_stopping_benchmark(cfg: ExperimentConfig):
 # ------------------------------------------------------------------ output
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        if math.isnan(v):
-            return ""
-        return repr(v)
-    return str(v)
-
-
-CONSISTENCY_COLUMNS = (
-    "method", "subset_size", "i_j", "i_w",
-    "kuncheva_mean", "kuncheva_std", "jaccard_mean", "jaccard_std",
-)
-
-
-def write_consistency_csv(rows: list[dict], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(CONSISTENCY_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                _csv_cell(row[c]) if c in row else "" for c in CONSISTENCY_COLUMNS
-            ) + "\n")
-
-
-def write_stopping_csv(summary: list[dict], path) -> None:
-    cols = ("dataset", "method", "n", "mean_size", "std_size",
-            "mean_inefficiency", "std_inefficiency", "mean_certainty", "std_certainty")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in summary:
-            fh.write(",".join(_csv_cell(row[c]) for c in cols) + "\n")
-
-
-def write_frequencies_csv(frequencies: list[dict], path) -> None:
-    cols = ("dataset", "method", "feature_index", "feature_name", "count")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in frequencies:
-            fh.write(",".join(_csv_cell(row[c]) for c in cols) + "\n")
-
-
 def emit_outputs(
     table: ResultsTable,
     consistency_rows: list[dict],
@@ -551,9 +514,9 @@ def emit_outputs(
         written.append(path)
 
     emit("results.csv", table.to_csv)
-    emit("consistency.csv", lambda p: write_consistency_csv(consistency_rows, p))
-    emit("stopping.csv", lambda p: write_stopping_csv(stopping_summary, p))
-    emit("frequencies.csv", lambda p: write_frequencies_csv(frequencies, p))
+    emit("consistency.csv", lambda p: write_csv(p, CONSISTENCY_COLUMNS, consistency_rows))
+    emit("stopping.csv", lambda p: write_csv(p, STOPPING_COLUMNS, stopping_summary))
+    emit("frequencies.csv", lambda p: write_csv(p, FREQUENCY_COLUMNS, frequencies))
     for (method, seed), trace in sorted(table.traces.items()):
         path = os.path.join(out_dir, f"trace_{method}_{seed}.json")
         with open(path, "w", encoding="utf-8") as fh:

@@ -18,7 +18,7 @@ engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -31,6 +31,7 @@ from .classifier import (
     train_ova,
 )
 from .conformal import nonconformity_all_labels
+from .data import write_csv
 from .exceptions import (
     DimensionMismatchError,
     EmptyVectorError,
@@ -107,13 +108,6 @@ def delta_nonconformity_oracle(ms: LinearModelSet, X, y, position: int) -> float
     return float(full.sum() - reduced.sum())
 
 
-def argmax_beta(beta: BetaVector) -> int:
-    """Position of the largest score; ties go to the lowest original index."""
-    if beta.values.size == 0:
-        raise EmptyVectorError("no features left to score")
-    return int(np.argmax(beta.values))
-
-
 def rfe_criterion(ms: LinearModelSet) -> np.ndarray:
     """Classical elimination score: sum over classes of squared weights."""
     W = ms.weight_matrix()
@@ -141,15 +135,12 @@ class BetaCriterion:
     The second difference of the mean-beta history is compared against
     sigma times the standard deviation of its own last psi values
     (excluding the newest). No firing during the first ``warmup``
-    iterations. ``fire_when_below`` flips the comparison for
-    compatibility with implementations that stop while the trajectory is
-    still flat.
+    iterations.
     """
 
     sigma: float = DEFAULT_SIGMA
     psi: int = DEFAULT_PSI
     warmup: int = DEFAULT_WARMUP
-    fire_when_below: bool = False
 
     def __post_init__(self):
         if self.sigma < 1:
@@ -173,7 +164,6 @@ def beta_stop_check(
     sigma: float = DEFAULT_SIGMA,
     psi: int = DEFAULT_PSI,
     warmup: int = DEFAULT_WARMUP,
-    fire_when_below: bool = False,
 ) -> BetaStopResult:
     """Evaluate the automatic stop.
 
@@ -200,11 +190,7 @@ def beta_stop_check(
     threshold = max(sigma * std, 1e-9 * max(1.0, abs(float(hist[-1]))))
     if hist.size <= warmup:
         return BetaStopResult(False, latest, threshold)
-    if fire_when_below:
-        fired = abs(latest) < threshold
-    else:
-        fired = abs(latest) > threshold
-    return BetaStopResult(fired, latest, threshold)
+    return BetaStopResult(abs(latest) > threshold, latest, threshold)
 
 
 # ------------------------------------------------------------------- traces
@@ -249,35 +235,12 @@ class SelectionTrace:
         return len(self.selected)
 
 
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        if math.isnan(v):
-            return ""
-        return repr(v)
-    return str(v)
-
-
-TRACE_CSV_HEADER = (
-    "iteration,removed_feature,criterion_value,mean_beta,second_derivative,remaining_count"
-)
+TRACE_CSV_COLUMNS = tuple(f.name for f in fields(SelectionStep))
 
 
 def trace_to_csv(trace: SelectionTrace, path) -> None:
     """One row per pass; NaN and None become empty cells."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(TRACE_CSV_HEADER + "\n")
-        for s in trace.steps:
-            cells = [
-                _cell(s.iteration),
-                _cell(s.removed_feature),
-                _cell(s.criterion_value),
-                _cell(s.mean_beta),
-                _cell(s.second_derivative),
-                _cell(s.remaining_count),
-            ]
-            fh.write(",".join(cells) + "\n")
+    write_csv(path, TRACE_CSV_COLUMNS, (astuple(s) for s in trace.steps))
 
 
 def trace_to_json(trace: SelectionTrace, feature_names=None) -> dict:
@@ -327,8 +290,19 @@ def _run_elimination(
     config: TrainConfig,
     lam: float,
     method: str,
+    score,
+    pick,
     observer=None,
 ):
+    """The backward loop shared by both selectors.
+
+    Each pass retrains on the active features, calls
+    ``score(ms, X_cal_active, y_cal)`` for the per-feature criterion and
+    its mean (None when the criterion has no mean-beta meaning) and
+    removes the feature at position ``pick(criterion)``. Whenever a mean
+    is given, its history and second difference are recorded and can
+    stop the loop under BetaCriterion. ``method`` only labels the trace.
+    """
     X_train = np.asarray(X_train, dtype=float)
     X_cal = np.asarray(X_cal, dtype=float)
     if X_train.ndim != 2 or X_cal.ndim != 2 or X_train.shape[1] != X_cal.shape[1]:
@@ -341,6 +315,9 @@ def _run_elimination(
         raise InvalidPolicyError(
             f"target {policy.target} must be below the initial {X_train.shape[1]} features"
         )
+    # the derivative record is kept under both policies so traces from
+    # fixed-size runs can be replayed against the criterion
+    stop = policy if isinstance(policy, BetaCriterion) else BetaCriterion()
 
     active = list(range(X_train.shape[1]))
     steps: list[SelectionStep] = []
@@ -353,43 +330,33 @@ def _run_elimination(
             X_train[:, active], y_train, n_classes, config, lam,
             active_features=active,
         )
-        if method == "crfe":
-            beta = beta_measures(ms, X_cal[:, active], y_cal)
-            crit = beta.values
-            mean_hist.append(beta.mean())
-        else:
-            crit = rfe_criterion(ms)
+        crit, mean = score(ms, X_cal[:, active], y_cal)
         if observer is not None:
             observer(iteration, tuple(active), ms, crit)
 
-        if method == "crfe":
-            # the derivative record is kept under both policies so traces
-            # from fixed-size runs can be replayed against the criterion
-            if isinstance(policy, BetaCriterion):
-                check = beta_stop_check(
-                    mean_hist, d2_hist, policy.sigma, policy.psi,
-                    policy.warmup, policy.fire_when_below,
-                )
-            else:
-                check = beta_stop_check(mean_hist, d2_hist)
-                check = BetaStopResult(False, check.second_derivative, check.threshold)
-            if not math.isnan(check.second_derivative):
-                d2_hist.append(check.second_derivative)
+        if mean is None:
+            mean = d2 = math.nan
+            fired = False
         else:
-            check = BetaStopResult(False, math.nan, math.nan)
+            mean_hist.append(mean)
+            check = beta_stop_check(mean_hist, d2_hist, stop.sigma, stop.psi, stop.warmup)
+            d2 = check.second_derivative
+            if not math.isnan(d2):
+                d2_hist.append(d2)
+            fired = check.fired
 
         if isinstance(policy, FixedSize):
             if len(active) <= policy.target:
                 reason = StopReason.REACHED_TARGET_SIZE
                 break
         else:
-            if check.fired:
+            if fired:
                 steps.append(SelectionStep(
                     iteration=iteration,
                     removed_feature=None,
                     criterion_value=math.nan,
-                    mean_beta=mean_hist[-1],
-                    second_derivative=check.second_derivative,
+                    mean_beta=mean,
+                    second_derivative=d2,
                     remaining_count=len(active),
                 ))
                 reason = StopReason.BETA_CRITERION_FIRED
@@ -398,16 +365,13 @@ def _run_elimination(
                 reason = StopReason.EXHAUSTED_TO_ONE_FEATURE
                 break
 
-        if method == "crfe":
-            pos = int(np.argmax(crit))
-        else:
-            pos = int(np.argmin(crit))
+        pos = int(pick(crit))
         steps.append(SelectionStep(
             iteration=iteration,
             removed_feature=active[pos],
             criterion_value=float(crit[pos]),
-            mean_beta=mean_hist[-1] if method == "crfe" else math.nan,
-            second_derivative=check.second_derivative,
+            mean_beta=mean,
+            second_derivative=d2,
             remaining_count=len(active) - 1,
         ))
         active.pop(pos)
@@ -418,6 +382,15 @@ def _run_elimination(
         selected=tuple(active),
         stop_reason=reason,
     )
+
+
+def _beta_score(ms: LinearModelSet, X_cal, y_cal):
+    beta = beta_measures(ms, X_cal, y_cal)
+    return beta.values, beta.mean()
+
+
+def _weight_score(ms: LinearModelSet, _X_cal, _y_cal):
+    return rfe_criterion(ms), None
 
 
 def run_crfe(
@@ -438,7 +411,7 @@ def run_crfe(
     """
     return _run_elimination(
         X_train, y_train, X_cal, y_cal, n_classes, policy, config, lam,
-        method="crfe", observer=observer,
+        method="crfe", score=_beta_score, pick=np.argmax, observer=observer,
     )
 
 
@@ -463,5 +436,5 @@ def run_rfe(
         raise InvalidPolicyError("the baseline has no automatic stop; use FixedSize")
     return _run_elimination(
         X_train, y_train, X_cal, y_cal, n_classes, policy, config, lam,
-        method="rfe", observer=observer,
+        method="rfe", score=_weight_score, pick=np.argmin, observer=observer,
     )

@@ -1,0 +1,135 @@
+"""Scalar reference forms of the package's vectorized computations.
+
+The package computes non-conformity, p-values, prediction sets, decision
+values, feature picks and pairwise agreement over whole arrays at once.
+The forms here handle one sample, one model or one family at a time,
+straight from the definitions, so tests can check the array code entry
+by entry against them.
+"""
+
+from dataclasses import dataclass
+from itertools import combinations
+
+import numpy as np
+
+from crfe.classifier import LinearModel
+from crfe.conformal import CalibrationRecord
+from crfe.consistency import SubsetFamily, kuncheva
+from crfe.exceptions import (
+    ConfigError,
+    DimensionMismatchError,
+    EmptyVectorError,
+    InvalidFamilyError,
+)
+from crfe.selection import BetaVector
+
+
+def theta(y, k):
+    """Agreement sign: +1 where y == k, else -1. Broadcasts like numpy."""
+    return np.where(np.asarray(y) == np.asarray(k), 1, -1)
+
+
+def binary_nonconformity(d, y, k):
+    """Non-conformity of one binary model's score d for true label y.
+
+    Samples of class k (theta = +1) are stranger the lower their score;
+    all other samples are stranger the higher it.
+    """
+    return -theta(y, k) * np.asarray(d, dtype=float)
+
+
+def multiclass_nonconformity(d_values, own_class: int, lam: float) -> float:
+    """Combine per-class scores into one score for the candidate label.
+
+    The own-class model contributes -lam * d_own; every other model
+    contributes its score weighted by (1 - lam) / (m - 1).
+    """
+    d = np.asarray(d_values, dtype=float)
+    m = d.shape[0]
+    if not 0 <= own_class < m:
+        raise ConfigError(f"own_class {own_class} out of range for {m} classes")
+    if not 0.0 <= lam <= 1.0:
+        raise ConfigError("lam must lie in [0, 1]")
+    lam_prime = (1.0 - lam) / (m - 1)
+    rest = d.sum() - d[own_class]
+    return float(-lam * d[own_class] + lam_prime * rest)
+
+
+def p_value(record: CalibrationRecord, alpha: float) -> float:
+    """(#{calibration scores >= alpha} + 1) / (n + 1)."""
+    ge = record.n - int(np.searchsorted(record.alphas, alpha, side="left"))
+    return (ge + 1) / (record.n + 1)
+
+
+@dataclass(frozen=True, eq=False)
+class PredictionSet:
+    """Label set for one sample at significance epsilon.
+
+    members holds the class ids whose p-value strictly exceeds epsilon,
+    in ascending order.
+    """
+
+    p: np.ndarray
+    epsilon: float
+    members: tuple[int, ...]
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+    def is_singleton(self) -> bool:
+        return len(self.members) == 1
+
+    def is_empty(self) -> bool:
+        return not self.members
+
+    def contains(self, y: int) -> bool:
+        return int(y) in self.members
+
+
+def prediction_set(p_row, epsilon: float) -> PredictionSet:
+    """Keep the labels whose p-value exceeds epsilon."""
+    epsilon = float(epsilon)
+    if not 0.0 <= epsilon <= 1.0:
+        raise ConfigError("epsilon must lie in [0, 1]")
+    p = np.asarray(p_row, dtype=float)
+    members = tuple(int(k) for k in np.flatnonzero(p > epsilon))
+    return PredictionSet(p=p, epsilon=epsilon, members=members)
+
+
+def decision_value(model: LinearModel, X) -> np.ndarray:
+    """Scores X @ w + b for one model; X columns must match len(w)."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != model.w.shape[0]:
+        raise DimensionMismatchError(
+            f"X has shape {X.shape}, model expects {model.w.shape[0]} columns"
+        )
+    return X @ model.w + model.b
+
+
+def hinge_objective(model: LinearModel, X, z, c: float = 1.0) -> float:
+    """Regularized hinge objective the solver minimizes (bias penalized too)."""
+    X = np.asarray(X, dtype=float)
+    z = np.asarray(z, dtype=float)
+    margins = z * decision_value(model, X)
+    hinge = np.maximum(0.0, 1.0 - margins).mean()
+    penalty = (model.w @ model.w + model.b * model.b) / (2.0 * c * X.shape[0])
+    return float(hinge + penalty)
+
+
+def argmax_beta(beta: BetaVector) -> int:
+    """Position of the largest score; ties go to the lowest original index."""
+    if beta.values.size == 0:
+        raise EmptyVectorError("no features left to score")
+    return int(np.argmax(beta.values))
+
+
+def kuncheva_family(family: SubsetFamily, universe_size: int) -> float:
+    """Mean pairwise index over all unordered pairs in the family."""
+    if family.n < 2:
+        raise InvalidFamilyError("need at least two subsets for pairwise agreement")
+    vals = [
+        kuncheva(a, b, universe_size)
+        for a, b in combinations(family.subsets, 2)
+    ]
+    return float(np.mean(vals))

@@ -15,14 +15,7 @@ import pytest
 
 from crfe.classifier import LinearModel, LinearModelSet, TrainConfig, train_ova
 from crfe.cli import main
-from crfe.conformal import (
-    CalibrationRecord,
-    calibrate,
-    conformal_predict,
-    multiclass_nonconformity,
-    p_value,
-    prediction_set,
-)
+from crfe.conformal import CalibrationRecord, calibrate, conformal_predict
 from crfe.consistency import SubsetFamily, jaccard_multi, kuncheva, weighted_consistency
 from crfe.data import (
     SyntheticSpec,
@@ -41,6 +34,7 @@ from crfe.selection import (
     run_crfe,
     run_rfe,
 )
+from oracles import multiclass_nonconformity, p_value, prediction_set
 
 # the benchmark generator settings used throughout: 350 samples, 35
 # features of which 10 informative + 1 redundant, 4 classes

@@ -1,0 +1,45 @@
+"""The benchmark tracer finds every function it wraps.
+
+perfbench/tracer.py wraps crfe functions by module and name, and binds
+the arguments of train_ova by parameter name. A rename would otherwise
+surface only as a failed traced benchmark run.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import crfe
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+EXPORTS = [
+    "BetaCriterion", "BetaStopResult", "BetaVector", "CalibrationRecord", "CrfeError",
+    "DataSplit", "Dataset", "ExperimentConfig", "FixedSize", "LinearModel",
+    "LinearModelSet", "PointMetricsReport", "ResultsTable", "Scaler", "SelectionStep",
+    "SelectionTrace", "SetMetricsReport", "StopReason", "StoppingParams",
+    "SubsetFamily", "SyntheticSpec", "TrainConfig", "apply_scaler", "beta_measures",
+    "beta_stop_check", "calibrate", "config_from_dict", "config_from_json",
+    "conformal_predict", "consistency_report", "decision_matrix",
+    "delta_nonconformity_oracle", "emit_outputs", "fit_scaler", "generate_synthetic",
+    "impute_knn", "jaccard_multi", "kuncheva", "load_csv", "load_model",
+    "model_set_from_json", "model_set_to_json", "nonconformity_all_labels",
+    "p_value_matrix", "point_metrics", "point_predict", "prediction_mask", "restrict",
+    "rfe_criterion", "run_all", "run_comparison", "run_crfe", "run_rfe",
+    "run_stopping_benchmark", "save_csv", "save_model", "save_synthetic", "set_metrics",
+    "split", "split_with_all_classes", "trace_to_csv", "trace_to_json", "train_binary",
+    "train_ova", "weighted_consistency", "write_prediction_csv",
+]
+
+
+def test_traced_functions_resolve():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for mod_name, fn_name in tracer.TRACED:
+        fn = getattr(importlib.import_module(mod_name), fn_name, None)
+        assert inspect.isfunction(fn), f"{mod_name}.{fn_name} is gone"
+    params = inspect.signature(crfe.train_ova).parameters
+    assert {"X", "y", "n_classes", "config", "lam"} <= set(params)
+    assert crfe.__all__ == EXPORTS

@@ -6,8 +6,6 @@ from crfe.classifier import (
     LinearModelSet,
     TrainConfig,
     decision_matrix,
-    decision_value,
-    hinge_objective,
     load_model,
     model_set_from_json,
     model_set_to_json,
@@ -23,6 +21,7 @@ from crfe.exceptions import (
     NonFiniteInputError,
     UnknownFeatureError,
 )
+from oracles import decision_value, hinge_objective
 
 
 def separable_blobs(seed=0, n=40, gap=3.0):

@@ -5,6 +5,10 @@ import pytest
 
 from crfe.cli import main
 
+# fewer samples than classes: no dataset can hold every class
+TINY_SPEC = {"n_samples": 2, "n_features": 3, "n_informative": 2, "n_redundant": 0,
+             "n_classes": 3, "class_sep": 1.0, "flip_y": 0.0, "seed": 0}
+
 SPEC = {"n_samples": 120, "n_features": 8, "n_informative": 3, "n_redundant": 2,
         "n_classes": 3, "class_sep": 1.5, "flip_y": 0.02, "seed": 7}
 
@@ -36,6 +40,8 @@ def test_synth_bad_spec_exits_2(tmp_path):
     assert main(["synth", "--spec", str(bad), "--out", str(tmp_path / "d.csv")]) == 2
     assert main(["synth", "--spec", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "d.csv")]) == 2
+    bad.write_text(json.dumps(TINY_SPEC))
+    assert main(["synth", "--spec", str(bad), "--out", str(tmp_path / "d.csv")]) == 2
 
 
 def test_select_fixed_writes_artifacts(data_csv, tmp_path):
@@ -96,6 +102,9 @@ def test_bench_config_errors_exit_2(tmp_path):
     assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert main(["bench", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "o")]) == 2
+    cfg.write_text(json.dumps({**CFG, "dataset": {"synthetic": TINY_SPEC}}))
+    for command in ("bench", "consistency"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_consistency_subcommand(tmp_path):

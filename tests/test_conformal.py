@@ -4,20 +4,22 @@ import pytest
 from crfe.classifier import LinearModel, LinearModelSet, TrainConfig, decision_matrix, train_ova
 from crfe.conformal import (
     CalibrationRecord,
-    binary_nonconformity,
     calibrate,
     conformal_predict,
-    multiclass_nonconformity,
     nonconformity_all_labels,
-    p_value,
     p_value_matrix,
     prediction_mask,
-    prediction_set,
-    theta,
     write_prediction_csv,
 )
 from crfe.data import SyntheticSpec, apply_scaler, fit_scaler, generate_synthetic, split
 from crfe.exceptions import ConfigError, EmptyCalibrationError
+from oracles import (
+    binary_nonconformity,
+    multiclass_nonconformity,
+    p_value,
+    prediction_set,
+    theta,
+)
 
 
 def test_theta_sign():

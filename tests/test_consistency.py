@@ -5,10 +5,10 @@ from crfe.consistency import (
     SubsetFamily,
     jaccard_multi,
     kuncheva,
-    kuncheva_family,
     weighted_consistency,
 )
 from crfe.exceptions import InvalidCardinalityError, InvalidFamilyError
+from oracles import kuncheva_family
 
 
 FAMILY = SubsetFamily(subsets=({1, 2}, {1, 2}, {1, 3}))

@@ -15,6 +15,8 @@ from crfe.data import (
     split_with_all_classes,
 )
 from crfe.exceptions import (
+    DegenerateLabelsError,
+    DimensionMismatchError,
     EmptyRowSetError,
     InvalidSpecError,
     MissingFileError,
@@ -36,6 +38,24 @@ def make_dataset(X, y, m=None):
         feature_names=tuple(f"f{j}" for j in range(X.shape[1])),
         class_names=tuple(f"c{k}" for k in range(m)),
     )
+
+
+def test_dataset_rejects_inconsistent_fields():
+    X, y = np.zeros((4, 2)), np.array([0, 1, 0, 1])
+    names = ("f0", "f1")
+    for bad in (
+        dict(X=np.zeros(4)),                     # not 2-D
+        dict(y=np.array([0, 1, 0])),             # one label short
+        dict(feature_names=("f0",)),
+        dict(missing_mask=np.zeros((4, 3), dtype=bool)),
+    ):
+        with pytest.raises(DimensionMismatchError):
+            Dataset(**{"X": X, "y": y, "feature_names": names,
+                       "class_names": ("a", "b"), **bad})
+    for bad_y, classes in (([0, 1, 0, -1], ("a", "b")),   # id out of range
+                           ([0, 1, 0, 1], ("a", "b", "c"))):  # "c" never seen
+        with pytest.raises(DegenerateLabelsError):
+            Dataset(X=X, y=np.array(bad_y), feature_names=names, class_names=classes)
 
 
 # ---------------------------------------------------------------- loading
@@ -290,6 +310,7 @@ def test_synthetic_spec_validation():
         dict(good, flip_y=1.5),
         dict(good, class_sep=0.0),
         dict(good, n_redundant=-1),
+        dict(good, n_samples=2),                # fewer samples than classes
     ):
         with pytest.raises(InvalidSpecError):
             SyntheticSpec(**bad)

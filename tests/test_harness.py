@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from crfe.classifier import TrainConfig
+from crfe.consistency import SubsetFamily
 from crfe.data import SyntheticSpec
 from crfe.exceptions import ConfigError
 from crfe.harness import (
@@ -20,6 +21,7 @@ from crfe.harness import (
     run_stopping_benchmark,
     subsets_by_size,
 )
+from oracles import kuncheva_family
 
 TINY = SyntheticSpec(n_samples=120, n_features=8, n_informative=3, n_redundant=2,
                      n_classes=3, class_sep=1.5, flip_y=0.02, seed=7)
@@ -175,6 +177,11 @@ def test_consistency_report_shape(tiny_table):
     for r in within:
         assert 0.0 <= r["i_j"] <= 1.0 and 0.0 <= r["i_w"] <= 1.0
         assert -1.0 <= r["kuncheva_mean"] <= 1.0
+        fam = SubsetFamily(subsets=tuple(
+            subsets_by_size(tiny_table.traces[(r["method"], seed)], 8)[r["subset_size"]]
+            for seed in tiny_table.seeds
+        ))
+        assert r["kuncheva_mean"] == pytest.approx(kuncheva_family(fam, 8), abs=1e-12)
     for r in cross:
         assert -1.0 <= r["jaccard_mean"] <= 1.0
 

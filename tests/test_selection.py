@@ -15,7 +15,6 @@ from crfe.selection import (
     SelectionStep,
     SelectionTrace,
     StopReason,
-    argmax_beta,
     beta_measures,
     beta_stop_check,
     delta_nonconformity_oracle,
@@ -25,6 +24,7 @@ from crfe.selection import (
     trace_to_csv,
     trace_to_json,
 )
+from oracles import argmax_beta
 
 
 def random_model_set(rng, l, m):
@@ -146,8 +146,6 @@ def test_stop_check_respects_sigma_threshold():
     std = np.std(d2_hist)
     assert beta_stop_check(means, d2_hist, sigma=1.0).fired  # 1 > 0.47
     assert not beta_stop_check(means, d2_hist, sigma=3.0).fired  # 1 < 1.41
-    assert not beta_stop_check(means, d2_hist, sigma=1.0, fire_when_below=True).fired
-    assert beta_stop_check(means, d2_hist, sigma=3.0, fire_when_below=True).fired
     assert std > 0  # sanity: not exercising the zero-variance fallback here
 
 
