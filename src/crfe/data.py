@@ -314,15 +314,25 @@ def impute_knn(d: Dataset, k: int = DEFAULT_IMPUTE_NEIGHBORS) -> Dataset:
     mask = d.missing_mask
     present = ~mask
     filled = X.copy()
+    # scratch reused for every row: fresh X-sized temporaries per row made
+    # the run time swing with where the allocator placed and faulted them in
+    shared = np.empty_like(present)
+    unshared = np.empty_like(present)
+    sq = np.empty_like(X)
 
     rows_with_missing = np.flatnonzero(mask.any(axis=1))
     for i in rows_with_missing:
-        # mean squared difference over shared observed features
-        shared = present & present[i]
+        # mean squared difference over shared observed features, with
+        # NaN terms dropped as in np.nansum
+        np.logical_and(present, present[i], out=shared)
+        np.logical_not(shared, out=unshared)
         n_shared = shared.sum(axis=1)
-        diff = np.where(shared, X - X[i], 0.0)
+        np.subtract(X, X[i], out=sq)
+        np.copyto(sq, 0.0, where=unshared)
+        np.multiply(sq, sq, out=sq)
+        np.copyto(sq, 0.0, where=np.isnan(sq))
         with np.errstate(invalid="ignore"):
-            dist = np.sqrt(np.where(n_shared > 0, np.nansum(diff * diff, axis=1), np.inf)
+            dist = np.sqrt(np.where(n_shared > 0, sq.sum(axis=1), np.inf)
                            / np.maximum(n_shared, 1))
         dist[n_shared == 0] = np.inf
         dist[i] = np.inf

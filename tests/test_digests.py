@@ -9,10 +9,11 @@ any output on purpose must re-pin them and say why.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from crfe.cli import main
-from crfe.data import SyntheticSpec, save_synthetic
+from crfe.data import Dataset, SyntheticSpec, generate_synthetic, impute_knn, save_synthetic
 
 BENCH_CFG = {
     "dataset": {"synthetic": {"n_samples": 120, "n_features": 8,
@@ -76,3 +77,17 @@ def test_select_artifact_digests(tmp_path, method, stop):
                  "--out", str(out)]) == 0
     want = SELECT_DIGESTS[(method, stop)]
     assert digests(out, want) == want
+
+
+IMPUTED_DIGEST = "067d387191fd4f1e7e1bc9286ec5d40e4964c69e7195fcd74bda4af12b3d07d0"
+
+
+def test_imputed_matrix_digest():
+    # neighbour order can flip on a last-bit change of a distance, so the
+    # filled values are pinned bit for bit
+    d, _ = generate_synthetic(SELECT_SPEC)
+    mask = np.random.default_rng(0).random((150, 12)) < 0.1
+    holed = Dataset(X=np.where(mask, np.nan, d.X), y=d.y, feature_names=d.feature_names,
+                    class_names=d.class_names, missing_mask=mask)
+    got = hashlib.sha256(impute_knn(holed).X.tobytes()).hexdigest()
+    assert got == IMPUTED_DIGEST
