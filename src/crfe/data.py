@@ -1,4 +1,4 @@
-"""Dataset container, CSV ingestion, preprocessing and seeded splitting.
+"""Dataset container, CSV input, report CSVs, preprocessing and seeded splitting.
 
 Everything here is pure given its inputs and seed: datasets are treated as
 immutable after construction, and every stochastic operation takes an
