@@ -9,13 +9,29 @@ run over seeded mini-batch shuffles with learning rate
 eta0 / (1 + eta0 * t / (C n)), and the returned model averages the
 iterates of the second half of the run. Everything is deterministic for a
 fixed TrainConfig.
+
+train_ova solves its K one-vs-all problems in one stacked loop. Each step
+gathers one mini-batch per problem, shape (K, b, l + 1), and updates all
+K weight vectors with a handful of array calls, so the Python overhead of
+a step is paid once per step rather than once per problem. The result is
+bit-identical to training each problem on its own (tests/oracles.py keeps
+that per-problem loop):
+
+- the step counter t, and with it eta and the penalty, depends only on n,
+  so all problems share one schedule;
+- Generator.permuted along the epoch axis of a block of epochs draws from
+  problem k's stream exactly what one Generator.permutation(n) call per
+  epoch draws, so every problem visits its rows in its own seeded order;
+- the margins come from the same matrix-vector product per problem, and
+  the update sums the masked batch rows in batch order, so the rows of
+  non-violators add exact zeros and every other sum keeps its order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,60 +141,65 @@ def _check_matrix(X) -> np.ndarray:
     return X
 
 
-def train_binary(X, z, config: TrainConfig = TrainConfig()) -> LinearModel:
-    """Fit one hyperplane to labels z in {-1, +1}.
+# int32 entries of the buffer that row orders are drawn into: small
+# problems draw every epoch at once, large ones a block of epochs at a time
+_ORDER_BUFFER = 1 << 16
 
-    Parameters
-    ----------
-    X : ndarray of shape (n, l)
-    z : ndarray of shape (n,)
-        Must contain both classes.
-    config : TrainConfig
 
-    Returns
-    -------
-    LinearModel
-        Tail-averaged iterate of the subgradient run.
+def _epoch_orders(K: int, n: int, config: TrainConfig):
+    """Yield each epoch's (K, n) row order into the stacked rows.
+
+    Problem k draws from default_rng(config.seed + k), and its orders are
+    offset by k * n. Generator.permuted over a block of epochs draws exactly
+    what one Generator.permutation(n) call per epoch would. The yielded
+    array is a view that the next block overwrites.
     """
-    X = _check_matrix(X)
-    z = np.asarray(z, dtype=float)
-    if z.shape != (X.shape[0],):
-        raise DimensionMismatchError("z length does not match X rows")
-    if not np.isfinite(z).all():
-        raise NonFiniteInputError("z contains non-finite entries")
-    if not set(np.unique(z)) <= {-1.0, 1.0}:
-        raise ValueError("z must take values in {-1, +1}")
-    if np.unique(z).size < 2:
-        raise DegenerateLabelsError("all samples carry the same label")
+    rngs = [np.random.default_rng(config.seed + k) for k in range(K)]
+    block = max(1, min(config.epochs, _ORDER_BUFFER // (K * n)))
+    order = np.tile(np.arange(n, dtype=np.int32), (block, 1))
+    idx = np.empty((K, block, n), dtype=np.int32)
+    offsets = np.arange(0, K * n, n, dtype=np.int32)[:, None, None]
+    for first in range(0, config.epochs, block):
+        m = min(block, config.epochs - first)
+        for k, rng in enumerate(rngs):
+            rng.permuted(order[:m], axis=1, out=idx[k, :m])
+        idx[:, :m] += offsets
+        for e in range(m):
+            yield idx[:, e]
 
-    n, l = X.shape
-    ZX = np.hstack([X, np.ones((n, 1))]) * z[:, None]  # rows are z_i * (x_i, 1)
+
+def _train_stacked(X, Z, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Fit the K binary problems whose labels are the rows of Z in {-1, +1}.
+
+    Problem k shuffles with seed config.seed + k. Returns the tail-averaged
+    weights, shape (K, l), and biases, shape (K,).
+    """
+    K, n = Z.shape
+    l = X.shape[1]
+    # row k * n + i is z_ki * (x_i, 1)
+    ZX = (Z[:, :, None] * np.hstack([X, np.ones((n, 1))])).reshape(K * n, l + 1)
     lam_reg = 1.0 / (config.c * n)
-    rng = np.random.default_rng(config.seed)
     batch = min(config.batch_size, n)
-    total = config.epochs * math.ceil(n / batch)
-    tail_from = total // 2
+    tail_from = config.epochs * math.ceil(n / batch) // 2
 
-    w = np.zeros(l + 1)
-    w_sum = np.zeros(l + 1)
+    w = np.zeros((K, l + 1))
+    w_col = w[:, :, None]  # view for the batched margins
+    w_sum = np.zeros((K, l + 1))
     n_tail = 0
     t = 0
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
+    for order in _epoch_orders(K, n, config):
         for start in range(0, n, batch):
-            idx = order[start:start + batch]
+            rows = ZX[order[:, start:start + batch]]  # (K, b, l + 1)
             eta = config.eta0 / (1.0 + config.eta0 * lam_reg * t)
-            rows = ZX[idx]
-            viol = rows @ w < 1.0
+            viol = (np.matmul(rows, w_col) < 1.0).astype(float)  # (K, b, 1)
             w *= 1.0 - eta * lam_reg
-            if viol.any():
-                w += (eta / idx.size) * rows[viol].sum(axis=0)
+            w += (eta / rows.shape[1]) * np.einsum("kbi,kbj->kj", viol, rows)
             t += 1
             if t > tail_from:
                 w_sum += w
                 n_tail += 1
     w_avg = w_sum / n_tail
-    return LinearModel(w=w_avg[:l], b=w_avg[l])
+    return w_avg[:, :l], w_avg[:, l]
 
 
 def train_ova(
@@ -198,6 +219,8 @@ def train_ova(
     y = np.asarray(y, dtype=int)
     if y.shape != (X.shape[0],):
         raise DimensionMismatchError("y length does not match X rows")
+    if n_classes < 2:
+        raise DegenerateLabelsError("need at least two classes")
     counts = np.bincount(y, minlength=n_classes)
     if y.size and (y.min() < 0 or y.max() >= n_classes):
         raise DegenerateLabelsError("labels outside [0, n_classes)")
@@ -207,11 +230,10 @@ def train_ova(
         )
     if active_features is None:
         active_features = range(X.shape[1])
-    models = []
-    for k in range(n_classes):
-        z = np.where(y == k, 1.0, -1.0)
-        models.append(train_binary(X, z, replace(config, seed=config.seed + k)))
-    return LinearModelSet(models=tuple(models), lam=lam, active_features=tuple(active_features))
+    Z = np.where(y == np.arange(n_classes)[:, None], 1.0, -1.0)
+    W, b = _train_stacked(X, Z, config)
+    models = tuple(LinearModel(w=W[k], b=b[k]) for k in range(n_classes))
+    return LinearModelSet(models=models, lam=lam, active_features=tuple(active_features))
 
 
 def decision_matrix(ms: LinearModelSet, X) -> np.ndarray:

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .classifier import TrainConfig, save_model, train_ova
+from .classifier import TrainConfig, save_model
 from .conformal import calibrate, conformal_predict, write_prediction_csv
 from .data import (
     SyntheticSpec,
@@ -87,16 +87,21 @@ def _cmd_select(args) -> int:
     sp, (X_tr, y_tr), (X_cal, y_cal), (X_te, _) = scaled_split(d, args.seed)
     tcfg = TrainConfig(seed=args.seed)
     runner = run_crfe if args.method == "crfe" else run_rfe
-    trace = runner(X_tr, y_tr, X_cal, y_cal, d.n_classes, policy, tcfg, args.lam)
+    final = {}
+
+    def keep_final(_it, _active, ms, _crit):
+        final["ms"] = ms  # the last pass trains on the selected subset
+
+    trace = runner(X_tr, y_tr, X_cal, y_cal, d.n_classes, policy, tcfg, args.lam,
+                   observer=keep_final)
 
     os.makedirs(args.out, exist_ok=True)
     trace_to_csv(trace, os.path.join(args.out, "trace.csv"))
     with open(os.path.join(args.out, "trace.json"), "w", encoding="utf-8") as fh:
         json.dump(trace_to_json(trace, d.feature_names), fh, indent=2)
         fh.write("\n")
+    ms = final["ms"]
     cols = list(trace.selected)
-    ms = train_ova(X_tr[:, cols], y_tr, d.n_classes, tcfg, args.lam,
-                   active_features=cols)
     save_model(ms, os.path.join(args.out, "model.json"))
     rec = calibrate(ms, X_cal[:, cols], y_cal)
     P, mask = conformal_predict(ms, rec, X_te[:, cols], args.epsilon)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, asdict
 
@@ -174,14 +175,17 @@ def load_csv(
         and mapped to class ids by rank.
     missing_token : str
         Cell content that marks a missing value (default: empty cell).
+        Every other feature cell must parse as a finite float.
     drop_missing_over : float or None
         Drop any feature whose missing fraction exceeds this threshold
         before returning (default 0.25); None disables the filter.
 
     Raises
     ------
-    MissingFileError, MissingLabelColumnError, UnparsableCellError,
-    SingleClassError
+    MissingFileError, MissingLabelColumnError, SingleClassError,
+    UnparsableCellError (a ragged row, or a cell that is neither a finite
+    number nor the missing token; it names the 1-based file line, the
+    header being line 1)
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -190,7 +194,12 @@ def load_csv(
                 header = next(reader)
             except StopIteration:
                 raise SingleClassError(f"{path}: empty file") from None
-            rows = list(reader)
+            # each row and the file line it ends on; the lines go into an
+            # int array, since one object per row pins heap memory
+            rows, lines = [], array("l")
+            for row in reader:
+                rows.append(row)
+                lines.append(reader.line_num)
     except FileNotFoundError:
         raise MissingFileError(f"no such file: {path}") from None
 
@@ -207,7 +216,7 @@ def load_csv(
     for r, row in enumerate(rows):
         if len(row) != len(header):
             raise UnparsableCellError(
-                r, len(row), f"row has {len(row)} cells, expected {len(header)}"
+                lines[r], None, f"row has {len(row)} cells, expected {len(header)}"
             )
         labels.append(row[label_pos])
         c = 0
@@ -219,9 +228,14 @@ def load_csv(
                 mask[r, c] = True
             else:
                 try:
-                    values[r, c] = float(cell)
+                    v = float(cell)
                 except ValueError:
-                    raise UnparsableCellError(r, i, cell) from None
+                    v = math.nan
+                # 'nan', 'inf' and overflowing spellings parse but are
+                # not observations: only the missing token marks a gap
+                if not math.isfinite(v):
+                    raise UnparsableCellError(lines[r], i + 1, cell)
+                values[r, c] = v
             c += 1
 
     class_names = sorted(set(labels))

@@ -20,13 +20,24 @@ class MissingLabelColumnError(CrfeError):
 
 
 class UnparsableCellError(CrfeError):
-    """A CSV cell is neither a number nor the missing token."""
+    """A CSV row does not parse.
 
-    def __init__(self, row: int, col: int, value: str):
-        self.row = row
+    Either a cell is neither a finite number nor the missing token, or the
+    row has a different cell count from the header. ``line`` is the 1-based
+    line of the file (the header is line 1). ``col`` is the 1-based column
+    of the bad cell and ``value`` its text; a ragged row has ``col`` None
+    and ``value`` describing its cell count.
+    """
+
+    def __init__(self, line: int, col: int | None, value: str):
+        self.line = line
         self.col = col
         self.value = value
-        super().__init__(f"cell ({row}, {col}) is not numeric: {value!r}")
+        if col is None:
+            msg = f"line {line}: {value}"
+        else:
+            msg = f"line {line}, column {col}: {value!r} is not a finite number"
+        super().__init__(msg)
 
 
 class SingleClassError(CrfeError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classifier import TrainConfig, decision_matrix, train_ova
+from .classifier import LinearModelSet, TrainConfig, decision_matrix, train_ova
 from .conformal import calibrate, conformal_predict
 from .consistency import SubsetFamily, jaccard_multi, kuncheva, weighted_consistency
 from .data import (
@@ -435,39 +435,43 @@ def run_stopping_benchmark(cfg: ExperimentConfig):
         seed = cfg.master_seed + r
         _, (X_tr, y_tr), (X_cal, y_cal), (X_te, y_te) = scaled_split(d, seed)
         tcfg = replace(cfg.train, seed=cfg.train.seed + r)
-        chosen: dict[str, tuple[int, ...]] = {}
+        # the last pass of an elimination trains on its final subset, so
+        # each selector's chosen model is taken from its run, not refitted
+        final: dict[str, LinearModelSet] = {}
         if "crfe" in cfg.selectors:
-            tr = run_crfe(
+
+            def keep_final(_it, _active, ms, _crit):
+                final["crfe"] = ms
+
+            run_crfe(
                 X_tr, y_tr, X_cal, y_cal, m,
                 BetaCriterion(cfg.stopping.sigma, cfg.stopping.psi, cfg.stopping.warmup),
-                tcfg, cfg.lam,
+                tcfg, cfg.lam, observer=keep_final,
             )
-            chosen["crfe"] = tr.selected
         if "rfe" in cfg.selectors:
-            snapshots: dict[int, tuple[int, ...]] = {}
+            snapshots: dict[int, LinearModelSet] = {}
 
-            def observer(_it, active, _ms, _crit):
-                snapshots[len(active)] = active
+            def observer(_it, active, ms, _crit):
+                snapshots[len(active)] = ms
 
             run_rfe(X_tr, y_tr, X_cal, y_cal, m, FixedSize(1), tcfg, cfg.lam,
                     observer=observer)
             best_size, best_acc = None, -math.inf
             for size in sorted(snapshots, reverse=True):
-                cols = list(snapshots[size])
+                cols = list(snapshots[size].active_features)
                 acc = _cv_accuracy(X_tr[:, cols], y_tr, m, tcfg)
                 if acc > best_acc:
                     best_size, best_acc = size, acc
-            chosen["rfe"] = snapshots[best_size]
+            final["rfe"] = snapshots[best_size]
         for method in cfg.selectors:
-            subset = chosen[method]
-            cols = list(subset)
-            ms = train_ova(X_tr[:, cols], y_tr, m, tcfg, cfg.lam, active_features=cols)
+            ms = final[method]
+            cols = list(ms.active_features)
             sm, _pm = _evaluate(ms, X_cal, y_cal, X_te, y_te, cfg.epsilon, m)
             counts[method][cols] += 1
             per_run.append({
                 "method": method,
                 "seed": seed,
-                "size": len(subset),
+                "size": len(cols),
                 "inefficiency": sm.inefficiency,
                 "certainty": sm.certainty,
             })

@@ -1,18 +1,20 @@
 """Scalar reference forms of the package's vectorized computations.
 
 The package computes non-conformity, p-values, prediction sets, decision
-values, feature picks and pairwise agreement over whole arrays at once.
-The forms here handle one sample, one model or one family at a time,
+values, feature picks and pairwise agreement over whole arrays at once,
+and trains all one-vs-all problems in one stacked loop. The forms here
+handle one sample, one model, one binary problem or one family at a time,
 straight from the definitions, so tests can check the array code entry
 by entry against them.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from crfe.classifier import LinearModel
+from crfe.classifier import LinearModel, TrainConfig
 from crfe.conformal import CalibrationRecord
 from crfe.consistency import SubsetFamily, kuncheva
 from crfe.exceptions import (
@@ -115,6 +117,45 @@ def hinge_objective(model: LinearModel, X, z, c: float = 1.0) -> float:
     hinge = np.maximum(0.0, 1.0 - margins).mean()
     penalty = (model.w @ model.w + model.b * model.b) / (2.0 * c * X.shape[0])
     return float(hinge + penalty)
+
+
+def train_binary(X, z, config: TrainConfig = TrainConfig()) -> LinearModel:
+    """Fit one hyperplane to labels z in {-1, +1}, one mini-batch at a time.
+
+    The per-problem form of the solver behind train_ova: a fresh
+    permutation per epoch from default_rng(config.seed), and only the
+    margin violators summed into each update.
+    """
+    X = np.asarray(X, dtype=float)
+    z = np.asarray(z, dtype=float)
+    n, l = X.shape
+    ZX = np.hstack([X, np.ones((n, 1))]) * z[:, None]  # rows are z_i * (x_i, 1)
+    lam_reg = 1.0 / (config.c * n)
+    rng = np.random.default_rng(config.seed)
+    batch = min(config.batch_size, n)
+    total = config.epochs * math.ceil(n / batch)
+    tail_from = total // 2
+
+    w = np.zeros(l + 1)
+    w_sum = np.zeros(l + 1)
+    n_tail = 0
+    t = 0
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch):
+            idx = order[start:start + batch]
+            eta = config.eta0 / (1.0 + config.eta0 * lam_reg * t)
+            rows = ZX[idx]
+            viol = rows @ w < 1.0
+            w *= 1.0 - eta * lam_reg
+            if viol.any():
+                w += (eta / idx.size) * rows[viol].sum(axis=0)
+            t += 1
+            if t > tail_from:
+                w_sum += w
+                n_tail += 1
+    w_avg = w_sum / n_tail
+    return LinearModel(w=w_avg[:l], b=w_avg[l])
 
 
 def argmax_beta(beta: BetaVector) -> int:

@@ -28,8 +28,8 @@ EXPORTS = [
     "p_value_matrix", "point_metrics", "point_predict", "prediction_mask", "restrict",
     "rfe_criterion", "run_all", "run_comparison", "run_crfe", "run_rfe",
     "run_stopping_benchmark", "save_csv", "save_model", "save_synthetic", "set_metrics",
-    "split", "split_with_all_classes", "trace_to_csv", "trace_to_json", "train_binary",
-    "train_ova", "weighted_consistency", "write_prediction_csv",
+    "split", "split_with_all_classes", "trace_to_csv", "trace_to_json", "train_ova",
+    "weighted_consistency", "write_prediction_csv",
 ]
 
 

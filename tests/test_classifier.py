@@ -1,6 +1,12 @@
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from crfe import classifier
 from crfe.classifier import (
     LinearModel,
     LinearModelSet,
@@ -11,7 +17,6 @@ from crfe.classifier import (
     model_set_to_json,
     restrict,
     save_model,
-    train_binary,
     train_ova,
 )
 from crfe.exceptions import (
@@ -21,7 +26,7 @@ from crfe.exceptions import (
     NonFiniteInputError,
     UnknownFeatureError,
 )
-from oracles import decision_value, hinge_objective
+from oracles import decision_value, hinge_objective, train_binary
 
 
 def separable_blobs(seed=0, n=40, gap=3.0):
@@ -77,18 +82,60 @@ def test_binary_longer_training_reaches_lower_objective():
     assert hinge_objective(long, X, z) <= hinge_objective(short, X, z) + 1e-6
 
 
-def test_binary_input_validation():
+def test_ova_input_validation():
     X, z = separable_blobs()
+    y = (z > 0).astype(int)
     with pytest.raises(DegenerateLabelsError):
-        train_binary(X, np.ones(X.shape[0]))
+        train_ova(X, np.ones(X.shape[0], dtype=int), 2)
+    with pytest.raises(DegenerateLabelsError):
+        train_ova(X, y, 1)
     with pytest.raises(NonFiniteInputError):
         bad = X.copy()
         bad[0, 0] = np.nan
-        train_binary(bad, z)
+        train_ova(bad, y, 2)
     with pytest.raises(DimensionMismatchError):
-        train_binary(X, z[:-1])
-    with pytest.raises(ValueError):
-        train_binary(X, np.where(z > 0, 1.0, 0.0))
+        train_ova(X, y[:-1], 2)
+    with pytest.raises(DegenerateLabelsError):
+        train_ova(X, 2 * y, 2)
+
+
+@st.composite
+def ova_problems(draw):
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(k, 40))
+    l = draw(st.integers(1, 12))
+    config = TrainConfig(
+        c=draw(st.floats(0.01, 100.0)),
+        epochs=draw(st.integers(1, 7)),
+        batch_size=draw(st.integers(1, n + 8)),
+        eta0=draw(st.floats(0.01, 5.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    # an order buffer below k * n * epochs draws the epochs in blocks
+    buffer = draw(st.integers(1, k * n * config.epochs + 1))
+    return n, l, k, config, buffer, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ova_problems())
+@example((10, 3, 2, TrainConfig(batch_size=16, epochs=3), 1000, 0))  # n < batch
+@example((16, 3, 3, TrainConfig(batch_size=16, epochs=4), 1000, 1))  # n == batch
+@example((37, 5, 4, TrainConfig(batch_size=8, epochs=5), 1000, 2))   # partial last batch
+@example((30, 12, 6, TrainConfig(batch_size=7, epochs=2), 1000, 3))  # even epochs
+@example((12, 2, 3, TrainConfig(batch_size=5, epochs=7), 72, 4))     # blocks of 2 epochs
+def test_stacked_solver_matches_per_class_oracle(problem):
+    """train_ova's stacked loop returns exactly the per-class oracle's models."""
+    n, l, k, config, buffer, data_seed = problem
+    rng = np.random.default_rng(data_seed)
+    X = rng.standard_normal((n, l)) * rng.uniform(0.1, 10.0)
+    y = rng.permutation(np.arange(n) % k)
+    with mock.patch.object(classifier, "_ORDER_BUFFER", buffer):
+        ms = train_ova(X, y, k, config)
+    for cls in range(k):
+        want = train_binary(X, np.where(y == cls, 1.0, -1.0),
+                            replace(config, seed=config.seed + cls))
+        assert np.array_equal(ms.models[cls].w, want.w)
+        assert ms.models[cls].b == want.b
 
 
 def test_ova_structure_and_accuracy():

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from crfe.cli import main
+from crfe.data import load_csv, split_with_all_classes
 
 # fewer samples than classes: no dataset can hold every class
 TINY_SPEC = {"n_samples": 2, "n_features": 3, "n_informative": 2, "n_redundant": 0,
@@ -84,6 +85,23 @@ def test_select_usage_errors_exit_2(data_csv, tmp_path):
 def test_select_missing_data_exits_3(tmp_path):
     assert main(["select", "--data", str(tmp_path / "none.csv"), "--label", "y",
                  "--method", "crfe", "--stop", "beta", "--out", str(tmp_path / "x")]) == 3
+
+
+def test_select_non_finite_cell_exits_3_before_training(data_csv, tmp_path, capsys):
+    # put 'nan' in a test row: training never sees it, and whether
+    # prediction would trip on it depends on which features survive
+    row = int(split_with_all_classes(load_csv(data_csv, label_column="label"), 0).test_idx[0])
+    lines = data_csv.read_text().splitlines()
+    cells = lines[row + 1].split(",")
+    cells[2] = "nan"
+    lines[row + 1] = ",".join(cells)
+    data_csv.write_text("\n".join(lines) + "\n")
+    for stop in ("fixed:1", "fixed:2"):
+        out = tmp_path / stop.replace(":", "_")
+        assert main(["select", "--data", str(data_csv), "--label", "label",
+                     "--method", "crfe", "--stop", stop, "--out", str(out)]) == 3
+        assert not out.exists()
+        assert f"line {row + 2}, column 3" in capsys.readouterr().err
 
 
 def test_bench_writes_reports(tmp_path):

@@ -98,9 +98,30 @@ def test_load_csv_unparsable_cell_reports_location(tmp_path):
     p.write_text("a,b,label\n1,2,x\n1,oops,y\n")
     with pytest.raises(UnparsableCellError) as ei:
         load_csv(p, label_column="label")
-    assert ei.value.row == 1
-    assert ei.value.col == 1
+    assert ei.value.line == 3
+    assert ei.value.col == 2
     assert ei.value.value == "oops"
+    assert "line 3, column 2" in str(ei.value)
+    p.write_text("a,b,label\n1,2,x\n1,y\n")
+    with pytest.raises(UnparsableCellError) as ei:
+        load_csv(p, label_column="label")
+    assert ei.value.line == 3
+    assert ei.value.col is None
+    assert str(ei.value) == "line 3: row has 2 cells, expected 3"
+    # a quoted line break in the header moves every later row down a line
+    p.write_text('a,"b\nb",label\n1,2,x\n1,oops,y\n')
+    with pytest.raises(UnparsableCellError) as ei:
+        load_csv(p, label_column="label")
+    assert (ei.value.line, ei.value.col) == (4, 2)
+
+
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "+Infinity", "1e999"])
+def test_load_csv_rejects_non_finite_cells(tmp_path, cell):
+    p = tmp_path / "d.csv"
+    p.write_text(f"a,b,label\n1,2,x\n3,4,y\n5,{cell},x\n")
+    with pytest.raises(UnparsableCellError) as ei:
+        load_csv(p, label_column="label")
+    assert (ei.value.line, ei.value.col, ei.value.value) == (4, 2, cell)
 
 
 def test_load_csv_single_class(tmp_path):
