@@ -10,18 +10,22 @@ eta0 / (1 + eta0 * t / (C n)), and the returned model averages the
 iterates of the second half of the run. Everything is deterministic for a
 fixed TrainConfig.
 
-train_ova solves its K one-vs-all problems in one stacked loop. Each step
-gathers one mini-batch per problem, shape (K, b, l + 1), and updates all
-K weight vectors with a handful of array calls, so the Python overhead of
-a step is paid once per step rather than once per problem. The result is
-bit-identical to training each problem on its own (tests/oracles.py keeps
-that per-problem loop):
+train_ova solves its K one-vs-all problems in one stacked loop, and the
+cross-validation folds of one training-set size go through the same loop
+together, F folds times K classes. Each step gathers one mini-batch per
+problem, shape (P, b, l + 1), and updates all P weight vectors with a
+handful of array calls, so the Python overhead of a step is paid once per
+step rather than once per problem. The result is bit-identical to
+training each problem on its own (tests/oracles.py keeps that
+per-problem loop):
 
 - the step counter t, and with it eta and the penalty, depends only on n,
   so all problems share one schedule;
 - Generator.permuted along the epoch axis of a block of epochs draws from
-  problem k's stream exactly what one Generator.permutation(n) call per
-  epoch draws, so every problem visits its rows in its own seeded order;
+  problem p's stream exactly what one Generator.permutation(n) call per
+  epoch draws, so every problem visits its rows in its own seeded order
+  (folds share n and the per-class seeds, so their streams are drawn once
+  and copied);
 - the margins come from the same matrix-vector product per problem, and
   the update sums the masked batch rows in batch order, so the rows of
   non-violators add exact zeros and every other sum keeps its order.
@@ -146,52 +150,59 @@ def _check_matrix(X) -> np.ndarray:
 _ORDER_BUFFER = 1 << 16
 
 
-def _epoch_orders(K: int, n: int, config: TrainConfig):
-    """Yield each epoch's (K, n) row order into the stacked rows.
+def _epoch_orders(seeds, n: int, epochs: int):
+    """Yield each epoch's (P, n) row order into the stacked rows.
 
-    Problem k draws from default_rng(config.seed + k), and its orders are
-    offset by k * n. Generator.permuted over a block of epochs draws exactly
-    what one Generator.permutation(n) call per epoch would. The yielded
-    array is a view that the next block overwrites.
+    Problem p draws from default_rng(seeds[p]), and its orders are offset
+    by p * n. Problems with the same seed share one stream: it is drawn
+    once and copied. Generator.permuted over a block of epochs draws
+    exactly what one Generator.permutation(n) call per epoch would. The
+    yielded array is a view that the next block overwrites.
     """
-    rngs = [np.random.default_rng(config.seed + k) for k in range(K)]
-    block = max(1, min(config.epochs, _ORDER_BUFFER // (K * n)))
+    P = len(seeds)
+    first = {}  # seed -> the first problem that uses it
+    for p, s in enumerate(seeds):
+        first.setdefault(s, p)
+    rngs = [(p, np.random.default_rng(s)) for s, p in first.items()]
+    copies = [(p, first[s]) for p, s in enumerate(seeds) if first[s] != p]
+    block = max(1, min(epochs, _ORDER_BUFFER // (P * n)))
     order = np.tile(np.arange(n, dtype=np.int32), (block, 1))
-    idx = np.empty((K, block, n), dtype=np.int32)
-    offsets = np.arange(0, K * n, n, dtype=np.int32)[:, None, None]
-    for first in range(0, config.epochs, block):
-        m = min(block, config.epochs - first)
-        for k, rng in enumerate(rngs):
-            rng.permuted(order[:m], axis=1, out=idx[k, :m])
+    idx = np.empty((P, block, n), dtype=np.int32)
+    offsets = np.arange(0, P * n, n, dtype=np.int32)[:, None, None]
+    for start in range(0, epochs, block):
+        m = min(block, epochs - start)
+        for p, rng in rngs:
+            rng.permuted(order[:m], axis=1, out=idx[p, :m])
+        for p, q in copies:
+            idx[p, :m] = idx[q, :m]
         idx[:, :m] += offsets
         for e in range(m):
             yield idx[:, e]
 
 
-def _train_stacked(X, Z, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Fit the K binary problems whose labels are the rows of Z in {-1, +1}.
+def _train_stacked(ZX, seeds, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Fit the P binary problems whose label-signed rows are ZX[p].
 
-    Problem k shuffles with seed config.seed + k. Returns the tail-averaged
-    weights, shape (K, l), and biases, shape (K,).
+    ZX has shape (P, n, l + 1); row i of problem p is z_pi * (x_pi, 1) with
+    z_pi in {-1, +1}. Problem p shuffles with seed seeds[p]. Returns the
+    tail-averaged weights, shape (P, l), and biases, shape (P,).
     """
-    K, n = Z.shape
-    l = X.shape[1]
-    # row k * n + i is z_ki * (x_i, 1)
-    ZX = (Z[:, :, None] * np.hstack([X, np.ones((n, 1))])).reshape(K * n, l + 1)
+    P, n, l = ZX.shape[0], ZX.shape[1], ZX.shape[2] - 1
+    ZX = ZX.reshape(P * n, l + 1)
     lam_reg = 1.0 / (config.c * n)
     batch = min(config.batch_size, n)
     tail_from = config.epochs * math.ceil(n / batch) // 2
 
-    w = np.zeros((K, l + 1))
+    w = np.zeros((P, l + 1))
     w_col = w[:, :, None]  # view for the batched margins
-    w_sum = np.zeros((K, l + 1))
+    w_sum = np.zeros((P, l + 1))
     n_tail = 0
     t = 0
-    for order in _epoch_orders(K, n, config):
+    for order in _epoch_orders(seeds, n, config.epochs):
         for start in range(0, n, batch):
-            rows = ZX[order[:, start:start + batch]]  # (K, b, l + 1)
+            rows = ZX[order[:, start:start + batch]]  # (P, b, l + 1)
             eta = config.eta0 / (1.0 + config.eta0 * lam_reg * t)
-            viol = (np.matmul(rows, w_col) < 1.0).astype(float)  # (K, b, 1)
+            viol = (np.matmul(rows, w_col) < 1.0).astype(float)  # (P, b, 1)
             w *= 1.0 - eta * lam_reg
             w += (eta / rows.shape[1]) * np.einsum("kbi,kbj->kj", viol, rows)
             t += 1
@@ -200,6 +211,39 @@ def _train_stacked(X, Z, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
                 n_tail += 1
     w_avg = w_sum / n_tail
     return w_avg[:, :l], w_avg[:, l]
+
+
+def _check_labels(y, n_rows: int, n_classes: int) -> np.ndarray:
+    """y as an int array, after checking it can train n_classes models."""
+    y = np.asarray(y)
+    if y.dtype.kind not in "iu":
+        yf = y.astype(float)
+        if not np.array_equal(yf, np.trunc(yf)):
+            raise DegenerateLabelsError("labels must be whole numbers")
+    y = y.astype(int)
+    if y.shape != (n_rows,):
+        raise DimensionMismatchError("y length does not match X rows")
+    if n_classes < 2:
+        raise DegenerateLabelsError("need at least two classes")
+    if y.size and (y.min() < 0 or y.max() >= n_classes):
+        raise DegenerateLabelsError("labels outside [0, n_classes)")
+    counts = np.bincount(y, minlength=n_classes)
+    if (counts == 0).any():
+        raise DegenerateLabelsError(
+            f"classes absent from training labels: {np.flatnonzero(counts == 0).tolist()}"
+        )
+    return y
+
+
+def _signed_rows(X, y, n_classes: int) -> np.ndarray:
+    """The (n_classes, n, l + 1) one-vs-all rows: +-(x_i, 1), + for class k."""
+    Z = np.where(y == np.arange(n_classes)[:, None], 1.0, -1.0)
+    return Z[:, :, None] * np.hstack([X, np.ones((X.shape[0], 1))])
+
+
+def _model_set(W, b, lam, active_features) -> LinearModelSet:
+    models = tuple(LinearModel(w=W[k], b=b[k]) for k in range(len(W)))
+    return LinearModelSet(models=models, lam=lam, active_features=tuple(active_features))
 
 
 def train_ova(
@@ -212,28 +256,39 @@ def train_ova(
 ) -> LinearModelSet:
     """Train one binary model per class (class k vs the rest).
 
-    Model k uses seed config.seed + k. Every class id in [0, n_classes)
-    must occur in y.
+    Model k uses seed config.seed + k. Labels must be whole numbers, and
+    every class id in [0, n_classes) must occur in y.
     """
     X = _check_matrix(X)
-    y = np.asarray(y, dtype=int)
-    if y.shape != (X.shape[0],):
-        raise DimensionMismatchError("y length does not match X rows")
-    if n_classes < 2:
-        raise DegenerateLabelsError("need at least two classes")
-    counts = np.bincount(y, minlength=n_classes)
-    if y.size and (y.min() < 0 or y.max() >= n_classes):
-        raise DegenerateLabelsError("labels outside [0, n_classes)")
-    if (counts == 0).any():
-        raise DegenerateLabelsError(
-            f"classes absent from training labels: {np.flatnonzero(counts == 0).tolist()}"
-        )
+    y = _check_labels(y, X.shape[0], n_classes)
     if active_features is None:
         active_features = range(X.shape[1])
-    Z = np.where(y == np.arange(n_classes)[:, None], 1.0, -1.0)
-    W, b = _train_stacked(X, Z, config)
-    models = tuple(LinearModel(w=W[k], b=b[k]) for k in range(n_classes))
-    return LinearModelSet(models=models, lam=lam, active_features=tuple(active_features))
+    seeds = [config.seed + k for k in range(n_classes)]
+    W, b = _train_stacked(_signed_rows(X, y, n_classes), seeds, config)
+    return _model_set(W, b, lam, active_features)
+
+
+def _train_ova_folds(X, y, train_rows, n_classes: int, config: TrainConfig):
+    """train_ova(X[rows], y[rows], n_classes, config) for every rows in train_rows.
+
+    train_rows has shape (F, n_train): F training sets of one size. All
+    F * n_classes problems run in one stacked solve, fold f's class k with
+    seed config.seed + k, so each returned model set is bit-identical to
+    its own train_ova call.
+    """
+    X = _check_matrix(X)
+    y = np.asarray(y)
+    K = n_classes
+    ZX = np.concatenate([
+        _signed_rows(X[rows], _check_labels(y[rows], len(rows), K), K)
+        for rows in train_rows
+    ])
+    seeds = [config.seed + k for _ in train_rows for k in range(K)]
+    W, b = _train_stacked(ZX, seeds, config)
+    return [
+        _model_set(W[f:f + K], b[f:f + K], DEFAULT_LAMBDA, range(X.shape[1]))
+        for f in range(0, len(W), K)
+    ]
 
 
 def decision_matrix(ms: LinearModelSet, X) -> np.ndarray:

@@ -185,7 +185,7 @@ def load_csv(
     MissingFileError, MissingLabelColumnError, SingleClassError,
     UnparsableCellError (a ragged row, or a cell that is neither a finite
     number nor the missing token; it names the 1-based file line, the
-    header being line 1)
+    header being line 1, and blank lines are skipped but counted)
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -195,11 +195,13 @@ def load_csv(
             except StopIteration:
                 raise SingleClassError(f"{path}: empty file") from None
             # each row and the file line it ends on; the lines go into an
-            # int array, since one object per row pins heap memory
+            # int array, since one object per row pins heap memory. Blank
+            # lines carry no row and are skipped.
             rows, lines = [], array("l")
             for row in reader:
-                rows.append(row)
-                lines.append(reader.line_num)
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
     except FileNotFoundError:
         raise MissingFileError(f"no such file: {path}") from None
 
@@ -392,12 +394,12 @@ def apply_scaler(s: Scaler, d: Dataset) -> Dataset:
     )
 
 
-def split(d: Dataset, seed: int) -> DataSplit:
+def split(d: Dataset, seed) -> DataSplit:
     """Shuffle rows and carve out test/train/calibration indices.
 
     The test set takes round(0.25 * n) rows (half-up); the remainder is
     halved between train and calibration, train taking the extra row when
-    odd. Deterministic for a given seed.
+    odd. Deterministic for a given seed, an int or a SeedSequence.
     """
     n = d.n_samples
     if n < 8:
@@ -414,14 +416,17 @@ def split(d: Dataset, seed: int) -> DataSplit:
 
 
 def split_with_all_classes(d: Dataset, seed: int, max_tries: int = 10) -> DataSplit:
-    """Split, retrying with seed+1 while train or calibration misses a class.
+    """Split, retrying while train or calibration misses a class.
 
+    The first attempt shuffles with ``seed``; attempt a > 0 with
+    SeedSequence([seed, a]), which no integer seed below 2**32 draws, so
+    a retried split does not copy the split of the repeat seeded seed + a.
     Raises TooFewSamplesError when no class-preserving split is found in
     ``max_tries`` attempts.
     """
     m = d.n_classes
     for attempt in range(max_tries):
-        sp = split(d, seed + attempt)
+        sp = split(d, np.random.SeedSequence([seed, attempt]) if attempt else seed)
         ok = all(
             np.unique(d.y[idx]).size == m for idx in (sp.train_idx, sp.calib_idx)
         )

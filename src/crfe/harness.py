@@ -7,6 +7,14 @@ sizes, and score conformal set predictions plus hard-label metrics at
 every size. Aggregation, consistency indices, the automatic-stop
 benchmark and all file outputs (CSV, trace JSON, SVG) hang off the same
 table so a whole run is a pure function of its config.
+
+Repeat r of the comparison and repeat r of the stopping benchmark draw
+the same split and train with the same solver seed, so every model of
+repeat r depends only on its active feature set. run_all keeps one
+model dict per repeat, shared by both selectors and both benchmarks:
+each (repeat, active set) model is trained once. The baseline's
+cross-validated stop trains the folds of one training-set size together
+in one stacked solve.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classifier import LinearModelSet, TrainConfig, decision_matrix, train_ova
+from .classifier import LinearModelSet, TrainConfig, _train_ova_folds, decision_matrix
 from .conformal import calibrate, conformal_predict
 from .consistency import SubsetFamily, jaccard_multi, kuncheva, weighted_consistency
 from .data import (
@@ -30,7 +38,7 @@ from .data import (
     scaled_split,
     write_csv,
 )
-from .exceptions import ConfigError, DegenerateLabelsError
+from .exceptions import ConfigError
 from .metrics import PointMetricsReport, SetMetricsReport, point_metrics, point_predict, set_metrics
 from .plots import save_plot
 from .selection import (
@@ -275,8 +283,15 @@ def _evaluate(ms, X_cal, y_cal, X_test, y_test, epsilon, n_classes):
     )
 
 
-def run_comparison(cfg: ExperimentConfig) -> ResultsTable:
-    """Both selectors over every requested size, one shared split per seed."""
+def run_comparison(cfg: ExperimentConfig, models: dict | None = None) -> ResultsTable:
+    """Both selectors over every requested size, one shared split per seed.
+
+    ``models`` maps a repeat index to the model dict its eliminations
+    share (see run_crfe); repeats missing from it get a fresh dict, which
+    is added. Pass the same mapping to run_stopping_benchmark with the
+    same config to reuse the models trained here.
+    """
+    models = {} if models is None else models
     d, name = load_dataset(cfg)
     l = d.n_features
     sizes = cfg.sizes if cfg.sizes is not None else tuple(range(l - 1, 0, -1))
@@ -302,6 +317,7 @@ def run_comparison(cfg: ExperimentConfig) -> ResultsTable:
             trace = runner(
                 X_tr, y_tr, X_cal, y_cal, d.n_classes,
                 FixedSize(sizes[-1]), tcfg, cfg.lam, observer=observer,
+                models=models.setdefault(r, {}),
             )
             traces[(method, seed)] = trace
             for s in sizes:
@@ -396,29 +412,39 @@ def consistency_report(table: ResultsTable) -> list[dict]:
 
 
 def _cv_accuracy(X, y, n_classes, tcfg, folds: int = 5) -> float:
-    """Mean held-out argmax accuracy over contiguous folds; NaN-safe."""
+    """Mean held-out argmax accuracy over contiguous folds.
+
+    A fold whose training rows miss a class is skipped; -1.0 when every
+    fold is skipped. The remaining folds are grouped by training-set size
+    (array_split makes at most two sizes), and each group trains in one
+    stacked solve, fold f's class k with seed tcfg.seed + k, as a
+    train_ova call per fold would. The accuracies are averaged in fold
+    order.
+    """
     n = X.shape[0]
-    parts = np.array_split(np.arange(n), folds)
-    accs = []
-    for hold in parts:
+    groups: dict[int, list] = {}
+    for f, hold in enumerate(np.array_split(np.arange(n), folds)):
         train_rows = np.setdiff1d(np.arange(n), hold)
-        try:
-            ms = train_ova(X[train_rows], y[train_rows], n_classes, tcfg)
-        except DegenerateLabelsError:
-            continue
-        pred = point_predict(decision_matrix(ms, X[hold]))
-        accs.append(float((pred == y[hold]).mean()))
-    return float(np.mean(accs)) if accs else -1.0
+        if np.bincount(y[train_rows], minlength=n_classes).all():
+            groups.setdefault(train_rows.size, []).append((f, train_rows, hold))
+    accs = {}
+    for group in groups.values():
+        fitted = _train_ova_folds(X, y, [rows for _, rows, _ in group], n_classes, tcfg)
+        for (f, _, hold), ms in zip(group, fitted):
+            pred = point_predict(decision_matrix(ms, X[hold]))
+            accs[f] = float((pred == y[hold]).mean())
+    return float(np.mean([accs[f] for f in sorted(accs)])) if accs else -1.0
 
 
-def run_stopping_benchmark(cfg: ExperimentConfig):
+def run_stopping_benchmark(cfg: ExperimentConfig, models: dict | None = None):
     """Automatic-stop comparison: beta criterion vs cross-validated baseline.
 
     Per repeat, one shared split. The conformal selector stops by its own
     criterion; the baseline runs its full elimination path and keeps the
     size with the best 5-fold training accuracy (ties to the larger
     size). Both final subsets are scored on the test split at the
-    configured epsilon.
+    configured epsilon. ``models`` works as in run_comparison, whose
+    repeat r shares this function's split and solver seed.
 
     Returns
     -------
@@ -427,6 +453,7 @@ def run_stopping_benchmark(cfg: ExperimentConfig):
     frequencies : list of dict, per (method, feature) selection counts.
     per_run : list of dict, raw (method, seed, size, metrics) records.
     """
+    models = {} if models is None else models
     d, name = load_dataset(cfg)
     l, m = d.n_features, d.n_classes
     counts = {method: np.zeros(l, dtype=int) for method in cfg.selectors}
@@ -435,6 +462,7 @@ def run_stopping_benchmark(cfg: ExperimentConfig):
         seed = cfg.master_seed + r
         _, (X_tr, y_tr), (X_cal, y_cal), (X_te, y_te) = scaled_split(d, seed)
         tcfg = replace(cfg.train, seed=cfg.train.seed + r)
+        shared = models.setdefault(r, {})
         # the last pass of an elimination trains on its final subset, so
         # each selector's chosen model is taken from its run, not refitted
         final: dict[str, LinearModelSet] = {}
@@ -446,7 +474,7 @@ def run_stopping_benchmark(cfg: ExperimentConfig):
             run_crfe(
                 X_tr, y_tr, X_cal, y_cal, m,
                 BetaCriterion(cfg.stopping.sigma, cfg.stopping.psi, cfg.stopping.warmup),
-                tcfg, cfg.lam, observer=keep_final,
+                tcfg, cfg.lam, observer=keep_final, models=shared,
             )
         if "rfe" in cfg.selectors:
             snapshots: dict[int, LinearModelSet] = {}
@@ -455,7 +483,7 @@ def run_stopping_benchmark(cfg: ExperimentConfig):
                 snapshots[len(active)] = ms
 
             run_rfe(X_tr, y_tr, X_cal, y_cal, m, FixedSize(1), tcfg, cfg.lam,
-                    observer=observer)
+                    observer=observer, models=shared)
             best_size, best_acc = None, -math.inf
             for size in sorted(snapshots, reverse=True):
                 cols = list(snapshots[size].active_features)
@@ -546,7 +574,8 @@ def emit_outputs(
 
 def run_all(cfg: ExperimentConfig, out_dir) -> list[str]:
     """Full pipeline behind the bench subcommand."""
-    table = run_comparison(cfg)
+    models: dict = {}  # repeat index -> the model dict of its eliminations
+    table = run_comparison(cfg, models)
     consistency_rows = consistency_report(table)
-    stopping_summary, frequencies, _ = run_stopping_benchmark(cfg)
+    stopping_summary, frequencies, _ = run_stopping_benchmark(cfg, models)
     return emit_outputs(table, consistency_rows, stopping_summary, frequencies, out_dir)

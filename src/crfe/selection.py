@@ -293,10 +293,15 @@ def _run_elimination(
     score,
     pick,
     observer=None,
+    models=None,
 ):
     """The backward loop shared by both selectors.
 
-    Each pass retrains on the active features, calls
+    Each pass trains on the active features, unless ``models`` (a dict
+    from tuple(active) to LinearModelSet) already holds that set's model;
+    a trained model is stored there. The caller keeps one dict per
+    (X_train, y_train, config, lam), so runs on the same training data
+    share their models. Each pass then calls
     ``score(ms, X_cal_active, y_cal)`` for the per-feature criterion and
     its mean (None when the criterion has no mean-beta meaning) and
     removes the feature at position ``pick(criterion)``. Whenever a mean
@@ -318,6 +323,7 @@ def _run_elimination(
     # the derivative record is kept under both policies so traces from
     # fixed-size runs can be replayed against the criterion
     stop = policy if isinstance(policy, BetaCriterion) else BetaCriterion()
+    models = {} if models is None else models
 
     active = list(range(X_train.shape[1]))
     steps: list[SelectionStep] = []
@@ -326,10 +332,12 @@ def _run_elimination(
     iteration = 0
     while True:
         iteration += 1
-        ms = train_ova(
-            X_train[:, active], y_train, n_classes, config, lam,
-            active_features=active,
-        )
+        ms = models.get(tuple(active))
+        if ms is None:
+            ms = models[tuple(active)] = train_ova(
+                X_train[:, active], y_train, n_classes, config, lam,
+                active_features=active,
+            )
         crit, mean = score(ms, X_cal[:, active], y_cal)
         if observer is not None:
             observer(iteration, tuple(active), ms, crit)
@@ -403,15 +411,22 @@ def run_crfe(
     config: TrainConfig = TrainConfig(),
     lam: float = 0.5,
     observer=None,
+    models=None,
 ) -> SelectionTrace:
     """Conformal elimination: retrain, score with beta, drop the largest.
 
     policy is FixedSize or BetaCriterion. The calibration split feeds the
-    beta scores and is never used for weight fitting.
+    beta scores and is never used for weight fitting. ``observer``, if
+    given, is called as observer(iteration, active, model_set, criterion)
+    after every pass. ``models`` is an optional dict from tuple(active)
+    to the LinearModelSet trained on those features: passes whose set is
+    in it reuse that model, and newly trained ones are added. Pass the
+    same dict only to runs with the same X_train, y_train, config and lam.
     """
     return _run_elimination(
         X_train, y_train, X_cal, y_cal, n_classes, policy, config, lam,
         method="crfe", score=_beta_score, pick=np.argmax, observer=observer,
+        models=models,
     )
 
 
@@ -425,16 +440,20 @@ def run_rfe(
     config: TrainConfig = TrainConfig(),
     lam: float = 0.5,
     observer=None,
+    models=None,
 ) -> SelectionTrace:
     """Weight-norm elimination baseline; drops the smallest squared weight.
 
     Accepts the calibration split so callers can swap methods freely, but
     the criterion itself only reads the trained weights. Only FixedSize
-    stopping applies.
+    stopping applies. ``observer`` and ``models`` work as in run_crfe;
+    both selectors may share one ``models`` dict, since a model depends
+    only on the training data, config, lam and active set.
     """
     if isinstance(policy, BetaCriterion):
         raise InvalidPolicyError("the baseline has no automatic stop; use FixedSize")
     return _run_elimination(
         X_train, y_train, X_cal, y_cal, n_classes, policy, config, lam,
         method="rfe", score=_weight_score, pick=np.argmin, observer=observer,
+        models=models,
     )

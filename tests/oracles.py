@@ -2,10 +2,11 @@
 
 The package computes non-conformity, p-values, prediction sets, decision
 values, feature picks and pairwise agreement over whole arrays at once,
-and trains all one-vs-all problems in one stacked loop. The forms here
-handle one sample, one model, one binary problem or one family at a time,
-straight from the definitions, so tests can check the array code entry
-by entry against them.
+and trains all one-vs-all problems, and all cross-validation folds of one
+size, in one stacked loop. The forms here handle one sample, one model,
+one binary problem, one fold or one family at a time, straight from the
+definitions, so tests can check the array code entry by entry against
+them.
 """
 
 import math
@@ -14,15 +15,17 @@ from itertools import combinations
 
 import numpy as np
 
-from crfe.classifier import LinearModel, TrainConfig
+from crfe.classifier import LinearModel, TrainConfig, decision_matrix, train_ova
 from crfe.conformal import CalibrationRecord
 from crfe.consistency import SubsetFamily, kuncheva
 from crfe.exceptions import (
     ConfigError,
+    DegenerateLabelsError,
     DimensionMismatchError,
     EmptyVectorError,
     InvalidFamilyError,
 )
+from crfe.metrics import point_predict
 from crfe.selection import BetaVector
 
 
@@ -156,6 +159,25 @@ def train_binary(X, z, config: TrainConfig = TrainConfig()) -> LinearModel:
                 n_tail += 1
     w_avg = w_sum / n_tail
     return LinearModel(w=w_avg[:l], b=w_avg[l])
+
+
+def cv_accuracy(X, y, n_classes, tcfg, folds: int = 5) -> float:
+    """Mean held-out argmax accuracy over contiguous folds, one fold at a time.
+
+    A fold whose training rows miss a class is skipped; -1.0 when every
+    fold is skipped.
+    """
+    n = X.shape[0]
+    accs = []
+    for hold in np.array_split(np.arange(n), folds):
+        train_rows = np.setdiff1d(np.arange(n), hold)
+        try:
+            ms = train_ova(X[train_rows], y[train_rows], n_classes, tcfg)
+        except DegenerateLabelsError:
+            continue
+        pred = point_predict(decision_matrix(ms, X[hold]))
+        accs.append(float((pred == y[hold]).mean()))
+    return float(np.mean(accs)) if accs else -1.0
 
 
 def argmax_beta(beta: BetaVector) -> int:

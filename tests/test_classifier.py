@@ -138,6 +138,73 @@ def test_stacked_solver_matches_per_class_oracle(problem):
         assert ms.models[cls].b == want.b
 
 
+@st.composite
+def fold_problems(draw):
+    f = draw(st.integers(1, 6))
+    k = draw(st.integers(2, 5))
+    n_train = draw(st.integers(k, 30))
+    n = n_train + draw(st.integers(0, 10))
+    l = draw(st.integers(1, 8))
+    config = TrainConfig(
+        c=draw(st.floats(0.01, 100.0)),
+        epochs=draw(st.integers(1, 7)),
+        batch_size=draw(st.integers(1, n_train + 8)),
+        eta0=draw(st.floats(0.01, 5.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    buffer = draw(st.integers(1, f * k * n_train * config.epochs + 1))
+    return f, k, n, n_train, l, config, buffer, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fold_problems())
+@example((5, 3, 45, 36, 8, TrainConfig(epochs=5), 1 << 16, 0))   # the CV shape
+@example((2, 2, 12, 9, 2, TrainConfig(batch_size=4, epochs=5), 40, 1))  # blocks
+def test_fold_trainer_matches_train_ova_per_fold(problem):
+    """One stacked solve over F training sets equals a train_ova call per set."""
+    f, k, n, n_train, l, config, buffer, data_seed = problem
+    rng = np.random.default_rng(data_seed)
+    X = rng.standard_normal((n, l)) * rng.uniform(0.1, 10.0)
+    y = rng.permutation(np.arange(n) % k)
+    folds = []
+    for _ in range(f):
+        perm = rng.permutation(n)
+        # one row of every class first, so that no training set misses one
+        firsts = [int(perm[y[perm] == c][0]) for c in range(k)]
+        rest = [int(i) for i in perm if i not in firsts]
+        folds.append(np.array(firsts + rest[:n_train - k]))
+    with mock.patch.object(classifier, "_ORDER_BUFFER", buffer):
+        got = classifier._train_ova_folds(X, y, folds, k, config)
+    assert len(got) == f
+    for ms, rows in zip(got, folds):
+        want = train_ova(X[rows], y[rows], k, config)
+        assert np.array_equal(ms.weight_matrix(), want.weight_matrix())
+        assert np.array_equal(ms.bias_vector(), want.bias_vector())
+        assert ms.active_features == want.active_features
+
+
+def test_labels_must_be_whole_numbers():
+    X = np.random.default_rng(1).standard_normal((6, 2))
+    fractional = [0.2, 1.9, 0.7, 1.1, 0.4, 1.5]
+    with pytest.raises(DegenerateLabelsError, match="whole numbers"):
+        train_ova(X, fractional, 2)
+    with pytest.raises(DegenerateLabelsError, match="whole numbers"):
+        train_ova(X, [0, 1, 0, 1, 0, np.nan], 2)
+    with pytest.raises(DegenerateLabelsError, match="whole numbers"):
+        classifier._train_ova_folds(X, np.array(fractional), [np.arange(6)], 2, TrainConfig())
+    # whole-valued floats are the same labels as their ints
+    whole = train_ova(X, [0.0, 1.0, 0.0, 1.0, 0.0, 1.0], 2)
+    ints = train_ova(X, [0, 1, 0, 1, 0, 1], 2)
+    assert np.array_equal(whole.weight_matrix(), ints.weight_matrix())
+
+
+def test_fold_trainer_rejects_a_fold_missing_a_class():
+    X = np.random.default_rng(2).standard_normal((8, 2))
+    y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
+    with pytest.raises(DegenerateLabelsError):
+        classifier._train_ova_folds(X, y, [np.arange(1, 5), np.arange(4)], 2, TrainConfig())
+
+
 def test_ova_structure_and_accuracy():
     rng = np.random.default_rng(6)
     centers = np.array([[4.0, 0.0], [-4.0, 0.0], [0.0, 4.0]])

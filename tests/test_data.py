@@ -115,6 +115,25 @@ def test_load_csv_unparsable_cell_reports_location(tmp_path):
     assert (ei.value.line, ei.value.col) == (4, 2)
 
 
+def test_load_csv_skips_blank_lines(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("a,b,label\n1,2,x\n3,4,y\n5,6,x\n\n")  # one trailing blank line
+    d = load_csv(p, label_column="label")
+    assert d.X.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+    assert d.y.tolist() == [0, 1, 0]
+    p.write_text("a,b,label\n1,2,x\n\n3,4,y\n\n\n5,6,x\n")  # interior blank lines
+    assert load_csv(p, label_column="label").X.tolist() == d.X.tolist()
+    # a later error still names its file line, blank lines counted
+    p.write_text("a,b,label\n1,2,x\n\n3,4,y\n\n5,oops,x\n")
+    with pytest.raises(UnparsableCellError) as ei:
+        load_csv(p, label_column="label")
+    assert (ei.value.line, ei.value.col) == (6, 2)
+    p.write_text("a,b,label\n1,2,x\n\n3,y\n")
+    with pytest.raises(UnparsableCellError) as ei:
+        load_csv(p, label_column="label")
+    assert (ei.value.line, ei.value.col) == (4, None)
+
+
 @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "+Infinity", "1e999"])
 def test_load_csv_rejects_non_finite_cells(tmp_path, cell):
     p = tmp_path / "d.csv"
@@ -315,6 +334,26 @@ def test_split_with_all_classes_retries():
     sp = split_with_all_classes(d, bad)
     assert np.unique(d.y[sp.train_idx]).size == 2
     assert np.unique(d.y[sp.calib_idx]).size == 2
+
+
+def test_split_retry_does_not_take_the_next_seed():
+    """A retried split draws a stream of its own, not the next repeat's split."""
+    y = np.zeros(20, dtype=int)
+    y[[3, 9, 17]] = 1  # 129 of these 300 seeds retry; none runs out of tries
+    d = make_dataset(np.arange(40).reshape(20, 2), y)
+    retried = 0
+    for seed in range(300):
+        sp = split(d, seed)
+        if np.unique(d.y[sp.train_idx]).size == 2 and np.unique(d.y[sp.calib_idx]).size == 2:
+            # attempt 0 keeps the plain seed
+            assert np.array_equal(split_with_all_classes(d, seed).train_idx, sp.train_idx)
+            continue
+        retried += 1
+        got = split_with_all_classes(d, seed)
+        nxt = split(d, seed + 1)
+        assert not (np.array_equal(got.train_idx, nxt.train_idx)
+                    and np.array_equal(got.calib_idx, nxt.calib_idx))
+    assert retried >= 5
 
 
 # ---------------------------------------------------------------- synthesis

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from crfe import selection
 from crfe.classifier import TrainConfig
 from crfe.consistency import SubsetFamily
 from crfe.data import SyntheticSpec
@@ -14,14 +15,17 @@ from crfe.harness import (
     METRIC_COLUMNS,
     ExperimentConfig,
     StoppingParams,
+    _cv_accuracy,
     config_from_dict,
     consistency_report,
     emit_outputs,
+    run_all,
     run_comparison,
     run_stopping_benchmark,
     subsets_by_size,
 )
-from oracles import kuncheva_family
+from oracles import cv_accuracy, kuncheva_family
+from test_digests import BENCH_CFG
 
 TINY = SyntheticSpec(n_samples=120, n_features=8, n_informative=3, n_redundant=2,
                      n_classes=3, class_sep=1.5, flip_y=0.02, seed=7)
@@ -214,6 +218,52 @@ def test_stopping_benchmark_crfe_only():
     summary, freqs, _ = run_stopping_benchmark(tiny_config(selectors=("crfe",)))
     assert [s["method"] for s in summary] == ["crfe"]
     assert len(freqs) == 8
+
+
+@pytest.mark.parametrize("n", [36, 37, 41, 43, 44])
+def test_cv_accuracy_matches_per_fold_oracle(n):
+    # n % 5 != 0 gives folds of two training-set sizes, trained in two solves
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, 4))
+    y = rng.permutation(np.arange(n) % 3)
+    X[:, 0] += y
+    tcfg = TrainConfig(epochs=20, batch_size=8, seed=n)
+    assert _cv_accuracy(X, y, 3, tcfg) == cv_accuracy(X, y, 3, tcfg)
+
+
+def test_cv_accuracy_skips_degenerate_folds_like_oracle():
+    rng = np.random.default_rng(5)
+    tcfg = TrainConfig(epochs=20, batch_size=8, seed=1)
+    # sorted labels: class 0 lies inside the first held-out fold, so that
+    # fold's training rows miss it and the fold is skipped
+    y = np.repeat([0, 1, 2], [3, 20, 14])
+    X = rng.standard_normal((y.size, 3)) + y[:, None]
+    got = _cv_accuracy(X, y, 3, tcfg)
+    assert got == cv_accuracy(X, y, 3, tcfg)
+    assert got >= 0.0
+    # every fold holds out a whole class
+    y = np.repeat(np.arange(5), 2)
+    X = rng.standard_normal((10, 3))
+    assert _cv_accuracy(X, y, 5, tcfg) == cv_accuracy(X, y, 5, tcfg) == -1.0
+
+
+def test_run_all_trains_each_repeat_model_once(tmp_path, monkeypatch):
+    """Both selectors and both benchmarks share each repeat's models."""
+    trained = []
+    real = selection.train_ova
+
+    def recording(X, y, n_classes, config, lam, active_features=None):
+        # a repeat's solver seed is train.seed + r, so it names the repeat
+        trained.append((config.seed, tuple(active_features)))
+        return real(X, y, n_classes, config, lam, active_features=active_features)
+
+    monkeypatch.setattr(selection, "train_ova", recording)
+    run_all(config_from_dict(BENCH_CFG), tmp_path)
+    assert trained
+    assert len(trained) == len(set(trained))
+    # the first pass of each repeat, on all 8 features, is shared too
+    assert sorted(t for t in trained if len(t[1]) == 8) == [(0, tuple(range(8))),
+                                                            (1, tuple(range(8)))]
 
 
 # ------------------------------------------------------------------- output
