@@ -8,7 +8,9 @@ with the bias folded into the weight vector as a constant input. Updates
 run over seeded mini-batch shuffles with learning rate
 eta0 / (1 + eta0 * t / (C n)), and the returned model averages the
 iterates of the second half of the run. Everything is deterministic for a
-fixed TrainConfig.
+fixed TrainConfig. A LinearModelSet holds the K one-vs-all models as one
+(K, l) weight matrix W and one (K,) bias vector b, the form in which the
+solver returns them and in which scoring and feature selection read them.
 
 train_ova solves its K one-vs-all problems in one stacked loop, and the
 cross-validation folds of one training-set size go through the same loop
@@ -44,7 +46,6 @@ from .exceptions import (
     DegenerateLabelsError,
     DimensionMismatchError,
     NonFiniteInputError,
-    UnknownFeatureError,
 )
 
 DEFAULT_LAMBDA = 0.5
@@ -71,53 +72,50 @@ class TrainConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class LinearModel:
-    """A single hyperplane: score(x) = w . x + b."""
-
-    w: np.ndarray
-    b: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
-        object.__setattr__(self, "b", float(self.b))
-
-
-@dataclass(frozen=True, eq=False)
 class LinearModelSet:
-    """One binary model per class plus the mixing weight for scoring.
+    """One-vs-all hyperplanes plus the mixing weight for scoring.
 
     Attributes
     ----------
-    models : tuple of LinearModel
-        Model k separates class k (+1) from the rest (-1).
+    W : ndarray of shape (n_classes, n_features)
+        Row k separates class k (+1) from the rest (-1):
+        score_k(x) = W[k] . x + b[k].
+    b : ndarray of shape (n_classes,)
     lam : float
         Weight in [0, 1] given to the own-class score when scores are
         combined downstream; the remaining classes share (1 - lam).
     active_features : tuple of int
-        Original column indices the weight vectors refer to, ascending.
+        Original column indices the columns of W refer to, ascending.
+
+    W and b are stored as C-contiguous float copies, so a model set never
+    shares memory with the arrays it was built from.
     """
 
-    models: tuple[LinearModel, ...]
+    W: np.ndarray
+    b: np.ndarray
     lam: float = DEFAULT_LAMBDA
     active_features: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "models", tuple(self.models))
-        object.__setattr__(self, "active_features", tuple(int(a) for a in self.active_features))
-        if len(self.models) < 2:
+        W = np.array(self.W, dtype=float, order="C")
+        b = np.array(self.b, dtype=float, order="C")
+        active = tuple(int(a) for a in self.active_features)
+        object.__setattr__(self, "W", W)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "active_features", active)
+        if b.size < 2:
             raise ConfigError("need one model per class, at least two classes")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError("lam must lie in [0, 1]")
-        l = len(self.active_features)
-        for m in self.models:
-            if m.w.shape != (l,):
-                raise DimensionMismatchError(
-                    f"model weight length {m.w.shape} != {l} active features"
-                )
+        if b.ndim != 1 or W.shape != (b.size, len(active)):
+            raise DimensionMismatchError(
+                f"W {W.shape} and b {b.shape} do not fit {b.size} classes"
+                f" and {len(active)} active features"
+            )
 
     @property
     def n_classes(self) -> int:
-        return len(self.models)
+        return self.b.size
 
     @property
     def n_features(self) -> int:
@@ -127,13 +125,6 @@ class LinearModelSet:
     def lambda_prime(self) -> float:
         """Per-class share of the non-own weight: (1 - lam) / (m - 1)."""
         return (1.0 - self.lam) / (self.n_classes - 1)
-
-    def weight_matrix(self) -> np.ndarray:
-        """Stack weights into shape (n_classes, n_features)."""
-        return np.stack([m.w for m in self.models])
-
-    def bias_vector(self) -> np.ndarray:
-        return np.array([m.b for m in self.models])
 
 
 def _check_matrix(X) -> np.ndarray:
@@ -213,14 +204,19 @@ def _train_stacked(ZX, seeds, config: TrainConfig) -> tuple[np.ndarray, np.ndarr
     return w_avg[:, :l], w_avg[:, l]
 
 
-def _check_labels(y, n_rows: int, n_classes: int) -> np.ndarray:
-    """y as an int array, after checking it can train n_classes models."""
+def _whole_labels(y) -> np.ndarray:
+    """y as an int array; labels that are not whole numbers are rejected."""
     y = np.asarray(y)
     if y.dtype.kind not in "iu":
         yf = y.astype(float)
         if not np.array_equal(yf, np.trunc(yf)):
             raise DegenerateLabelsError("labels must be whole numbers")
-    y = y.astype(int)
+    return y.astype(int)
+
+
+def _check_labels(y, n_rows: int, n_classes: int) -> np.ndarray:
+    """y as an int array, after checking it can train n_classes models."""
+    y = _whole_labels(y)
     if y.shape != (n_rows,):
         raise DimensionMismatchError("y length does not match X rows")
     if n_classes < 2:
@@ -239,11 +235,6 @@ def _signed_rows(X, y, n_classes: int) -> np.ndarray:
     """The (n_classes, n, l + 1) one-vs-all rows: +-(x_i, 1), + for class k."""
     Z = np.where(y == np.arange(n_classes)[:, None], 1.0, -1.0)
     return Z[:, :, None] * np.hstack([X, np.ones((X.shape[0], 1))])
-
-
-def _model_set(W, b, lam, active_features) -> LinearModelSet:
-    models = tuple(LinearModel(w=W[k], b=b[k]) for k in range(len(W)))
-    return LinearModelSet(models=models, lam=lam, active_features=tuple(active_features))
 
 
 def train_ova(
@@ -265,7 +256,7 @@ def train_ova(
         active_features = range(X.shape[1])
     seeds = [config.seed + k for k in range(n_classes)]
     W, b = _train_stacked(_signed_rows(X, y, n_classes), seeds, config)
-    return _model_set(W, b, lam, active_features)
+    return LinearModelSet(W=W, b=b, lam=lam, active_features=active_features)
 
 
 def _train_ova_folds(X, y, train_rows, n_classes: int, config: TrainConfig):
@@ -286,7 +277,7 @@ def _train_ova_folds(X, y, train_rows, n_classes: int, config: TrainConfig):
     seeds = [config.seed + k for _ in train_rows for k in range(K)]
     W, b = _train_stacked(ZX, seeds, config)
     return [
-        _model_set(W[f:f + K], b[f:f + K], DEFAULT_LAMBDA, range(X.shape[1]))
+        LinearModelSet(W=W[f:f + K], b=b[f:f + K], active_features=range(X.shape[1]))
         for f in range(0, len(W), K)
     ]
 
@@ -302,23 +293,7 @@ def decision_matrix(ms: LinearModelSet, X) -> np.ndarray:
         raise DimensionMismatchError(
             f"X has {X.shape[1]} columns, model set expects {ms.n_features}"
         )
-    return X @ ms.weight_matrix().T + ms.bias_vector()
-
-
-def restrict(ms: LinearModelSet, positions) -> LinearModelSet:
-    """Keep only the given positions (indices into the active feature list).
-
-    Weights are sliced without retraining; biases are kept. The result
-    scores as if the dropped features contributed nothing.
-    """
-    positions = np.asarray(positions, dtype=int)
-    if positions.size and (positions.min() < 0 or positions.max() >= ms.n_features):
-        raise UnknownFeatureError(
-            f"positions out of range for {ms.n_features} active features"
-        )
-    models = tuple(LinearModel(w=m.w[positions], b=m.b) for m in ms.models)
-    active = tuple(ms.active_features[p] for p in positions)
-    return LinearModelSet(models=models, lam=ms.lam, active_features=active)
+    return X @ ms.W.T + ms.b
 
 
 # ------------------------------------------------------------- serialization
@@ -337,33 +312,50 @@ def model_set_to_json(ms: LinearModelSet) -> str:
     feats = ", ".join(str(a) for a in ms.active_features)
     lines.append(f'  "active_features": [{feats}],')
     lines.append('  "models": [')
-    last = len(ms.models) - 1
-    for i, m in enumerate(ms.models):
-        wtxt = ", ".join(_fmt(v) for v in m.w)
-        tail = "," if i < last else ""
-        lines.append(f'    {{"w": [{wtxt}], "b": {_fmt(m.b)}}}{tail}')
+    last = ms.n_classes - 1
+    for k, (w, b) in enumerate(zip(ms.W, ms.b)):
+        wtxt = ", ".join(_fmt(v) for v in w)
+        tail = "," if k < last else ""
+        lines.append(f'    {{"w": [{wtxt}], "b": {_fmt(b)}}}{tail}')
     lines.append("  ]")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def model_set_from_json(text: str) -> LinearModelSet:
+    """Read what model_set_to_json writes.
+
+    A document of any other shape raises ConfigError; weight lists of
+    different lengths raise DimensionMismatchError.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"invalid model JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise ConfigError("model JSON must be an object")
     for key in ("lambda", "active_features", "models"):
         if key not in data:
             raise ConfigError(f"model JSON missing key {key!r}")
-    models = tuple(
-        LinearModel(w=np.asarray(m["w"], dtype=float), b=float(m["b"]))
-        for m in data["models"]
-    )
-    return LinearModelSet(
-        models=models,
-        lam=float(data["lambda"]),
-        active_features=tuple(int(a) for a in data["active_features"]),
-    )
+    entries = data["models"]
+    if not isinstance(entries, list) or not all(
+        isinstance(m, dict) and isinstance(m.get("w"), list) and "b" in m
+        for m in entries
+    ):
+        raise ConfigError('model JSON "models" must be a list of {"w": [...], "b": ...}')
+    # numpy raises ValueError on ragged rows, so their lengths are compared first
+    if len({len(m["w"]) for m in entries}) > 1:
+        raise DimensionMismatchError("model weight lists differ in length")
+    try:
+        W = [[float(v) for v in m["w"]] for m in entries]
+        b = [float(m["b"]) for m in entries]
+        lam = float(data["lambda"])
+        active = [int(a) for a in data["active_features"]]
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad value in model JSON: {e}") from None
+    if active != data["active_features"]:
+        raise ConfigError("model JSON active_features must be whole numbers")
+    return LinearModelSet(W=W, b=b, lam=lam, active_features=active)
 
 
 def save_model(ms: LinearModelSet, path) -> None:

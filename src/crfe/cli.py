@@ -39,6 +39,8 @@ from .harness import (
     run_comparison,
 )
 from .selection import (
+    DEFAULT_PSI,
+    DEFAULT_SIGMA,
     BetaCriterion,
     FixedSize,
     run_crfe,
@@ -140,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--label", required=True, help="label column name")
     sp.add_argument("--method", required=True, choices=("crfe", "rfe"))
     sp.add_argument("--stop", required=True, help="'fixed:<t>' or 'beta'")
-    sp.add_argument("--sigma", type=float, default=5.0)
-    sp.add_argument("--psi", type=int, default=10)
+    sp.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
+    sp.add_argument("--psi", type=int, default=DEFAULT_PSI)
     sp.add_argument("--lambda", dest="lam", type=float, default=0.5)
     sp.add_argument("--epsilon", type=float, default=0.1)
     sp.add_argument("--seed", type=int, default=0)

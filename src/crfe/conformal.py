@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import LinearModelSet, decision_matrix
+from .classifier import LinearModelSet, _whole_labels, decision_matrix
 from .data import write_csv
 from .exceptions import (
     ConfigError,
@@ -69,8 +69,8 @@ class CalibrationRecord:
 
 
 def calibrate(ms: LinearModelSet, X_cal, y_cal) -> CalibrationRecord:
-    """Score calibration samples at their true labels."""
-    y_cal = np.asarray(y_cal, dtype=int)
+    """Score calibration samples at their true labels (whole numbers)."""
+    y_cal = _whole_labels(y_cal)
     if y_cal.size == 0:
         raise EmptyCalibrationError("calibration set is empty")
     if y_cal.min() < 0 or y_cal.max() >= ms.n_classes:
@@ -92,16 +92,11 @@ def p_value_matrix(record: CalibrationRecord, A) -> np.ndarray:
     return (ge + 1) / (record.n + 1)
 
 
-def _check_epsilon(epsilon: float) -> float:
+def prediction_mask(P, epsilon: float) -> np.ndarray:
+    """Boolean matrix (n, m): True where the label enters the set."""
     epsilon = float(epsilon)
     if not 0.0 <= epsilon <= 1.0:
         raise ConfigError("epsilon must lie in [0, 1]")
-    return epsilon
-
-
-def prediction_mask(P, epsilon: float) -> np.ndarray:
-    """Boolean matrix (n, m): True where the label enters the set."""
-    epsilon = _check_epsilon(epsilon)
     return np.asarray(P, dtype=float) > epsilon
 
 
@@ -117,11 +112,9 @@ def conformal_predict(
     mask : ndarray of bool, shape (n, m)
         Prediction-set membership at the given epsilon.
     """
-    epsilon = _check_epsilon(epsilon)
     D = decision_matrix(ms, X)
-    A = nonconformity_all_labels(D, ms.lam)
-    P = p_value_matrix(record, A)
-    return P, P > epsilon
+    P = p_value_matrix(record, nonconformity_all_labels(D, ms.lam))
+    return P, prediction_mask(P, epsilon)
 
 
 def write_prediction_csv(path, P, mask, class_names, sample_ids=None) -> None:

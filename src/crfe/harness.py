@@ -42,6 +42,9 @@ from .exceptions import ConfigError
 from .metrics import PointMetricsReport, SetMetricsReport, point_metrics, point_predict, set_metrics
 from .plots import save_plot
 from .selection import (
+    DEFAULT_PSI,
+    DEFAULT_SIGMA,
+    DEFAULT_WARMUP,
     BetaCriterion,
     FixedSize,
     SelectionTrace,
@@ -87,9 +90,9 @@ SELECTORS = ("crfe", "rfe")
 class StoppingParams:
     """Automatic-stop benchmark settings."""
 
-    sigma: float = 5.0
-    psi: int = 10
-    warmup: int = 5
+    sigma: float = DEFAULT_SIGMA
+    psi: int = DEFAULT_PSI
+    warmup: int = DEFAULT_WARMUP
     repeats: int = 50
 
     def __post_init__(self):

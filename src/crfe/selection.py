@@ -23,14 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .classifier import (
-    LinearModelSet,
-    TrainConfig,
-    decision_matrix,
-    restrict,
-    train_ova,
-)
-from .conformal import nonconformity_all_labels
+from .classifier import LinearModelSet, TrainConfig, _whole_labels, train_ova
 from .data import write_csv
 from .exceptions import (
     DimensionMismatchError,
@@ -46,24 +39,7 @@ DEFAULT_WARMUP = 5
 # ------------------------------------------------------------------ scoring
 
 
-@dataclass(frozen=True, eq=False)
-class BetaVector:
-    """Per-feature elimination scores aligned with the active features."""
-
-    values: np.ndarray
-    active_features: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "active_features", tuple(self.active_features))
-        if self.values.shape != (len(self.active_features),):
-            raise DimensionMismatchError("values length != active feature count")
-
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-
-def beta_measures(ms: LinearModelSet, X, y) -> BetaVector:
+def beta_measures(ms: LinearModelSet, X, y) -> np.ndarray:
     """Score every active feature on a calibration set.
 
     Closed form over the whole set: with t1_j = sum_i w_j^{y_i} x_ij and
@@ -71,47 +47,26 @@ def beta_measures(ms: LinearModelSet, X, y) -> BetaVector:
 
         beta_j = -lam * t1_j + lam' * t2_j.
 
-    Runs in O((n + m) l) after the decision weights are stacked; bias
-    terms cancel and never enter.
+    Returns the (n_features,) scores in active-feature order. Runs in
+    O((n + m) l); bias terms cancel and never enter. Labels must be whole
+    numbers.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
+    y = _whole_labels(y)
     if X.ndim != 2 or X.shape[1] != ms.n_features:
         raise DimensionMismatchError("X columns do not match the model's features")
     if y.shape != (X.shape[0],):
         raise DimensionMismatchError("y length does not match X rows")
     if y.size and (y.min() < 0 or y.max() >= ms.n_classes):
         raise DimensionMismatchError("labels outside the model's class range")
-    W = ms.weight_matrix()
-    t1 = (X * W[y]).sum(axis=0)
-    t2 = W.sum(axis=0) * X.sum(axis=0) - t1
-    values = -ms.lam * t1 + ms.lambda_prime * t2
-    return BetaVector(values=values, active_features=ms.active_features)
-
-
-def delta_nonconformity_oracle(ms: LinearModelSet, X, y, position: int) -> float:
-    """Change in total non-conformity when one feature's contribution goes.
-
-    Rescoring implementation kept independent of the closed form: the total
-    calibration score is computed with the full model and again with the
-    feature sliced out of every weight vector, and the difference
-    (full minus reduced) is returned. Agrees with beta_measures to
-    floating-point accuracy.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    rows = np.arange(y.size)
-    full = nonconformity_all_labels(decision_matrix(ms, X), ms.lam)[rows, y]
-    keep = [p for p in range(ms.n_features) if p != position]
-    sub = restrict(ms, keep)
-    reduced = nonconformity_all_labels(decision_matrix(sub, X[:, keep]), ms.lam)[rows, y]
-    return float(full.sum() - reduced.sum())
+    t1 = (X * ms.W[y]).sum(axis=0)
+    t2 = ms.W.sum(axis=0) * X.sum(axis=0) - t1
+    return -ms.lam * t1 + ms.lambda_prime * t2
 
 
 def rfe_criterion(ms: LinearModelSet) -> np.ndarray:
     """Classical elimination score: sum over classes of squared weights."""
-    W = ms.weight_matrix()
-    return (W * W).sum(axis=0)
+    return (ms.W * ms.W).sum(axis=0)
 
 
 # ----------------------------------------------------------------- stopping
@@ -394,7 +349,7 @@ def _run_elimination(
 
 def _beta_score(ms: LinearModelSet, X_cal, y_cal):
     beta = beta_measures(ms, X_cal, y_cal)
-    return beta.values, beta.mean()
+    return beta, float(beta.mean())
 
 
 def _weight_score(ms: LinearModelSet, _X_cal, _y_cal):

@@ -1,12 +1,12 @@
 """Scalar reference forms of the package's vectorized computations.
 
 The package computes non-conformity, p-values, prediction sets, decision
-values, feature picks and pairwise agreement over whole arrays at once,
-and trains all one-vs-all problems, and all cross-validation folds of one
-size, in one stacked loop. The forms here handle one sample, one model,
-one binary problem, one fold or one family at a time, straight from the
-definitions, so tests can check the array code entry by entry against
-them.
+values, feature scores, feature picks and pairwise agreement over whole
+arrays at once, and trains all one-vs-all problems, and all
+cross-validation folds of one size, in one stacked loop. The forms here
+handle one sample, one model, one binary problem, one feature, one fold
+or one family at a time, straight from the definitions, so tests can
+check the array code entry by entry against them.
 """
 
 import math
@@ -15,8 +15,8 @@ from itertools import combinations
 
 import numpy as np
 
-from crfe.classifier import LinearModel, TrainConfig, decision_matrix, train_ova
-from crfe.conformal import CalibrationRecord
+from crfe.classifier import LinearModelSet, TrainConfig, decision_matrix, train_ova
+from crfe.conformal import CalibrationRecord, nonconformity_all_labels
 from crfe.consistency import SubsetFamily, kuncheva
 from crfe.exceptions import (
     ConfigError,
@@ -24,9 +24,9 @@ from crfe.exceptions import (
     DimensionMismatchError,
     EmptyVectorError,
     InvalidFamilyError,
+    UnknownFeatureError,
 )
 from crfe.metrics import point_predict
-from crfe.selection import BetaVector
 
 
 def theta(y, k):
@@ -102,28 +102,30 @@ def prediction_set(p_row, epsilon: float) -> PredictionSet:
     return PredictionSet(p=p, epsilon=epsilon, members=members)
 
 
-def decision_value(model: LinearModel, X) -> np.ndarray:
-    """Scores X @ w + b for one model; X columns must match len(w)."""
+def decision_value(w, b: float, X) -> np.ndarray:
+    """Scores X @ w + b for one hyperplane; X columns must match len(w)."""
+    w = np.asarray(w, dtype=float)
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.w.shape[0]:
+    if X.ndim != 2 or X.shape[1] != w.shape[0]:
         raise DimensionMismatchError(
-            f"X has shape {X.shape}, model expects {model.w.shape[0]} columns"
+            f"X has shape {X.shape}, model expects {w.shape[0]} columns"
         )
-    return X @ model.w + model.b
+    return X @ w + b
 
 
-def hinge_objective(model: LinearModel, X, z, c: float = 1.0) -> float:
+def hinge_objective(w, b: float, X, z, c: float = 1.0) -> float:
     """Regularized hinge objective the solver minimizes (bias penalized too)."""
+    w = np.asarray(w, dtype=float)
     X = np.asarray(X, dtype=float)
     z = np.asarray(z, dtype=float)
-    margins = z * decision_value(model, X)
+    margins = z * decision_value(w, b, X)
     hinge = np.maximum(0.0, 1.0 - margins).mean()
-    penalty = (model.w @ model.w + model.b * model.b) / (2.0 * c * X.shape[0])
+    penalty = (w @ w + b * b) / (2.0 * c * X.shape[0])
     return float(hinge + penalty)
 
 
-def train_binary(X, z, config: TrainConfig = TrainConfig()) -> LinearModel:
-    """Fit one hyperplane to labels z in {-1, +1}, one mini-batch at a time.
+def train_binary(X, z, config: TrainConfig = TrainConfig()) -> tuple[np.ndarray, float]:
+    """Fit one hyperplane (w, b) to labels z in {-1, +1}, one mini-batch at a time.
 
     The per-problem form of the solver behind train_ova: a fresh
     permutation per epoch from default_rng(config.seed), and only the
@@ -158,7 +160,7 @@ def train_binary(X, z, config: TrainConfig = TrainConfig()) -> LinearModel:
                 w_sum += w
                 n_tail += 1
     w_avg = w_sum / n_tail
-    return LinearModel(w=w_avg[:l], b=w_avg[l])
+    return w_avg[:l], float(w_avg[l])
 
 
 def cv_accuracy(X, y, n_classes, tcfg, folds: int = 5) -> float:
@@ -180,11 +182,46 @@ def cv_accuracy(X, y, n_classes, tcfg, folds: int = 5) -> float:
     return float(np.mean(accs)) if accs else -1.0
 
 
-def argmax_beta(beta: BetaVector) -> int:
+def restrict(ms: LinearModelSet, positions) -> LinearModelSet:
+    """Keep only the given positions (indices into the active feature list).
+
+    Weights are sliced without retraining; biases are kept. The result
+    scores as if the dropped features contributed nothing.
+    """
+    positions = np.asarray(positions, dtype=int)
+    if positions.size and (positions.min() < 0 or positions.max() >= ms.n_features):
+        raise UnknownFeatureError(
+            f"positions out of range for {ms.n_features} active features"
+        )
+    active = tuple(ms.active_features[p] for p in positions)
+    return LinearModelSet(W=ms.W[:, positions], b=ms.b, lam=ms.lam, active_features=active)
+
+
+def delta_nonconformity_oracle(ms: LinearModelSet, X, y, position: int) -> float:
+    """Change in total non-conformity when one feature's contribution goes.
+
+    Rescoring implementation kept independent of the closed form in
+    beta_measures: the total calibration score is computed with the full
+    model and again with the feature sliced out of every weight vector,
+    and the difference (full minus reduced) is returned. Agrees with
+    beta_measures to floating-point accuracy.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    rows = np.arange(y.size)
+    full = nonconformity_all_labels(decision_matrix(ms, X), ms.lam)[rows, y]
+    keep = [p for p in range(ms.n_features) if p != position]
+    sub = restrict(ms, keep)
+    reduced = nonconformity_all_labels(decision_matrix(sub, X[:, keep]), ms.lam)[rows, y]
+    return float(full.sum() - reduced.sum())
+
+
+def argmax_beta(beta) -> int:
     """Position of the largest score; ties go to the lowest original index."""
-    if beta.values.size == 0:
+    beta = np.asarray(beta, dtype=float)
+    if beta.size == 0:
         raise EmptyVectorError("no features left to score")
-    return int(np.argmax(beta.values))
+    return int(np.argmax(beta))
 
 
 def kuncheva_family(family: SubsetFamily, universe_size: int) -> float:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from crfe.classifier import LinearModel, LinearModelSet, TrainConfig, train_ova
+from crfe.classifier import LinearModelSet, TrainConfig, train_ova
 from crfe.cli import main
 from crfe.conformal import CalibrationRecord, calibrate, conformal_predict
 from crfe.consistency import SubsetFamily, jaccard_multi, kuncheva, weighted_consistency
@@ -30,11 +30,10 @@ from crfe.selection import (
     FixedSize,
     StopReason,
     beta_measures,
-    delta_nonconformity_oracle,
     run_crfe,
     run_rfe,
 )
-from oracles import multiclass_nonconformity, p_value, prediction_set
+from oracles import delta_nonconformity_oracle, multiclass_nonconformity, p_value, prediction_set
 
 # the benchmark generator settings used throughout: 350 samples, 35
 # features of which 10 informative + 1 redundant, 4 classes
@@ -50,11 +49,10 @@ def bench_data(seed):
 
 
 def random_model_set(rng, l, m):
+    wb = [(rng.standard_normal(l) * 3, float(rng.standard_normal())) for _ in range(m)]
     return LinearModelSet(
-        models=tuple(
-            LinearModel(w=rng.standard_normal(l) * 3, b=float(rng.standard_normal()))
-            for _ in range(m)
-        ),
+        W=[w for w, _ in wb],
+        b=[b for _, b in wb],
         lam=float(rng.random()),
         active_features=tuple(range(l)),
     )
@@ -76,7 +74,7 @@ def test_beta_equals_delta_oracle_randomized():
         y = rng.integers(0, m, size=n)
         beta = beta_measures(ms, X, y)
         for j in range(l):
-            diff = abs(beta.values[j] - delta_nonconformity_oracle(ms, X, y, j))
+            diff = abs(beta[j] - delta_nonconformity_oracle(ms, X, y, j))
             worst = max(worst, diff)
     assert worst <= 1e-9, f"worst |beta - oracle| = {worst!r}"
     assert time.time() - start < 10.0
@@ -246,14 +244,14 @@ def test_golden_fixtures():
 
     # one-feature beta with opposing slopes, own-class-only weighting
     ms = LinearModelSet(
-        models=(LinearModel(w=np.array([2.0]), b=0.0),
-                LinearModel(w=np.array([-2.0]), b=0.0)),
+        W=[[2.0], [-2.0]],
+        b=[0.0, 0.0],
         lam=1.0,
         active_features=(0,),
     )
     X = np.array([[1.0], [3.0]])
     y = np.array([0, 1])
-    assert beta_measures(ms, X, y).values.tolist() == [4.0]
+    assert beta_measures(ms, X, y).tolist() == [4.0]
 
     # set metrics on three samples, two classes
     mask = np.array([[True, True], [False, False], [True, False]])

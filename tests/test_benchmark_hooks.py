@@ -1,35 +1,37 @@
-"""The benchmark tracer finds every function it wraps.
+"""The benchmark finds every crfe name it uses.
 
 perfbench/tracer.py wraps crfe functions by module and name, and binds
-the arguments of train_ova by parameter name. A rename would otherwise
-surface only as a failed traced benchmark run.
+the arguments of train_ova by parameter name; perfbench/workloads.py and
+perfbench/run.py call crfe.<name> directly. A rename or deletion would
+otherwise surface only as a failed benchmark run.
 """
 
 import importlib
 import importlib.util
 import inspect
+import pkgutil
+import re
 from pathlib import Path
 
 import crfe
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 EXPORTS = [
-    "BetaCriterion", "BetaStopResult", "BetaVector", "CalibrationRecord", "CrfeError",
-    "DataSplit", "Dataset", "ExperimentConfig", "FixedSize", "LinearModel",
-    "LinearModelSet", "PointMetricsReport", "ResultsTable", "Scaler", "SelectionStep",
-    "SelectionTrace", "SetMetricsReport", "StopReason", "StoppingParams",
-    "SubsetFamily", "SyntheticSpec", "TrainConfig", "apply_scaler", "beta_measures",
-    "beta_stop_check", "calibrate", "config_from_dict", "config_from_json",
-    "conformal_predict", "consistency_report", "decision_matrix",
-    "delta_nonconformity_oracle", "emit_outputs", "fit_scaler", "generate_synthetic",
-    "impute_knn", "jaccard_multi", "kuncheva", "load_csv", "load_model",
-    "model_set_from_json", "model_set_to_json", "nonconformity_all_labels",
-    "p_value_matrix", "point_metrics", "point_predict", "prediction_mask", "restrict",
-    "rfe_criterion", "run_all", "run_comparison", "run_crfe", "run_rfe",
-    "run_stopping_benchmark", "save_csv", "save_model", "save_synthetic", "set_metrics",
-    "split", "split_with_all_classes", "trace_to_csv", "trace_to_json", "train_ova",
-    "weighted_consistency", "write_prediction_csv",
+    "BetaCriterion", "BetaStopResult", "CalibrationRecord", "CrfeError", "DataSplit",
+    "Dataset", "ExperimentConfig", "FixedSize", "LinearModelSet", "PointMetricsReport",
+    "ResultsTable", "Scaler", "SelectionStep", "SelectionTrace", "SetMetricsReport",
+    "StopReason", "StoppingParams", "SubsetFamily", "SyntheticSpec", "TrainConfig",
+    "apply_scaler", "beta_measures", "beta_stop_check", "calibrate", "config_from_dict",
+    "config_from_json", "conformal_predict", "consistency_report", "decision_matrix",
+    "emit_outputs", "fit_scaler", "generate_synthetic", "impute_knn", "jaccard_multi",
+    "kuncheva", "load_csv", "load_model", "model_set_from_json", "model_set_to_json",
+    "nonconformity_all_labels", "p_value_matrix", "point_metrics", "point_predict",
+    "prediction_mask", "rfe_criterion", "run_all", "run_comparison", "run_crfe",
+    "run_rfe", "run_stopping_benchmark", "save_csv", "save_model", "save_synthetic",
+    "set_metrics", "split", "split_with_all_classes", "trace_to_csv", "trace_to_json",
+    "train_ova", "weighted_consistency", "write_prediction_csv",
 ]
 
 
@@ -43,3 +45,16 @@ def test_traced_functions_resolve():
     params = inspect.signature(crfe.train_ova).parameters
     assert {"X", "y", "n_classes", "config", "lam"} <= set(params)
     assert crfe.__all__ == EXPORTS
+
+
+def test_benchmark_callers_resolve():
+    # read as text: importing workloads.py sets environment variables
+    for name in ("workloads.py", "run.py"):
+        text = (PERFBENCH / name).read_text(encoding="utf-8")
+        used = set(re.findall(r"\bcrfe(?:\.\w+)+", text))
+        assert used, f"no crfe names found in {name}"
+        for dotted in sorted(used):
+            try:
+                pkgutil.resolve_name(dotted)
+            except (ImportError, AttributeError):
+                raise AssertionError(f"{name} uses {dotted}, which is gone") from None

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 
 from crfe import classifier
 from crfe.classifier import (
-    LinearModel,
     LinearModelSet,
     TrainConfig,
     decision_matrix,
     load_model,
     model_set_from_json,
     model_set_to_json,
-    restrict,
     save_model,
     train_ova,
 )
@@ -26,7 +24,7 @@ from crfe.exceptions import (
     NonFiniteInputError,
     UnknownFeatureError,
 )
-from oracles import decision_value, hinge_objective, train_binary
+from oracles import decision_value, hinge_objective, restrict, train_binary
 
 
 def separable_blobs(seed=0, n=40, gap=3.0):
@@ -48,18 +46,18 @@ def test_train_config_validation():
 
 def test_binary_separates_blobs():
     X, z = separable_blobs()
-    m = train_binary(X, z, TrainConfig(seed=1))
-    pred = np.sign(decision_value(m, X))
+    w, b = train_binary(X, z, TrainConfig(seed=1))
+    pred = np.sign(decision_value(w, b, X))
     assert (pred == z).all()
 
 
 def test_binary_deterministic_and_seed_sensitive():
     X, z = separable_blobs(seed=2)
-    a = train_binary(X, z, TrainConfig(seed=7))
-    b = train_binary(X, z, TrainConfig(seed=7))
-    assert np.array_equal(a.w, b.w) and a.b == b.b
-    c = train_binary(X, z, TrainConfig(seed=8))
-    assert not np.array_equal(a.w, c.w)
+    a_w, a_b = train_binary(X, z, TrainConfig(seed=7))
+    b_w, b_b = train_binary(X, z, TrainConfig(seed=7))
+    assert np.array_equal(a_w, b_w) and a_b == b_b
+    c_w, _ = train_binary(X, z, TrainConfig(seed=8))
+    assert not np.array_equal(a_w, c_w)
 
 
 def test_binary_objective_beats_zero_model():
@@ -70,16 +68,15 @@ def test_binary_objective_beats_zero_model():
         z = np.where(X @ w_true + 0.3 * rng.standard_normal(60) > 0, 1.0, -1.0)
         if np.unique(z).size < 2:
             continue
-        m = train_binary(X, z, TrainConfig(seed=trial))
-        zero = LinearModel(w=np.zeros(5), b=0.0)
-        assert hinge_objective(m, X, z) < hinge_objective(zero, X, z)
+        w, b = train_binary(X, z, TrainConfig(seed=trial))
+        assert hinge_objective(w, b, X, z) < hinge_objective(np.zeros(5), 0.0, X, z)
 
 
 def test_binary_longer_training_reaches_lower_objective():
     X, z = separable_blobs(seed=5, gap=1.0)
     short = train_binary(X, z, TrainConfig(epochs=3, seed=0))
     long = train_binary(X, z, TrainConfig(epochs=300, seed=0))
-    assert hinge_objective(long, X, z) <= hinge_objective(short, X, z) + 1e-6
+    assert hinge_objective(*long, X, z) <= hinge_objective(*short, X, z) + 1e-6
 
 
 def test_ova_input_validation():
@@ -132,10 +129,10 @@ def test_stacked_solver_matches_per_class_oracle(problem):
     with mock.patch.object(classifier, "_ORDER_BUFFER", buffer):
         ms = train_ova(X, y, k, config)
     for cls in range(k):
-        want = train_binary(X, np.where(y == cls, 1.0, -1.0),
-                            replace(config, seed=config.seed + cls))
-        assert np.array_equal(ms.models[cls].w, want.w)
-        assert ms.models[cls].b == want.b
+        want_w, want_b = train_binary(X, np.where(y == cls, 1.0, -1.0),
+                                      replace(config, seed=config.seed + cls))
+        assert np.array_equal(ms.W[cls], want_w)
+        assert ms.b[cls] == want_b
 
 
 @st.composite
@@ -178,8 +175,8 @@ def test_fold_trainer_matches_train_ova_per_fold(problem):
     assert len(got) == f
     for ms, rows in zip(got, folds):
         want = train_ova(X[rows], y[rows], k, config)
-        assert np.array_equal(ms.weight_matrix(), want.weight_matrix())
-        assert np.array_equal(ms.bias_vector(), want.bias_vector())
+        assert np.array_equal(ms.W, want.W)
+        assert np.array_equal(ms.b, want.b)
         assert ms.active_features == want.active_features
 
 
@@ -195,7 +192,7 @@ def test_labels_must_be_whole_numbers():
     # whole-valued floats are the same labels as their ints
     whole = train_ova(X, [0.0, 1.0, 0.0, 1.0, 0.0, 1.0], 2)
     ints = train_ova(X, [0, 1, 0, 1, 0, 1], 2)
-    assert np.array_equal(whole.weight_matrix(), ints.weight_matrix())
+    assert np.array_equal(whole.W, ints.W)
 
 
 def test_fold_trainer_rejects_a_fold_missing_a_class():
@@ -228,38 +225,44 @@ def test_ova_missing_class_rejected():
 
 
 def test_decision_dimension_mismatch():
-    m = LinearModel(w=np.array([1.0, 2.0]), b=0.0)
     with pytest.raises(DimensionMismatchError):
-        decision_value(m, np.zeros((3, 3)))
-    ms = LinearModelSet(models=(m, m), lam=0.5, active_features=(0, 1))
+        decision_value(np.array([1.0, 2.0]), 0.0, np.zeros((3, 3)))
+    ms = LinearModelSet(W=[[1.0, 2.0], [1.0, 2.0]], b=[0.0, 0.0], lam=0.5,
+                        active_features=(0, 1))
     with pytest.raises(DimensionMismatchError):
         decision_matrix(ms, np.zeros((3, 5)))
 
 
 def test_model_set_validation():
-    m2 = LinearModel(w=np.array([1.0, 2.0]), b=0.0)
+    W2 = np.array([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(ConfigError):
-        LinearModelSet(models=(m2,), lam=0.5, active_features=(0, 1))
+        LinearModelSet(W=W2[:1], b=[0.0], lam=0.5, active_features=(0, 1))
     with pytest.raises(ConfigError):
-        LinearModelSet(models=(m2, m2), lam=1.5, active_features=(0, 1))
+        LinearModelSet(W=W2, b=[0.0, 0.0], lam=1.5, active_features=(0, 1))
     with pytest.raises(DimensionMismatchError):
-        LinearModelSet(models=(m2, m2), lam=0.5, active_features=(0, 1, 2))
+        LinearModelSet(W=W2, b=[0.0, 0.0], lam=0.5, active_features=(0, 1, 2))
+    with pytest.raises(DimensionMismatchError):
+        LinearModelSet(W=W2, b=[0.0, 0.0, 0.0], lam=0.5, active_features=(0, 1))
+    with pytest.raises(DimensionMismatchError):
+        LinearModelSet(W=W2[0], b=[0.0, 0.0], lam=0.5, active_features=(0, 1))
+    # the set keeps C-contiguous float copies, never a view of its input
+    strided = np.arange(6.0).reshape(2, 3)[:, :2]
+    ms = LinearModelSet(W=strided, b=np.array([1, 2]), active_features=(0, 1))
+    assert ms.W.flags.c_contiguous and ms.b.dtype == float
+    assert not np.shares_memory(ms.W, strided)
 
 
 def test_restrict_slices_weights_and_remaps_features():
     ms = LinearModelSet(
-        models=(
-            LinearModel(w=np.array([1.0, 2.0, 3.0]), b=0.5),
-            LinearModel(w=np.array([-1.0, 0.0, 4.0]), b=-0.5),
-        ),
+        W=[[1.0, 2.0, 3.0], [-1.0, 0.0, 4.0]],
+        b=[0.5, -0.5],
         lam=0.5,
         active_features=(2, 5, 9),
     )
     sub = restrict(ms, [0, 2])
     assert sub.active_features == (2, 9)
-    assert sub.models[0].w.tolist() == [1.0, 3.0]
-    assert sub.models[1].w.tolist() == [-1.0, 4.0]
-    assert sub.models[0].b == 0.5
+    assert sub.W.tolist() == [[1.0, 3.0], [-1.0, 4.0]]
+    assert sub.b.tolist() == [0.5, -0.5]
     with pytest.raises(UnknownFeatureError):
         restrict(ms, [3])
 
@@ -269,10 +272,8 @@ def test_restrict_scores_like_dropping_contributions():
     for trial in range(10):
         l = 6
         ms = LinearModelSet(
-            models=tuple(
-                LinearModel(w=rng.standard_normal(l), b=rng.standard_normal())
-                for _ in range(3)
-            ),
+            W=rng.standard_normal((3, l)),
+            b=rng.standard_normal(3),
             lam=0.5,
             active_features=tuple(range(l)),
         )
@@ -280,18 +281,15 @@ def test_restrict_scores_like_dropping_contributions():
         keep = sorted(rng.choice(l, size=4, replace=False).tolist())
         sub = restrict(ms, keep)
         got = decision_matrix(sub, X[:, keep])
-        want = X[:, keep] @ ms.weight_matrix()[:, keep].T + ms.bias_vector()
+        want = X[:, keep] @ ms.W[:, keep].T + ms.b
         assert np.allclose(got, want, atol=1e-12)
 
 
 def test_json_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(9)
     ms = LinearModelSet(
-        models=tuple(
-            LinearModel(w=rng.standard_normal(4) * 10.0 ** rng.integers(-8, 8),
-                        b=float(rng.standard_normal()))
-            for _ in range(3)
-        ),
+        W=rng.standard_normal((3, 4)) * 10.0 ** rng.integers(-8, 8, size=(3, 1)),
+        b=rng.standard_normal(3),
         lam=0.3,
         active_features=(1, 4, 6, 30),
     )
@@ -299,14 +297,13 @@ def test_json_round_trip_is_exact(tmp_path):
     back = model_set_from_json(text)
     assert back.lam == ms.lam
     assert back.active_features == ms.active_features
-    for a, b in zip(back.models, ms.models):
-        assert np.array_equal(a.w, b.w)
-        assert a.b == b.b
+    assert np.array_equal(back.W, ms.W)
+    assert np.array_equal(back.b, ms.b)
     # and via files
     p = tmp_path / "model.json"
     save_model(ms, p)
     disk = load_model(p)
-    assert np.array_equal(disk.weight_matrix(), ms.weight_matrix())
+    assert np.array_equal(disk.W, ms.W)
     # serialization is stable
     assert model_set_to_json(back) == text
 
@@ -316,3 +313,30 @@ def test_json_rejects_garbage():
         model_set_from_json("not json")
     with pytest.raises(ConfigError):
         model_set_from_json('{"lambda": 0.5, "models": []}')
+    head = '{"lambda": 0.5, "active_features": [0, 1], "models": '
+    two = '[{"w": [1, 2], "b": 0}, {"w": [3, 4], "b": 1}]'
+    assert model_set_from_json(head + two + "}").W.tolist() == [[1, 2], [3, 4]]
+    for bad in (
+        "5",
+        "[1, 2]",
+        head + "5}",
+        head + '{"w": [1, 2], "b": 0}}',
+        head + '[{"w": [1, 2]}, {"w": [3, 4], "b": 1}]}',
+        head + '[{"b": 0}, {"w": [3, 4], "b": 1}]}',
+        head + '[5, {"w": [3, 4], "b": 1}]}',
+        head + '[{"w": 5, "b": 0}, {"w": [3, 4], "b": 1}]}',
+        head + '[{"w": [1, [2]], "b": 0}, {"w": [3, 4], "b": 1}]}',
+        head + '[{"w": [1, 2], "b": [0]}, {"w": [3, 4], "b": 1}]}',
+        head + '[{"w": [1, "x"], "b": 0}, {"w": [3, 4], "b": 1}]}',
+        head + "[]}",
+        two.join(['{"lambda": null, "active_features": [0, 1], "models": ', "}"]),
+        two.join(['{"lambda": 0.5, "active_features": 7, "models": ', "}"]),
+        two.join(['{"lambda": 0.5, "active_features": [0.7, 1], "models": ', "}"]),
+        two.join(['{"lambda": 0.5, "active_features": "01", "models": ', "}"]),
+    ):
+        with pytest.raises(ConfigError):
+            model_set_from_json(bad)
+    with pytest.raises(DimensionMismatchError):
+        model_set_from_json(head + '[{"w": [1, 2], "b": 0}, {"w": [3], "b": 1}]}')
+    with pytest.raises(DimensionMismatchError):
+        model_set_from_json(head + '[{"w": [1], "b": 0}, {"w": [3], "b": 1}]}')

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crfe.classifier import LinearModel, LinearModelSet, TrainConfig, decision_matrix, train_ova
+from crfe.classifier import TrainConfig, decision_matrix, train_ova
 from crfe.conformal import (
     CalibrationRecord,
     calibrate,
@@ -12,7 +12,7 @@ from crfe.conformal import (
     write_prediction_csv,
 )
 from crfe.data import SyntheticSpec, apply_scaler, fit_scaler, generate_synthetic, split
-from crfe.exceptions import ConfigError, EmptyCalibrationError
+from crfe.exceptions import ConfigError, DegenerateLabelsError, EmptyCalibrationError
 from oracles import (
     binary_nonconformity,
     multiclass_nonconformity,
@@ -130,6 +130,21 @@ def test_calibrate_scores_own_labels():
     expect = np.sort(A[np.arange(sp.calib_idx.size), ds.y[sp.calib_idx]])
     assert np.array_equal(rec.alphas, expect)
     assert rec.n == sp.calib_idx.size
+
+
+def test_calibrate_label_and_epsilon_checks():
+    ds, sp, ms, rec = fit_pipeline()
+    X_cal, y_cal = ds.X[sp.calib_idx], ds.y[sp.calib_idx]
+    with pytest.raises(DegenerateLabelsError, match="whole numbers"):
+        calibrate(ms, X_cal, y_cal + 0.7)
+    with pytest.raises(ConfigError):
+        calibrate(ms, X_cal, y_cal + 3)
+    assert np.array_equal(calibrate(ms, X_cal, y_cal.astype(float)).alphas, rec.alphas)
+    for bad in (-0.1, 1.5):
+        with pytest.raises(ConfigError):
+            prediction_mask(np.full((1, 3), 0.5), bad)
+        with pytest.raises(ConfigError):
+            conformal_predict(ms, rec, ds.X[sp.test_idx], bad)
 
 
 def test_conformal_predict_covers_most_truths():

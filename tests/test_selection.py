@@ -4,35 +4,37 @@ import math
 import numpy as np
 import pytest
 
-from crfe.classifier import LinearModel, LinearModelSet, TrainConfig
+from crfe.classifier import LinearModelSet, TrainConfig
 from crfe.conformal import nonconformity_all_labels
 from crfe.data import SyntheticSpec, apply_scaler, fit_scaler, generate_synthetic, split
-from crfe.exceptions import EmptyVectorError, InvalidPolicyError
+from crfe.exceptions import (
+    DegenerateLabelsError,
+    DimensionMismatchError,
+    EmptyVectorError,
+    InvalidPolicyError,
+)
 from crfe.selection import (
     BetaCriterion,
-    BetaVector,
     FixedSize,
     SelectionStep,
     SelectionTrace,
     StopReason,
     beta_measures,
     beta_stop_check,
-    delta_nonconformity_oracle,
     rfe_criterion,
     run_crfe,
     run_rfe,
     trace_to_csv,
     trace_to_json,
 )
-from oracles import argmax_beta
+from oracles import argmax_beta, delta_nonconformity_oracle
 
 
 def random_model_set(rng, l, m):
+    wb = [(rng.standard_normal(l) * 3, float(rng.standard_normal())) for _ in range(m)]
     return LinearModelSet(
-        models=tuple(
-            LinearModel(w=rng.standard_normal(l) * 3, b=float(rng.standard_normal()))
-            for _ in range(m)
-        ),
+        W=[w for w, _ in wb],
+        b=[b for _, b in wb],
         lam=float(rng.random()),
         active_features=tuple(range(l)),
     )
@@ -45,14 +47,15 @@ def test_beta_single_feature_fixture():
     # two classes, opposite unit slopes scaled by 2, lam 1 (own class only):
     # removing the only feature changes total non-conformity by 4
     ms = LinearModelSet(
-        models=(LinearModel(w=[2.0], b=0.0), LinearModel(w=[-2.0], b=0.0)),
+        W=[[2.0], [-2.0]],
+        b=[0.0, 0.0],
         lam=1.0,
         active_features=(0,),
     )
     X = np.array([[1.0], [3.0]])
     y = np.array([0, 1])
     beta = beta_measures(ms, X, y)
-    assert beta.values.tolist() == [4.0]
+    assert beta.tolist() == [4.0]
     assert delta_nonconformity_oracle(ms, X, y, 0) == 4.0
 
 
@@ -65,7 +68,7 @@ def test_beta_matches_rescoring_oracle():
         y = rng.integers(0, m, size=n)
         beta = beta_measures(ms, X, y)
         for j in range(l):
-            assert beta.values[j] == pytest.approx(
+            assert beta[j] == pytest.approx(
                 delta_nonconformity_oracle(ms, X, y, j), abs=1e-9
             )
 
@@ -80,23 +83,35 @@ def test_total_nonconformity_splits_into_beta_plus_bias_part():
         from crfe.classifier import decision_matrix
 
         alphas = nonconformity_all_labels(decision_matrix(ms, X), ms.lam)[np.arange(n), y]
-        b = ms.bias_vector()
+        b = ms.b
         gamma = -ms.lam * b[y] + ms.lambda_prime * (b.sum() - b[y])
         assert alphas.sum() == pytest.approx(
-            beta_measures(ms, X, y).values.sum() + gamma.sum(), abs=1e-9
+            beta_measures(ms, X, y).sum() + gamma.sum(), abs=1e-9
         )
 
 
+def test_beta_label_checks():
+    rng = np.random.default_rng(3)
+    ms = random_model_set(rng, 3, 2)
+    X = rng.standard_normal((12, 3))
+    y = np.arange(12) % 2
+    with pytest.raises(DegenerateLabelsError, match="whole numbers"):
+        beta_measures(ms, X, y + 0.7)
+    with pytest.raises(DimensionMismatchError):
+        beta_measures(ms, X, y + 1)
+    assert np.array_equal(beta_measures(ms, X, y.astype(float)), beta_measures(ms, X, y))
+
+
 def test_argmax_beta_tie_breaks_low():
-    beta = BetaVector(values=np.array([1.0, 5.0, 5.0, 0.0]), active_features=(0, 1, 2, 3))
-    assert argmax_beta(beta) == 1
+    assert argmax_beta(np.array([1.0, 5.0, 5.0, 0.0])) == 1
     with pytest.raises(EmptyVectorError):
-        argmax_beta(BetaVector(values=np.array([]), active_features=()))
+        argmax_beta(np.array([]))
 
 
 def test_rfe_criterion_sums_squared_weights():
     ms = LinearModelSet(
-        models=(LinearModel(w=[1.0, 2.0], b=9.0), LinearModel(w=[3.0, -1.0], b=-9.0)),
+        W=[[1.0, 2.0], [3.0, -1.0]],
+        b=[9.0, -9.0],
         lam=0.5,
         active_features=(0, 1),
     )
