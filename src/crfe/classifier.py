@@ -85,7 +85,8 @@ class LinearModelSet:
         Weight in [0, 1] given to the own-class score when scores are
         combined downstream; the remaining classes share (1 - lam).
     active_features : tuple of int
-        Original column indices the columns of W refer to, ascending.
+        Original column indices the columns of W refer to: non-negative
+        and strictly ascending, so each column appears once.
 
     W and b are stored as C-contiguous float copies, so a model set never
     shares memory with the arrays it was built from.
@@ -107,6 +108,10 @@ class LinearModelSet:
             raise ConfigError("need one model per class, at least two classes")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError("lam must lie in [0, 1]")
+        if min(active, default=0) < 0 or any(a >= c for a, c in zip(active, active[1:])):
+            raise ConfigError(
+                f"active_features must be non-negative and strictly ascending, got {active}"
+            )
         if b.ndim != 1 or W.shape != (b.size, len(active)):
             raise DimensionMismatchError(
                 f"W {W.shape} and b {b.shape} do not fit {b.size} classes"

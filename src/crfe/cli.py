@@ -24,13 +24,7 @@ from .data import (
     scaled_split,
     write_csv,
 )
-from .exceptions import (
-    ConfigError,
-    CrfeError,
-    InvalidPolicyError,
-    InvalidSpecError,
-    MissingLabelColumnError,
-)
+from .exceptions import ConfigError, CrfeError
 from .harness import (
     CONSISTENCY_COLUMNS,
     config_from_json,
@@ -48,8 +42,6 @@ from .selection import (
     trace_to_csv,
     trace_to_json,
 )
-
-_CONFIG_ERRORS = (ConfigError, InvalidSpecError, InvalidPolicyError, MissingLabelColumnError)
 
 
 def _parse_stop(text: str, sigma: float, psi: int):
@@ -166,7 +158,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as e:
+    except ConfigError as e:
         print(f"crfe: config error: {e}", file=sys.stderr)
         return 2
     except (CrfeError, OSError) as e:

@@ -23,6 +23,7 @@ from .exceptions import (
     InvalidSpecError,
     MissingFileError,
     MissingLabelColumnError,
+    NonFiniteInputError,
     NotEnoughDonorsError,
     SingleClassError,
     TooFewSamplesError,
@@ -313,11 +314,19 @@ def impute_knn(d: Dataset, k: int = DEFAULT_IMPUTE_NEIGHBORS) -> Dataset:
 
     Distances between two rows use only the features observed in both,
     normalized by the count of shared features. Donor rows for a cell must
-    have that column observed. All fills are computed from the original
-    (pre-imputation) values, which makes the operation idempotent.
+    have that column observed; ties in distance go to the lower row index.
+    All fills are computed from the original (pre-imputation) values,
+    which makes the operation idempotent. Every observed cell must be
+    finite.
+
+    Rows are processed one missing pattern at a time, so the masks of
+    shared features are built once per pattern rather than once per row;
+    the filled values are the same as a row-by-row pass would give.
 
     Raises
     ------
+    NonFiniteInputError
+        If an observed (unmasked) cell is NaN or infinite.
     NotEnoughDonorsError
         If any column with missing entries has fewer than k donor rows.
     """
@@ -329,38 +338,47 @@ def impute_knn(d: Dataset, k: int = DEFAULT_IMPUTE_NEIGHBORS) -> Dataset:
     X = d.X
     mask = d.missing_mask
     present = ~mask
+    if not (np.isfinite(X) | mask).all():
+        raise NonFiniteInputError("observed cells must be finite to impute")
     filled = X.copy()
     # scratch reused for every row: fresh X-sized temporaries per row made
     # the run time swing with where the allocator placed and faulted them in
-    shared = np.empty_like(present)
-    unshared = np.empty_like(present)
+    unshared = np.empty_like(mask)
     sq = np.empty_like(X)
 
     rows_with_missing = np.flatnonzero(mask.any(axis=1))
-    for i in rows_with_missing:
-        # mean squared difference over shared observed features, with
-        # NaN terms dropped as in np.nansum
-        np.logical_and(present, present[i], out=shared)
-        np.logical_not(shared, out=unshared)
-        n_shared = shared.sum(axis=1)
-        np.subtract(X, X[i], out=sq)
-        np.copyto(sq, 0.0, where=unshared)
-        np.multiply(sq, sq, out=sq)
-        np.copyto(sq, 0.0, where=np.isnan(sq))
-        with np.errstate(invalid="ignore"):
-            dist = np.sqrt(np.where(n_shared > 0, sq.sum(axis=1), np.inf)
-                           / np.maximum(n_shared, 1))
-        dist[n_shared == 0] = np.inf
-        dist[i] = np.inf
-        for j in np.flatnonzero(mask[i]):
-            donor_ok = present[:, j] & np.isfinite(dist)
-            donors = np.flatnonzero(donor_ok)
-            if donors.size < k:
-                raise NotEnoughDonorsError(
-                    f"column {d.feature_names[j]!r}: {donors.size} donors < k={k}"
-                )
-            order = donors[np.argsort(dist[donors], kind="stable")[:k]]
-            filled[i, j] = X[order, j].mean()
+    patterns, which = np.unique(mask[rows_with_missing], axis=0, return_inverse=True)
+    which = which.ravel()  # numpy 2.0.0 shapes it (rows, 1)
+    for p, pattern in enumerate(patterns):
+        np.logical_or(mask, pattern, out=unshared)
+        n_shared = X.shape[1] - unshared.sum(axis=1)
+        denom = np.maximum(n_shared, 1)
+        no_shared = n_shared == 0
+        missing_cols = np.flatnonzero(pattern)
+        for i in rows_with_missing[which == p]:
+            # mean squared difference over the features both rows observe:
+            # every other term, NaN from a missing cell included, is
+            # zeroed before squaring, and the (n, l) layout keeps numpy's
+            # summation order
+            np.subtract(X, X[i], out=sq)
+            np.copyto(sq, 0.0, where=unshared)
+            np.multiply(sq, sq, out=sq)
+            dist = np.sqrt(sq.sum(axis=1) / denom)
+            dist[no_shared] = np.inf
+            dist[i] = np.inf
+            reachable = np.isfinite(dist)
+            for j in missing_cols:
+                donors = np.flatnonzero(present[:, j] & reachable)
+                if donors.size < k:
+                    raise NotEnoughDonorsError(
+                        f"column {d.feature_names[j]!r}: {donors.size} donors < k={k}"
+                    )
+                # the donors up to the k-th smallest distance, in row order,
+                # then stably sorted: the first k of a full stable sort
+                near = dist[donors]
+                near = donors[near <= np.partition(near, k - 1)[k - 1]]
+                order = near[np.argsort(dist[near], kind="stable")[:k]]
+                filled[i, j] = X[order, j].mean()
 
     return Dataset(
         X=filled,

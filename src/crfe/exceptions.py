@@ -1,4 +1,8 @@
-"""Exception types raised by the crfe package."""
+"""Exception types raised by the crfe package.
+
+The command line exits with 2 on a ConfigError, a mistake in what was
+asked for, and with 3 on any other CrfeError, a problem in the data.
+"""
 
 
 class CrfeError(Exception):
@@ -15,7 +19,7 @@ class MissingFileError(CrfeError):
     """Input file does not exist."""
 
 
-class MissingLabelColumnError(CrfeError):
+class MissingLabelColumnError(ConfigError):
     """The requested label column is not in the CSV header."""
 
 
@@ -56,7 +60,7 @@ class TooFewSamplesError(CrfeError):
     """Dataset too small to split (or no class-preserving split found)."""
 
 
-class InvalidSpecError(CrfeError):
+class InvalidSpecError(ConfigError):
     """Synthetic generator parameters are inconsistent."""
 
 
@@ -90,7 +94,7 @@ class EmptyVectorError(CrfeError):
     """A per-feature score vector is empty."""
 
 
-class InvalidPolicyError(CrfeError):
+class InvalidPolicyError(ConfigError):
     """Stopping policy parameters violate their invariants."""
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .classifier import LinearModelSet, TrainConfig, _train_ova_folds, decision_matrix
-from .conformal import calibrate, conformal_predict
+from .conformal import calibrate, nonconformity_all_labels, p_value_matrix, prediction_mask
 from .consistency import SubsetFamily, jaccard_multi, kuncheva, weighted_consistency
 from .data import (
     Dataset,
@@ -278,10 +278,11 @@ class ResultsTable:
 def _evaluate(ms, X_cal, y_cal, X_test, y_test, epsilon, n_classes):
     cols = list(ms.active_features)
     rec = calibrate(ms, X_cal[:, cols], y_cal)
-    _, mask = conformal_predict(ms, rec, X_test[:, cols], epsilon)
+    # one decision matrix serves the prediction sets and the point labels
     D = decision_matrix(ms, X_test[:, cols])
+    P = p_value_matrix(rec, nonconformity_all_labels(D, ms.lam))
     return (
-        set_metrics(mask, y_test),
+        set_metrics(prediction_mask(P, epsilon), y_test),
         point_metrics(point_predict(D), y_test, n_classes),
     )
 

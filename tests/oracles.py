@@ -2,10 +2,11 @@
 
 The package computes non-conformity, p-values, prediction sets, decision
 values, feature scores, feature picks and pairwise agreement over whole
-arrays at once, and trains all one-vs-all problems, and all
-cross-validation folds of one size, in one stacked loop. The forms here
-handle one sample, one model, one binary problem, one feature, one fold
-or one family at a time, straight from the definitions, so tests can
+arrays at once, trains all one-vs-all problems, and all
+cross-validation folds of one size, in one stacked loop, and imputes the
+rows of one missing pattern together. The forms here handle one sample,
+one model, one binary problem, one feature, one fold, one family or one
+imputed row at a time, straight from the definitions, so tests can
 check the array code entry by entry against them.
 """
 
@@ -24,6 +25,7 @@ from crfe.exceptions import (
     DimensionMismatchError,
     EmptyVectorError,
     InvalidFamilyError,
+    NotEnoughDonorsError,
     UnknownFeatureError,
 )
 from crfe.metrics import point_predict
@@ -233,3 +235,44 @@ def kuncheva_family(family: SubsetFamily, universe_size: int) -> float:
         for a, b in combinations(family.subsets, 2)
     ]
     return float(np.mean(vals))
+
+
+def impute_knn(d, k: int) -> np.ndarray:
+    """The filled matrix of crfe.data.impute_knn, one row with a gap at a time.
+
+    Every row rebuilds its shared-feature masks, takes the mean squared
+    difference over the shared features with NaN terms dropped as in
+    np.nansum, and picks its donors by a full stable argsort.
+    """
+    X = d.X
+    mask = d.missing_mask
+    present = ~mask
+    filled = X.copy()
+    shared = np.empty_like(present)
+    unshared = np.empty_like(present)
+    sq = np.empty_like(X)
+
+    rows_with_missing = np.flatnonzero(mask.any(axis=1))
+    for i in rows_with_missing:
+        np.logical_and(present, present[i], out=shared)
+        np.logical_not(shared, out=unshared)
+        n_shared = shared.sum(axis=1)
+        np.subtract(X, X[i], out=sq)
+        np.copyto(sq, 0.0, where=unshared)
+        np.multiply(sq, sq, out=sq)
+        np.copyto(sq, 0.0, where=np.isnan(sq))
+        with np.errstate(invalid="ignore"):
+            dist = np.sqrt(np.where(n_shared > 0, sq.sum(axis=1), np.inf)
+                           / np.maximum(n_shared, 1))
+        dist[n_shared == 0] = np.inf
+        dist[i] = np.inf
+        for j in np.flatnonzero(mask[i]):
+            donor_ok = present[:, j] & np.isfinite(dist)
+            donors = np.flatnonzero(donor_ok)
+            if donors.size < k:
+                raise NotEnoughDonorsError(
+                    f"column {d.feature_names[j]!r}: {donors.size} donors < k={k}"
+                )
+            order = donors[np.argsort(dist[donors], kind="stable")[:k]]
+            filled[i, j] = X[order, j].mean()
+    return filled

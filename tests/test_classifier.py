@@ -245,6 +245,11 @@ def test_model_set_validation():
         LinearModelSet(W=W2, b=[0.0, 0.0, 0.0], lam=0.5, active_features=(0, 1))
     with pytest.raises(DimensionMismatchError):
         LinearModelSet(W=W2[0], b=[0.0, 0.0], lam=0.5, active_features=(0, 1))
+    # each column once, in ascending order, none before the first
+    for active in ((-1, 0), (-1, -1), (1, 1), (1, 0), (0, 3, 2)):
+        with pytest.raises(ConfigError):
+            LinearModelSet(W=np.ones((2, len(active))), b=[0.0, 0.0], lam=0.5,
+                           active_features=active)
     # the set keeps C-contiguous float copies, never a view of its input
     strided = np.arange(6.0).reshape(2, 3)[:, :2]
     ms = LinearModelSet(W=strided, b=np.array([1, 2]), active_features=(0, 1))
@@ -333,6 +338,10 @@ def test_json_rejects_garbage():
         two.join(['{"lambda": 0.5, "active_features": 7, "models": ', "}"]),
         two.join(['{"lambda": 0.5, "active_features": [0.7, 1], "models": ', "}"]),
         two.join(['{"lambda": 0.5, "active_features": "01", "models": ', "}"]),
+        two.join(['{"lambda": 0.5, "active_features": [-1, -1], "models": ', "}"]),
+        two.join(['{"lambda": 0.5, "active_features": [-1, 0], "models": ', "}"]),
+        two.join(['{"lambda": 0.5, "active_features": [1, 0], "models": ', "}"]),
+        two.join(['{"lambda": 0.5, "active_features": [2, 2], "models": ', "}"]),
     ):
         with pytest.raises(ConfigError):
             model_set_from_json(bad)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crfe.data import (
     Dataset,
@@ -21,11 +23,13 @@ from crfe.exceptions import (
     InvalidSpecError,
     MissingFileError,
     MissingLabelColumnError,
+    NonFiniteInputError,
     NotEnoughDonorsError,
     SingleClassError,
     TooFewSamplesError,
     UnparsableCellError,
 )
+from oracles import impute_knn as per_row_impute_knn
 
 
 def make_dataset(X, y, m=None):
@@ -232,6 +236,54 @@ def test_impute_knn_not_enough_donors():
                 class_names=("n", "p"), missing_mask=np.isnan(X))
     with pytest.raises(NotEnoughDonorsError):
         impute_knn(d, k=2)  # only row 2 can donate column b
+
+
+@st.composite
+def holed_matrices(draw):
+    n = draw(st.integers(2, 40))
+    l = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 6))
+    hole_rate = draw(st.floats(0.0, 0.6))
+    decimals = draw(st.sampled_from((None, 1, 0)))  # rounding makes distances tie
+    isolated = draw(st.integers(0, min(n, 3)))  # rows that observe one column only
+    return n, l, k, hole_rate, decimals, isolated, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(holed_matrices())
+def test_impute_knn_matches_per_row_oracle(problem):
+    """Imputing by missing pattern fills exactly what the per-row loop fills."""
+    n, l, k, hole_rate, decimals, isolated, seed = problem
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, l)) * 2.0
+    if decimals is not None:
+        X = np.round(X, decimals)
+    mask = rng.random((n, l)) < hole_rate
+    for r in range(isolated):
+        # such a row shares no feature with the rows that lack its column
+        mask[r] = True
+        mask[r, rng.integers(l)] = False
+    d = Dataset(X=np.where(mask, np.nan, X), y=np.arange(n) % 2,
+                feature_names=tuple(f"f{j}" for j in range(l)),
+                class_names=("n", "p"), missing_mask=mask)
+    try:
+        want = per_row_impute_knn(d, k)
+    except NotEnoughDonorsError:
+        with pytest.raises(NotEnoughDonorsError):
+            impute_knn(d, k)
+        return
+    assert impute_knn(d, k).X.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_impute_knn_rejects_non_finite_observed_cells(value):
+    X = np.array([[1.0, np.nan], [2.0, 5.0], [value, 4.0], [4.0, 6.0]])
+    mask = np.zeros(X.shape, dtype=bool)
+    mask[0, 1] = True  # the cell holding value counts as observed
+    d = Dataset(X=X, y=np.array([0, 1, 0, 1]), feature_names=("a", "b"),
+                class_names=("n", "p"), missing_mask=mask)
+    with pytest.raises(NonFiniteInputError):
+        impute_knn(d, k=2)
 
 
 def test_impute_noop_when_complete():
