@@ -46,6 +46,8 @@ from .exceptions import (
     DegenerateLabelsError,
     DimensionMismatchError,
     NonFiniteInputError,
+    require_int,
+    require_real,
 )
 
 DEFAULT_LAMBDA = 0.5
@@ -65,10 +67,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_real("c", self.c)
+        require_real("eta0", self.eta0)
         if self.c <= 0 or self.eta0 <= 0:
             raise ConfigError("c and eta0 must be positive")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
+        require_int("epochs", self.epochs, 1)
+        require_int("batch_size", self.batch_size, 1)
+        require_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True, eq=False)

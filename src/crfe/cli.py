@@ -29,6 +29,7 @@ from .harness import (
     CONSISTENCY_COLUMNS,
     config_from_json,
     consistency_report,
+    read_json_object,
     run_all,
     run_comparison,
 )
@@ -57,16 +58,7 @@ def _parse_stop(text: str, sigma: float, psi: int):
 
 def _cmd_synth(args) -> int:
     try:
-        with open(args.spec, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"no such spec file: {args.spec}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"spec file is not valid JSON: {e}") from None
-    if not isinstance(data, dict):
-        raise ConfigError("spec file must hold a JSON object")
-    try:
-        spec = SyntheticSpec(**data)
+        spec = SyntheticSpec(**read_json_object(args.spec, "spec"))
     except TypeError as e:
         raise ConfigError(f"bad generator spec: {e}") from None
     save_synthetic(spec, args.out)
@@ -74,27 +66,30 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_select(args) -> int:
+    # every argument is checked before the CSV is read
+    policy = _parse_stop(args.stop, args.sigma, args.psi)
+    if args.method == "rfe" and isinstance(policy, BetaCriterion):
+        raise ConfigError("the rfe baseline has no automatic stop; use --stop fixed:<t>")
+    tcfg = TrainConfig(seed=args.seed)
+    if not 0.0 <= args.epsilon <= 1.0:
+        raise ConfigError("--epsilon must lie in [0, 1]")
+    if not 0.0 <= args.lam <= 1.0:
+        raise ConfigError("--lambda must lie in [0, 1]")
     d = load_csv(args.data, label_column=args.label)
     if d.has_missing():
         d = impute_knn(d)
-    policy = _parse_stop(args.stop, args.sigma, args.psi)
     sp, (X_tr, y_tr), (X_cal, y_cal), (X_te, _) = scaled_split(d, args.seed)
-    tcfg = TrainConfig(seed=args.seed)
     runner = run_crfe if args.method == "crfe" else run_rfe
-    final = {}
-
-    def keep_final(_it, _active, ms, _crit):
-        final["ms"] = ms  # the last pass trains on the selected subset
-
+    models = {}  # the last pass trains on the selected subset, so its model is here
     trace = runner(X_tr, y_tr, X_cal, y_cal, d.n_classes, policy, tcfg, args.lam,
-                   observer=keep_final)
+                   models=models)
 
     os.makedirs(args.out, exist_ok=True)
     trace_to_csv(trace, os.path.join(args.out, "trace.csv"))
     with open(os.path.join(args.out, "trace.json"), "w", encoding="utf-8") as fh:
         json.dump(trace_to_json(trace, d.feature_names), fh, indent=2)
         fh.write("\n")
-    ms = final["ms"]
+    ms = models[trace.selected]
     cols = list(trace.selected)
     save_model(ms, os.path.join(args.out, "model.json"))
     rec = calibrate(ms, X_cal[:, cols], y_cal)

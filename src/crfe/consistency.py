@@ -51,37 +51,24 @@ def jaccard_multi(family: SubsetFamily) -> float:
     return len(family.intersection()) / len(family.union())
 
 
-def weighted_consistency(
-    family: SubsetFamily,
-    denominator: str = "union",
-    universe_size: int | None = None,
-) -> float:
+def weighted_consistency(family: SubsetFamily) -> float:
     """Weighted majority-recurrence index.
 
     For a family of n subsets, let C_j be the number of features that
     appear in at least j of them. Only the majority counts
     j in {floor(n/2)+1, ..., n} contribute; count j gets weight
-    proportional to j and the fractions C_j / D sum up with D = |union|
-    ("union", default) or an explicit universe size ("universe").
-    Equals the Jaccard index when n = 2 under the union denominator.
+    proportional to j and the fractions C_j / |union| sum up. Equals the
+    Jaccard index when n = 2.
     """
     occur: dict[int, int] = {}
     for s in family.subsets:
         for j in s:
             occur[j] = occur.get(j, 0) + 1
     n = family.n
-    if denominator == "union":
-        denom = len(family.union())
-    elif denominator == "universe":
-        if universe_size is None or universe_size < len(family.union()):
-            raise InvalidFamilyError("universe_size must cover the union")
-        denom = universe_size
-    else:
-        raise InvalidFamilyError(f"unknown denominator {denominator!r}")
     js = np.arange(n // 2 + 1, n + 1)
     weights = js / js.sum()
     counts = np.array([sum(1 for c in occur.values() if c >= j) for j in js])
-    return float((weights * counts / denom).sum())
+    return float((weights * counts / len(family.union())).sum())
 
 
 def kuncheva(a, b, universe_size: int) -> float:

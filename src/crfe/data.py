@@ -28,6 +28,8 @@ from .exceptions import (
     SingleClassError,
     TooFewSamplesError,
     UnparsableCellError,
+    require_int,
+    require_real,
 )
 
 TEST_FRACTION = 0.25
@@ -141,10 +143,12 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
-        if min(self.n_samples, self.n_features, self.n_informative, self.n_classes) < 1:
-            raise InvalidSpecError("counts must be positive")
-        if self.n_redundant < 0:
-            raise InvalidSpecError("n_redundant must be >= 0")
+        for name in ("n_samples", "n_features", "n_informative", "n_classes"):
+            require_int(name, getattr(self, name), 1, InvalidSpecError)
+        require_int("n_redundant", self.n_redundant, 0, InvalidSpecError)
+        require_int("seed", self.seed, 0, InvalidSpecError)
+        require_real("class_sep", self.class_sep, InvalidSpecError)
+        require_real("flip_y", self.flip_y, InvalidSpecError)
         if self.n_informative + self.n_redundant > self.n_features:
             raise InvalidSpecError("informative + redundant exceeds n_features")
         if self.n_classes < 2:

@@ -4,6 +4,9 @@ The command line exits with 2 on a ConfigError, a mistake in what was
 asked for, and with 3 on any other CrfeError, a problem in the data.
 """
 
+import math
+import numbers
+
 
 class CrfeError(Exception):
     """Base class for all crfe errors."""
@@ -11,6 +14,22 @@ class CrfeError(Exception):
 
 class ConfigError(CrfeError):
     """Invalid experiment or CLI configuration."""
+
+
+def require_int(name: str, value, low: int, error=ConfigError) -> None:
+    """Raise ``error`` unless value is an integer >= low; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def require_real(name: str, value, error=ConfigError) -> None:
+    """Raise ``error`` unless value is a number (not a bool) finite as a float."""
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int too large for a float
+        ok = False
+    if not ok:
+        raise error(f"{name} must be a finite number, got {value!r}")
 
 
 # data ingestion / preprocessing
@@ -76,10 +95,6 @@ class NonFiniteInputError(CrfeError):
 
 class DimensionMismatchError(CrfeError):
     """Vector/matrix shapes are incompatible."""
-
-
-class UnknownFeatureError(CrfeError):
-    """A feature index is not among the active features."""
 
 
 # conformal

@@ -8,13 +8,13 @@ every size. Aggregation, consistency indices, the automatic-stop
 benchmark and all file outputs (CSV, trace JSON, SVG) hang off the same
 table so a whole run is a pure function of its config.
 
-Repeat r of the comparison and repeat r of the stopping benchmark draw
-the same split and train with the same solver seed, so every model of
-repeat r depends only on its active feature set. run_all keeps one
-model dict per repeat, shared by both selectors and both benchmarks:
-each (repeat, active set) model is trained once. The baseline's
-cross-validated stop trains the folds of one training-set size together
-in one stacked solve.
+A run loads its dataset once. Repeat r is one unit of work: one split
+(seed master_seed + r), one solver seed (train.seed + r) and one model
+dict, keyed by active feature set, shared by every elimination of the
+repeat, comparison and stopping benchmark alike, and dropped when the
+repeat ends; so each (repeat, active set) model is trained once. The
+baseline's cross-validated stop trains the folds of one training-set
+size together in one stacked solve.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .data import (
     scaled_split,
     write_csv,
 )
-from .exceptions import ConfigError
+from .exceptions import ConfigError, require_int, require_real
 from .metrics import PointMetricsReport, SetMetricsReport, point_metrics, point_predict, set_metrics
 from .plots import save_plot
 from .selection import (
@@ -96,8 +96,8 @@ class StoppingParams:
     repeats: int = 50
 
     def __post_init__(self):
-        if self.repeats < 1:
-            raise ConfigError("stopping repeats must be >= 1")
+        require_int("stopping repeats", self.repeats, 1)
+        BetaCriterion(self.sigma, self.psi, self.warmup)  # its checks, before any training
 
 
 @dataclass(frozen=True)
@@ -124,23 +124,33 @@ class ExperimentConfig:
         has_csv = self.dataset_csv is not None
         if has_csv == (self.synthetic is not None):
             raise ConfigError("set exactly one of dataset_csv and synthetic")
-        if has_csv and not self.label_column:
+        if has_csv and not isinstance(self.dataset_csv, (str, os.PathLike)):
+            raise ConfigError(f"dataset_csv must be a path, got {self.dataset_csv!r}")
+        if has_csv and not (isinstance(self.label_column, str) and self.label_column):
             raise ConfigError("a CSV dataset needs label_column")
+        require_real("epsilon", self.epsilon)
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigError("epsilon must lie in (0, 1)")
+        require_real("lambda", self.lam)
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError("lambda must lie in [0, 1]")
-        if self.repeats < 1:
-            raise ConfigError("repeats must be >= 1")
+        require_int("repeats", self.repeats, 1)
+        require_int("master_seed", self.master_seed, 0)
+        if not isinstance(self.selectors, (list, tuple)):
+            raise ConfigError(f"selectors must be a list, got {self.selectors!r}")
         object.__setattr__(self, "selectors", tuple(self.selectors))
         if not self.selectors or any(s not in SELECTORS for s in self.selectors):
             raise ConfigError(f"selectors must be non-empty, drawn from {SELECTORS}")
+        if len(set(self.selectors)) < len(self.selectors):
+            raise ConfigError("selectors must be distinct")
         if self.sizes is not None:
+            if not isinstance(self.sizes, (list, tuple)):
+                raise ConfigError(f"sizes must be a list of integers, got {self.sizes!r}")
+            for size in self.sizes:
+                require_int("each size", size, 1)
             sizes = tuple(int(s) for s in self.sizes)
             if any(b >= a for a, b in zip(sizes, sizes[1:])) or not sizes:
                 raise ConfigError("sizes must be non-empty and strictly decreasing")
-            if sizes[-1] < 1:
-                raise ConfigError("sizes must stay >= 1")
             object.__setattr__(self, "sizes", sizes)
 
 
@@ -148,9 +158,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from the JSON wire format (unknown keys rejected)."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    known = {"dataset", "epsilon", "lambda", "train", "repeats", "master_seed",
-             "selectors", "sizes", "stopping"}
-    unknown = set(data) - known
+    plain = ("epsilon", "lambda", "repeats", "master_seed", "selectors", "sizes")
+    unknown = set(data) - {"dataset", "train", "stopping", *plain}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "dataset" not in data:
@@ -165,40 +174,34 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             kwargs["label_column"] = ds.get("label", "label")
     except (TypeError, KeyError) as e:
         raise ConfigError(f"bad dataset entry: {e}") from None
-    if "epsilon" in data:
-        kwargs["epsilon"] = float(data["epsilon"])
-    if "lambda" in data:
-        kwargs["lam"] = float(data["lambda"])
-    if "train" in data:
-        try:
-            kwargs["train"] = TrainConfig(**data["train"])
-        except TypeError as e:
-            raise ConfigError(f"bad train entry: {e}") from None
-    if "repeats" in data:
-        kwargs["repeats"] = int(data["repeats"])
-    if "master_seed" in data:
-        kwargs["master_seed"] = int(data["master_seed"])
-    if "selectors" in data:
-        kwargs["selectors"] = tuple(data["selectors"])
-    if "sizes" in data:
-        kwargs["sizes"] = tuple(data["sizes"])
-    if "stopping" in data:
-        try:
-            kwargs["stopping"] = StoppingParams(**data["stopping"])
-        except TypeError as e:
-            raise ConfigError(f"bad stopping entry: {e}") from None
+    for key in plain:  # checked by ExperimentConfig
+        if key in data:
+            kwargs["lam" if key == "lambda" else key] = data[key]
+    for key, entry in (("train", TrainConfig), ("stopping", StoppingParams)):
+        if key in data:
+            try:
+                kwargs[key] = entry(**data[key])
+            except TypeError as e:
+                raise ConfigError(f"bad {key} entry: {e}") from None
     return ExperimentConfig(**kwargs)
 
 
-def config_from_json(path) -> ExperimentConfig:
+def read_json_object(path, what: str) -> dict:
+    """Load the JSON object in a file; ConfigError if it is missing or not one."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"no such config file: {path}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from None
-    return config_from_dict(data)
+        raise ConfigError(f"no such {what} file: {path}") from None
+    except (ValueError, RecursionError) as e:  # malformed, not UTF-8 or nested too deep
+        raise ConfigError(f"{what} file is not valid JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} file must hold a JSON object")
+    return data
+
+
+def config_from_json(path) -> ExperimentConfig:
+    return config_from_dict(read_json_object(path, "config"))
 
 
 def load_dataset(cfg: ExperimentConfig) -> tuple[Dataset, str]:
@@ -284,58 +287,6 @@ def _evaluate(ms, X_cal, y_cal, X_test, y_test, epsilon, n_classes):
     return (
         set_metrics(prediction_mask(P, epsilon), y_test),
         point_metrics(point_predict(D), y_test, n_classes),
-    )
-
-
-def run_comparison(cfg: ExperimentConfig, models: dict | None = None) -> ResultsTable:
-    """Both selectors over every requested size, one shared split per seed.
-
-    ``models`` maps a repeat index to the model dict its eliminations
-    share (see run_crfe); repeats missing from it get a fresh dict, which
-    is added. Pass the same mapping to run_stopping_benchmark with the
-    same config to reuse the models trained here.
-    """
-    models = {} if models is None else models
-    d, name = load_dataset(cfg)
-    l = d.n_features
-    sizes = cfg.sizes if cfg.sizes is not None else tuple(range(l - 1, 0, -1))
-    if sizes[0] > l:
-        raise ConfigError(f"sizes start at {sizes[0]} but the data has {l} features")
-    size_set = set(sizes)
-    rows: list[ResultRow] = []
-    traces: dict = {}
-    seeds = tuple(cfg.master_seed + r for r in range(cfg.repeats))
-    for r, seed in enumerate(seeds):
-        _, (X_tr, y_tr), (X_cal, y_cal), (X_te, y_te) = scaled_split(d, seed)
-        tcfg = replace(cfg.train, seed=cfg.train.seed + r)
-        for method in cfg.selectors:
-            collected: dict[int, tuple] = {}
-
-            def observer(_it, active, ms, _crit):
-                if len(active) in size_set:
-                    collected[len(active)] = _evaluate(
-                        ms, X_cal, y_cal, X_te, y_te, cfg.epsilon, d.n_classes
-                    )
-
-            runner = run_crfe if method == "crfe" else run_rfe
-            trace = runner(
-                X_tr, y_tr, X_cal, y_cal, d.n_classes,
-                FixedSize(sizes[-1]), tcfg, cfg.lam, observer=observer,
-                models=models.setdefault(r, {}),
-            )
-            traces[(method, seed)] = trace
-            for s in sizes:
-                sm, pm = collected[s]
-                rows.append(ResultRow(name, method, s, seed, sm, pm))
-    return ResultsTable(
-        dataset=name,
-        feature_names=d.feature_names,
-        class_names=d.class_names,
-        sizes=sizes,
-        methods=tuple(cfg.selectors),
-        seeds=seeds,
-        rows=tuple(rows),
-        traces=traces,
     )
 
 
@@ -440,73 +391,100 @@ def _cv_accuracy(X, y, n_classes, tcfg, folds: int = 5) -> float:
     return float(np.mean([accs[f] for f in sorted(accs)])) if accs else -1.0
 
 
-def run_stopping_benchmark(cfg: ExperimentConfig, models: dict | None = None):
-    """Automatic-stop comparison: beta criterion vs cross-validated baseline.
+# ----------------------------------------------------------------- repeats
 
-    Per repeat, one shared split. The conformal selector stops by its own
-    criterion; the baseline runs its full elimination path and keeps the
-    size with the best 5-fold training accuracy (ties to the larger
-    size). Both final subsets are scored on the test split at the
-    configured epsilon. ``models`` works as in run_comparison, whose
-    repeat r shares this function's split and solver seed.
 
-    Returns
-    -------
-    summary : list of dict, one row per method with mean/std of the
-        selected size, inefficiency and certainty.
-    frequencies : list of dict, per (method, feature) selection counts.
-    per_run : list of dict, raw (method, seed, size, metrics) records.
+def _run_repeats(cfg: ExperimentConfig, n_compare: int, n_stop: int):
+    """Comparison repeats r < n_compare and stopping repeats r < n_stop.
+
+    Loads the dataset once, then runs each repeat as one unit (see the
+    module docstring). Returns the comparison's ResultsTable and the
+    stopping benchmark's (summary, frequencies, per_run), or None in
+    place of the latter when n_stop is 0.
     """
-    models = {} if models is None else models
     d, name = load_dataset(cfg)
     l, m = d.n_features, d.n_classes
+    sizes = cfg.sizes if cfg.sizes is not None else tuple(range(l - 1, 0, -1))
+    if n_compare and not sizes:
+        raise ConfigError(f"a comparison needs at least 2 features, the data has {l}")
+    if n_compare and sizes[0] > l:
+        raise ConfigError(f"sizes start at {sizes[0]} but the data has {l} features")
+    seeds: list[int] = []
+    rows: list[ResultRow] = []
+    traces: dict = {}
     counts = {method: np.zeros(l, dtype=int) for method in cfg.selectors}
     per_run: list[dict] = []
-    for r in range(cfg.stopping.repeats):
+    for r in range(max(n_compare, n_stop)):
         seed = cfg.master_seed + r
         _, (X_tr, y_tr), (X_cal, y_cal), (X_te, y_te) = scaled_split(d, seed)
         tcfg = replace(cfg.train, seed=cfg.train.seed + r)
-        shared = models.setdefault(r, {})
-        # the last pass of an elimination trains on its final subset, so
-        # each selector's chosen model is taken from its run, not refitted
-        final: dict[str, LinearModelSet] = {}
-        if "crfe" in cfg.selectors:
+        models: dict = {}  # shared by every elimination of this repeat
 
-            def keep_final(_it, _active, ms, _crit):
-                final["crfe"] = ms
+        def eliminate(method, policy, observer=None):
+            runner = run_crfe if method == "crfe" else run_rfe
+            return runner(X_tr, y_tr, X_cal, y_cal, m, policy, tcfg, cfg.lam,
+                          observer=observer, models=models)
 
-            run_crfe(
-                X_tr, y_tr, X_cal, y_cal, m,
-                BetaCriterion(cfg.stopping.sigma, cfg.stopping.psi, cfg.stopping.warmup),
-                tcfg, cfg.lam, observer=keep_final, models=shared,
-            )
-        if "rfe" in cfg.selectors:
-            snapshots: dict[int, LinearModelSet] = {}
+        def evaluate(ms):
+            return _evaluate(ms, X_cal, y_cal, X_te, y_te, cfg.epsilon, m)
 
-            def observer(_it, active, ms, _crit):
-                snapshots[len(active)] = ms
+        if r < n_compare:
+            seeds.append(seed)
+            for method in cfg.selectors:
+                collected: dict[int, tuple] = {}
 
-            run_rfe(X_tr, y_tr, X_cal, y_cal, m, FixedSize(1), tcfg, cfg.lam,
-                    observer=observer, models=shared)
-            best_size, best_acc = None, -math.inf
-            for size in sorted(snapshots, reverse=True):
-                cols = list(snapshots[size].active_features)
-                acc = _cv_accuracy(X_tr[:, cols], y_tr, m, tcfg)
-                if acc > best_acc:
-                    best_size, best_acc = size, acc
-            final["rfe"] = snapshots[best_size]
-        for method in cfg.selectors:
-            ms = final[method]
-            cols = list(ms.active_features)
-            sm, _pm = _evaluate(ms, X_cal, y_cal, X_te, y_te, cfg.epsilon, m)
-            counts[method][cols] += 1
-            per_run.append({
-                "method": method,
-                "seed": seed,
-                "size": len(cols),
-                "inefficiency": sm.inefficiency,
-                "certainty": sm.certainty,
-            })
+                def collect(_it, active, ms, _crit):
+                    if len(active) in sizes:
+                        collected[len(active)] = evaluate(ms)
+
+                traces[(method, seed)] = eliminate(method, FixedSize(sizes[-1]), collect)
+                for s in sizes:
+                    rows.append(ResultRow(name, method, s, seed, *collected[s]))
+        if r < n_stop:
+            # the last pass of an elimination trains on its final subset, so
+            # each selector's chosen model is taken from its run, not refitted
+            final: dict[str, LinearModelSet] = {}
+            if "crfe" in cfg.selectors:
+                stop = cfg.stopping
+                trace = eliminate("crfe", BetaCriterion(stop.sigma, stop.psi, stop.warmup))
+                final["crfe"] = models[trace.selected]
+            if "rfe" in cfg.selectors:
+                snapshots: dict[int, LinearModelSet] = {}
+
+                def snapshot(_it, active, ms, _crit):
+                    snapshots[len(active)] = ms
+
+                eliminate("rfe", FixedSize(1), snapshot)
+                best_size, best_acc = None, -math.inf
+                for size in sorted(snapshots, reverse=True):
+                    cols = list(snapshots[size].active_features)
+                    acc = _cv_accuracy(X_tr[:, cols], y_tr, m, tcfg)
+                    if acc > best_acc:
+                        best_size, best_acc = size, acc
+                final["rfe"] = snapshots[best_size]
+            for method in cfg.selectors:
+                cols = list(final[method].active_features)
+                sm, _pm = evaluate(final[method])
+                counts[method][cols] += 1
+                per_run.append({
+                    "method": method,
+                    "seed": seed,
+                    "size": len(cols),
+                    "inefficiency": sm.inefficiency,
+                    "certainty": sm.certainty,
+                })
+    table = ResultsTable(
+        dataset=name,
+        feature_names=d.feature_names,
+        class_names=d.class_names,
+        sizes=sizes,
+        methods=cfg.selectors,
+        seeds=tuple(seeds),
+        rows=tuple(rows),
+        traces=traces,
+    )
+    if not n_stop:
+        return table, None
     summary = []
     for method in cfg.selectors:
         recs = [p for p in per_run if p["method"] == method]
@@ -527,7 +505,31 @@ def run_stopping_benchmark(cfg: ExperimentConfig, models: dict | None = None):
         for method in cfg.selectors
         for j in range(l)
     ]
-    return summary, frequencies, per_run
+    return table, (summary, frequencies, per_run)
+
+
+def run_comparison(cfg: ExperimentConfig) -> ResultsTable:
+    """Both selectors over every requested size, one shared split per seed."""
+    return _run_repeats(cfg, cfg.repeats, 0)[0]
+
+
+def run_stopping_benchmark(cfg: ExperimentConfig):
+    """Automatic-stop comparison: beta criterion vs cross-validated baseline.
+
+    Per repeat, one shared split. The conformal selector stops by its own
+    criterion; the baseline runs its full elimination path and keeps the
+    size with the best 5-fold training accuracy (ties to the larger
+    size). Both final subsets are scored on the test split at the
+    configured epsilon.
+
+    Returns
+    -------
+    summary : list of dict, one row per method with mean/std of the
+        selected size, inefficiency and certainty.
+    frequencies : list of dict, per (method, feature) selection counts.
+    per_run : list of dict, raw (method, seed, size, metrics) records.
+    """
+    return _run_repeats(cfg, 0, cfg.stopping.repeats)[1]
 
 
 # ------------------------------------------------------------------ output
@@ -578,8 +580,5 @@ def emit_outputs(
 
 def run_all(cfg: ExperimentConfig, out_dir) -> list[str]:
     """Full pipeline behind the bench subcommand."""
-    models: dict = {}  # repeat index -> the model dict of its eliminations
-    table = run_comparison(cfg, models)
-    consistency_rows = consistency_report(table)
-    stopping_summary, frequencies, _ = run_stopping_benchmark(cfg, models)
-    return emit_outputs(table, consistency_rows, stopping_summary, frequencies, out_dir)
+    table, (summary, frequencies, _) = _run_repeats(cfg, cfg.repeats, cfg.stopping.repeats)
+    return emit_outputs(table, consistency_report(table), summary, frequencies, out_dir)

@@ -29,6 +29,8 @@ from .exceptions import (
     DimensionMismatchError,
     EmptyVectorError,
     InvalidPolicyError,
+    require_int,
+    require_real,
 )
 
 DEFAULT_SIGMA = 5.0
@@ -79,8 +81,7 @@ class FixedSize:
     target: int
 
     def __post_init__(self):
-        if self.target < 1:
-            raise InvalidPolicyError("target size must be >= 1")
+        require_int("target size", self.target, 1, InvalidPolicyError)
 
 
 @dataclass(frozen=True)
@@ -98,12 +99,11 @@ class BetaCriterion:
     warmup: int = DEFAULT_WARMUP
 
     def __post_init__(self):
+        require_real("sigma", self.sigma, InvalidPolicyError)
         if self.sigma < 1:
             raise InvalidPolicyError("sigma must be >= 1")
-        if self.psi < 3:
-            raise InvalidPolicyError("psi must be >= 3")
-        if self.warmup < 0:
-            raise InvalidPolicyError("warmup must be >= 0")
+        require_int("psi", self.psi, 3, InvalidPolicyError)
+        require_int("warmup", self.warmup, 0, InvalidPolicyError)
 
 
 @dataclass(frozen=True)
@@ -219,14 +219,7 @@ def trace_to_json(trace: SelectionTrace, feature_names=None) -> dict:
         "stop_reason": trace.stop_reason.value,
         "final_subset": final,
         "steps": [
-            {
-                "iteration": s.iteration,
-                "removed_feature": num(s.removed_feature),
-                "criterion_value": num(s.criterion_value),
-                "mean_beta": num(s.mean_beta),
-                "second_derivative": num(s.second_derivative),
-                "remaining_count": s.remaining_count,
-            }
+            {f.name: num(getattr(s, f.name)) for f in fields(SelectionStep)}
             for s in trace.steps
         ],
     }

@@ -26,7 +26,6 @@ from crfe.exceptions import (
     EmptyVectorError,
     InvalidFamilyError,
     NotEnoughDonorsError,
-    UnknownFeatureError,
 )
 from crfe.metrics import point_predict
 
@@ -184,6 +183,10 @@ def cv_accuracy(X, y, n_classes, tcfg, folds: int = 5) -> float:
     return float(np.mean(accs)) if accs else -1.0
 
 
+class UnknownPositionError(IndexError):
+    """A position does not index the active feature list."""
+
+
 def restrict(ms: LinearModelSet, positions) -> LinearModelSet:
     """Keep only the given positions (indices into the active feature list).
 
@@ -192,7 +195,7 @@ def restrict(ms: LinearModelSet, positions) -> LinearModelSet:
     """
     positions = np.asarray(positions, dtype=int)
     if positions.size and (positions.min() < 0 or positions.max() >= ms.n_features):
-        raise UnknownFeatureError(
+        raise UnknownPositionError(
             f"positions out of range for {ms.n_features} active features"
         )
     active = tuple(ms.active_features[p] for p in positions)
@@ -235,6 +238,32 @@ def kuncheva_family(family: SubsetFamily, universe_size: int) -> float:
         for a, b in combinations(family.subsets, 2)
     ]
     return float(np.mean(vals))
+
+
+def weighted_consistency(family: SubsetFamily, denominator: str = "union",
+                         universe_size: int | None = None) -> float:
+    """Weighted majority-recurrence index, one majority count at a time.
+
+    C_j counts the features found in at least j of the n subsets; the
+    majority counts j > n // 2 are weighted by j / sum(j) and divided by
+    D = |union| ("union", the only form the package computes) or by an
+    explicit universe size ("universe"), which must cover the union.
+    """
+    union = family.union()
+    if denominator == "union":
+        denom = len(union)
+    elif denominator == "universe":
+        if universe_size is None or universe_size < len(union):
+            raise InvalidFamilyError("universe_size must cover the union")
+        denom = universe_size
+    else:
+        raise InvalidFamilyError(f"unknown denominator {denominator!r}")
+    majority = range(family.n // 2 + 1, family.n + 1)
+    total = 0.0
+    for j in majority:
+        c_j = sum(1 for f in union if sum(f in s for s in family.subsets) >= j)
+        total += j / sum(majority) * c_j / denom
+    return total
 
 
 def impute_knn(d, k: int) -> np.ndarray:

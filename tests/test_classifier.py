@@ -22,9 +22,14 @@ from crfe.exceptions import (
     DegenerateLabelsError,
     DimensionMismatchError,
     NonFiniteInputError,
-    UnknownFeatureError,
 )
-from oracles import decision_value, hinge_objective, restrict, train_binary
+from oracles import (
+    UnknownPositionError,
+    decision_value,
+    hinge_objective,
+    restrict,
+    train_binary,
+)
 
 
 def separable_blobs(seed=0, n=40, gap=3.0):
@@ -39,7 +44,9 @@ def separable_blobs(seed=0, n=40, gap=3.0):
 
 def test_train_config_validation():
     TrainConfig()
-    for bad in (dict(c=0.0), dict(eta0=-1.0), dict(epochs=0), dict(batch_size=0)):
+    for bad in (dict(c=0.0), dict(eta0=-1.0), dict(epochs=0), dict(batch_size=0),
+                dict(c=float("inf")), dict(eta0="0.5"), dict(epochs=2.5), dict(batch_size=4.5),
+                dict(epochs=True), dict(seed=-1), dict(seed=1.5), dict(seed=None)):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
 
@@ -268,7 +275,7 @@ def test_restrict_slices_weights_and_remaps_features():
     assert sub.active_features == (2, 9)
     assert sub.W.tolist() == [[1.0, 3.0], [-1.0, 4.0]]
     assert sub.b.tolist() == [0.5, -0.5]
-    with pytest.raises(UnknownFeatureError):
+    with pytest.raises(UnknownPositionError):
         restrict(ms, [3])
 
 

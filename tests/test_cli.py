@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from crfe import cli, harness, selection
 from crfe.cli import main
 from crfe.data import load_csv, split_with_all_classes
 
@@ -15,6 +16,17 @@ SPEC = {"n_samples": 120, "n_features": 8, "n_informative": 3, "n_redundant": 2,
 
 CFG = {"dataset": {"synthetic": SPEC}, "repeats": 2, "master_seed": 3,
        "train": {"epochs": 40, "batch_size": 16}, "stopping": {"repeats": 2}}
+
+
+@pytest.fixture()
+def no_training(monkeypatch):
+    """Fail the test if anything is trained."""
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("trained before the bad value was rejected")
+
+    monkeypatch.setattr(selection, "train_ova", refuse)
+    monkeypatch.setattr(harness, "_train_ova_folds", refuse)
 
 
 @pytest.fixture()
@@ -125,6 +137,20 @@ def test_bench_config_errors_exit_2(tmp_path):
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_bench_one_feature_or_unreadable_config_exits_2(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    one = {**SPEC, "n_features": 1, "n_informative": 1, "n_redundant": 0, "n_classes": 2}
+    cfg.write_text(json.dumps({**CFG, "dataset": {"synthetic": one}}))
+    for command in ("bench", "consistency"):  # no smaller size to compare
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    # bytes that are not UTF-8, and JSON nested deeper than the parser recurses
+    for text in (b'{"repeats": "\xff"}', b"[" * 100_000 + b"]" * 100_000):
+        cfg.write_bytes(text)
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert main(["synth", "--spec", str(cfg), "--out", str(tmp_path / "d.csv")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_consistency_subcommand(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(CFG))
@@ -133,3 +159,52 @@ def test_consistency_subcommand(tmp_path):
     lines = (out / "consistency.csv").read_text().splitlines()
     assert lines[0].startswith("method,subset_size,i_j,i_w")
     assert len(lines) == 1 + 2 * 7 + 7
+
+
+# values that ended in a traceback, trained before failing, or were
+# silently truncated; each must exit 2 before any training
+BAD_CONFIG_VALUES = [
+    {"repeats": "abc"},
+    {"lambda": None},
+    {"sizes": 5},
+    {"master_seed": -5},
+    {"train": {"seed": -1}},
+    {"train": {"seed": 1.5}},
+    {"train": {"epochs": 2.5}},
+    {"train": {"batch_size": 4.5}},
+    {"repeats": 2.9},
+    {"master_seed": 1.5},
+    {"stopping": {"sigma": 0.5}},
+]
+
+
+@pytest.mark.parametrize("command", ["bench", "consistency"])
+@pytest.mark.parametrize("bad", BAD_CONFIG_VALUES, ids=json.dumps)
+def test_bad_config_value_exits_2_before_training(tmp_path, no_training, command, bad):
+    doc = {k: {**CFG[k], **v} if isinstance(v, dict) else v for k, v in bad.items()}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CFG, **doc}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [
+    ["--seed", "-1"],
+    ["--epsilon", "1.5"],
+    ["--epsilon", "nan"],
+    ["--lambda", "-0.5"],
+    ["--stop", "beta", "--sigma", "0.5"],
+    ["--stop", "fixed:0"],
+    ["--method", "rfe", "--stop", "beta"],
+], ids=" ".join)
+def test_bad_select_argument_exits_2_before_reading_data(data_csv, tmp_path, monkeypatch,
+                                                         no_training, bad):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("read the CSV before the bad value was rejected")
+
+    monkeypatch.setattr(cli, "load_csv", refuse)
+    out = tmp_path / "sel"
+    assert main(["select", "--data", str(data_csv), "--label", "label", "--method", "crfe",
+                 "--stop", "fixed:3", "--out", str(out), *bad]) == 2
+    assert not out.exists()

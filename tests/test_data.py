@@ -423,6 +423,10 @@ def test_synthetic_spec_validation():
         dict(good, class_sep=0.0),
         dict(good, n_redundant=-1),
         dict(good, n_samples=2),                # fewer samples than classes
+        dict(good, n_samples=40.5),
+        dict(good, seed=-1),
+        dict(good, class_sep=float("inf")),
+        dict(good, flip_y=None),
     ):
         with pytest.raises(InvalidSpecError):
             SyntheticSpec(**bad)

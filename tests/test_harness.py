@@ -1,12 +1,16 @@
+import copy
 import csv
 import json
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crfe import selection
+from crfe import harness, selection
 from crfe.classifier import TrainConfig
 from crfe.consistency import SubsetFamily
 from crfe.data import SyntheticSpec
@@ -92,6 +96,40 @@ def test_config_from_dict_wire_names():
     assert cfg.train.epochs == 40 and cfg.repeats == 4
     assert cfg.selectors == ("crfe",) and cfg.sizes == (5, 3, 1)
     assert cfg.stopping.sigma == 4.0 and cfg.stopping.repeats == 6
+
+
+# every JSON value kind: null, bool, int of any sign and size, float (nan
+# and inf too), string, and nested lists and objects
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+CONFIG_PLACES = (
+    [(None, k) for k in ("dataset", "epsilon", "lambda", "train", "repeats",
+                         "master_seed", "selectors", "sizes", "stopping")]
+    + [("train", f.name) for f in fields(TrainConfig)]
+    + [("stopping", f.name) for f in fields(StoppingParams)]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(place=st.sampled_from(CONFIG_PLACES), value=JSON_VALUES)
+def test_config_from_dict_returns_config_or_raises_config_error(place, value):
+    data = copy.deepcopy(BENCH_CFG)
+    section, key = place
+    (data if section is None else data.setdefault(section, {}))[key] = value
+    try:
+        cfg = config_from_dict(data)
+    except ConfigError:
+        return
+    # a config that comes back holds whole counts and seeds, never a
+    # truncated float or a bool
+    t, s = cfg.train, cfg.stopping
+    for got in (cfg.repeats, cfg.master_seed, t.epochs, t.batch_size, t.seed,
+                s.psi, s.warmup, s.repeats):
+        assert type(got) is int
 
 
 def test_config_from_dict_rejects_unknown_keys():
@@ -264,6 +302,27 @@ def test_run_all_trains_each_repeat_model_once(tmp_path, monkeypatch):
     # the first pass of each repeat, on all 8 features, is shared too
     assert sorted(t for t in trained if len(t[1]) == 8) == [(0, tuple(range(8))),
                                                             (1, tuple(range(8)))]
+
+
+def test_run_all_loads_once_and_splits_once_per_repeat(tmp_path, monkeypatch):
+    """2 comparison and 3 stopping repeats: one load, one split per repeat."""
+    loads, split_seeds = [], []
+    real_load, real_split = harness.load_dataset, harness.scaled_split
+
+    def counting_load(cfg):
+        d, name = real_load(cfg)
+        loads.append(name)
+        return d, name
+
+    def counting_split(d, seed):
+        split_seeds.append(seed)
+        return real_split(d, seed)
+
+    monkeypatch.setattr(harness, "load_dataset", counting_load)
+    monkeypatch.setattr(harness, "scaled_split", counting_split)
+    run_all(config_from_dict({**BENCH_CFG, "stopping": {"repeats": 3}}), tmp_path)
+    assert len(loads) == 1
+    assert split_seeds == [3, 4, 5]  # master_seed 3 plus repeats 0, 1, 2
 
 
 # ------------------------------------------------------------------- output

@@ -175,6 +175,11 @@ def test_policy_validation():
         BetaCriterion(psi=2)
     with pytest.raises(InvalidPolicyError):
         BetaCriterion(warmup=-1)
+    for bad in (dict(sigma=math.nan), dict(sigma="5"), dict(psi=3.5), dict(warmup=1.5)):
+        with pytest.raises(InvalidPolicyError):
+            BetaCriterion(**bad)
+    with pytest.raises(InvalidPolicyError):
+        FixedSize(2.5)
 
 
 # ------------------------------------------------------------------- engine
