@@ -335,8 +335,9 @@ def model_set_to_json(ms: LinearModelSet) -> str:
 def model_set_from_json(text: str) -> LinearModelSet:
     """Read what model_set_to_json writes.
 
-    A document of any other shape raises ConfigError; weight lists of
-    different lengths raise DimensionMismatchError.
+    A document of any other shape, or with a non-finite weight or bias,
+    raises ConfigError; weight lists of different lengths raise
+    DimensionMismatchError.
     """
     try:
         data = json.loads(text)
@@ -365,6 +366,8 @@ def model_set_from_json(text: str) -> LinearModelSet:
         raise ConfigError(f"bad value in model JSON: {e}") from None
     if active != data["active_features"]:
         raise ConfigError("model JSON active_features must be whole numbers")
+    if not (np.isfinite(W).all() and np.isfinite(b).all()):
+        raise ConfigError("model JSON weights and biases must be finite")
     return LinearModelSet(W=W, b=b, lam=lam, active_features=active)
 
 

@@ -302,15 +302,17 @@ def write_csv(path, columns, rows) -> None:
     """Write a header line of ``columns``, then one line per row.
 
     A row is a sequence of cells in column order, or a mapping from
-    column name to cell in which a missing column stays empty. Cells are
-    never quoted: report cells hold no comma, quote or line break.
+    column name to cell in which a missing column stays empty. A cell is
+    quoted only when it holds a comma, a quote or a line feed, as a name
+    read from a CSV file may.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
         for row in rows:
             if isinstance(row, Mapping):
                 row = [row.get(c) for c in columns]
-            fh.write(",".join(map(csv_cell, row)) + "\n")
+            writer.writerow(map(csv_cell, row))
 
 
 def impute_knn(d: Dataset, k: int = DEFAULT_IMPUTE_NEIGHBORS) -> Dataset:

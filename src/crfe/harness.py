@@ -8,13 +8,14 @@ every size. Aggregation, consistency indices, the automatic-stop
 benchmark and all file outputs (CSV, trace JSON, SVG) hang off the same
 table so a whole run is a pure function of its config.
 
-A run loads its dataset once. Repeat r is one unit of work: one split
-(seed master_seed + r), one solver seed (train.seed + r) and one model
-dict, keyed by active feature set, shared by every elimination of the
-repeat, comparison and stopping benchmark alike, and dropped when the
-repeat ends; so each (repeat, active set) model is trained once. The
-baseline's cross-validated stop trains the folds of one training-set
-size together in one stacked solve.
+A run loads its dataset once. Repeat r is one call of _run_repeat,
+which returns its results: one split (seed master_seed + r), one solver
+seed (train.seed + r) and one model dict, keyed by active feature set,
+shared by every elimination of the repeat, comparison and stopping
+benchmark alike, and dropped when the repeat ends; so each (repeat,
+active set) model is trained once. Evaluations take their models from
+that dict along each trace's path. The baseline's cross-validated stop
+trains the folds of one training-set size together in one stacked solve.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classifier import LinearModelSet, TrainConfig, _train_ova_folds, decision_matrix
+from .classifier import TrainConfig, _train_ova_folds, decision_matrix
 from .conformal import calibrate, nonconformity_all_labels, p_value_matrix, prediction_mask
 from .consistency import SubsetFamily, jaccard_multi, kuncheva, weighted_consistency
 from .data import (
@@ -42,9 +43,6 @@ from .exceptions import ConfigError, require_int, require_real
 from .metrics import PointMetricsReport, SetMetricsReport, point_metrics, point_predict, set_metrics
 from .plots import save_plot
 from .selection import (
-    DEFAULT_PSI,
-    DEFAULT_SIGMA,
-    DEFAULT_WARMUP,
     BetaCriterion,
     FixedSize,
     SelectionTrace,
@@ -87,17 +85,14 @@ SELECTORS = ("crfe", "rfe")
 
 
 @dataclass(frozen=True)
-class StoppingParams:
-    """Automatic-stop benchmark settings."""
+class StoppingParams(BetaCriterion):
+    """Automatic-stop benchmark settings: the beta stop rule and its repeats."""
 
-    sigma: float = DEFAULT_SIGMA
-    psi: int = DEFAULT_PSI
-    warmup: int = DEFAULT_WARMUP
     repeats: int = 50
 
     def __post_init__(self):
+        super().__post_init__()
         require_int("stopping repeats", self.repeats, 1)
-        BetaCriterion(self.sigma, self.psi, self.warmup)  # its checks, before any training
 
 
 @dataclass(frozen=True)
@@ -165,15 +160,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if "dataset" not in data:
         raise ConfigError("config needs a dataset entry")
     ds = data["dataset"]
+    if not isinstance(ds, dict) or set(ds) not in ({"synthetic"}, {"csv"}, {"csv", "label"}):
+        raise ConfigError('the dataset entry must be {"synthetic": {...}} or '
+                          f'{{"csv": path, "label": column}} (label optional), got {ds!r}')
     kwargs: dict = {}
-    try:
-        if "synthetic" in ds:
+    if "synthetic" in ds:
+        try:
             kwargs["synthetic"] = SyntheticSpec(**ds["synthetic"])
-        else:
-            kwargs["dataset_csv"] = ds["csv"]
-            kwargs["label_column"] = ds.get("label", "label")
-    except (TypeError, KeyError) as e:
-        raise ConfigError(f"bad dataset entry: {e}") from None
+        except TypeError as e:
+            raise ConfigError(f"bad dataset entry: {e}") from None
+    else:
+        kwargs["dataset_csv"] = ds["csv"]
+        kwargs["label_column"] = ds.get("label", "label")
     for key in plain:  # checked by ExperimentConfig
         if key in data:
             kwargs["lam" if key == "lambda" else key] = data[key]
@@ -240,7 +238,6 @@ class ResultsTable:
 
     dataset: str
     feature_names: tuple[str, ...]
-    class_names: tuple[str, ...]
     sizes: tuple[int, ...]
     methods: tuple[str, ...]
     seeds: tuple[int, ...]
@@ -325,33 +322,26 @@ def consistency_report(table: ResultsTable) -> list[dict]:
             fam = SubsetFamily(
                 subsets=tuple(per_method[method][seed][size] for seed in table.seeds)
             )
-            row = {
+            pair_k = [
+                kuncheva(a, b, l)
+                for i, a in enumerate(fam.subsets)
+                for b in fam.subsets[i + 1:]
+                if size < l
+            ]
+            rows.append({
                 "method": method,
                 "subset_size": size,
                 "i_j": jaccard_multi(fam),
                 "i_w": weighted_consistency(fam),
-            }
-            if len(table.seeds) >= 2 and size < l:
-                pair_k = [
-                    kuncheva(a, b, l)
-                    for i, a in enumerate(fam.subsets)
-                    for b in fam.subsets[i + 1:]
-                ]
-                row["kuncheva_mean"] = float(np.mean(pair_k))
-                row["kuncheva_std"] = float(np.std(pair_k))
-            else:
-                row["kuncheva_mean"] = math.nan
-                row["kuncheva_std"] = math.nan
-            rows.append(row)
+                "kuncheva_mean": float(np.mean(pair_k)) if pair_k else math.nan,
+                "kuncheva_std": float(np.std(pair_k)) if pair_k else math.nan,
+            })
     if set(table.methods) >= {"crfe", "rfe"}:
         for size in table.sizes:
-            jac, kun = [], []
-            for seed in table.seeds:
-                a = per_method["crfe"][seed][size]
-                b = per_method["rfe"][seed][size]
-                jac.append(jaccard_multi(SubsetFamily(subsets=(a, b))))
-                if size < l:
-                    kun.append(kuncheva(a, b, l))
+            pairs = [(per_method["crfe"][seed][size], per_method["rfe"][seed][size])
+                     for seed in table.seeds]
+            jac = [jaccard_multi(SubsetFamily(subsets=pair)) for pair in pairs]
+            kun = [kuncheva(a, b, l) for a, b in pairs if size < l]
             rows.append({
                 "method": "crfe_vs_rfe",
                 "subset_size": size,
@@ -394,97 +384,95 @@ def _cv_accuracy(X, y, n_classes, tcfg, folds: int = 5) -> float:
 # ----------------------------------------------------------------- repeats
 
 
+def _run_repeat(d: Dataset, name: str, sizes, cfg: ExperimentConfig, r: int,
+                compare: bool, stop: bool):
+    """Repeat r of the comparison (if compare) and of the stopping run (if stop).
+
+    Depends only on its arguments. Returns the comparison's ResultRows, its
+    {(method, seed): trace}, and per selector the stopping run's (method,
+    seed, final active features, SetMetricsReport).
+    """
+    seed = cfg.master_seed + r
+    _, (X_tr, y_tr), (X_cal, y_cal), (X_te, y_te) = scaled_split(d, seed)
+    tcfg = replace(cfg.train, seed=cfg.train.seed + r)
+    m = d.n_classes
+    models: dict = {}  # shared by every elimination of this repeat
+
+    def eliminate(method, policy):
+        runner = run_crfe if method == "crfe" else run_rfe
+        return runner(X_tr, y_tr, X_cal, y_cal, m, policy, tcfg, cfg.lam, models=models)
+
+    def path(trace):  # the model trained at each size of an elimination
+        subsets = subsets_by_size(trace, d.n_features)
+        return {size: models[tuple(sorted(s))] for size, s in subsets.items()}
+
+    def evaluate(ms):
+        return _evaluate(ms, X_cal, y_cal, X_te, y_te, cfg.epsilon, m)
+
+    rows: list[ResultRow] = []
+    traces: dict = {}
+    stops: list[tuple] = []
+    if compare:
+        for method in cfg.selectors:
+            trace = traces[(method, seed)] = eliminate(method, FixedSize(sizes[-1]))
+            models_at = path(trace)
+            for s in sizes:
+                rows.append(ResultRow(name, method, s, seed, *evaluate(models_at[s])))
+    if stop:
+        for method in cfg.selectors:
+            # every final subset was trained by a pass of its run: no refit
+            if method == "crfe":
+                final = models[eliminate("crfe", cfg.stopping).selected]
+            else:
+                models_at = path(eliminate("rfe", FixedSize(1)))
+                acc = {size: _cv_accuracy(X_tr[:, list(ms.active_features)], y_tr, m, tcfg)
+                       for size, ms in models_at.items()}
+                final = models_at[max(acc, key=lambda s: (acc[s], s))]  # ties: larger size
+            stops.append((method, seed, final.active_features, evaluate(final)[0]))
+    return rows, traces, stops
+
+
 def _run_repeats(cfg: ExperimentConfig, n_compare: int, n_stop: int):
     """Comparison repeats r < n_compare and stopping repeats r < n_stop.
 
-    Loads the dataset once, then runs each repeat as one unit (see the
-    module docstring). Returns the comparison's ResultsTable and the
-    stopping benchmark's (summary, frequencies, per_run), or None in
-    place of the latter when n_stop is 0.
+    Loads the dataset once, runs each repeat with _run_repeat and joins
+    their results in repeat order. Returns the comparison's ResultsTable
+    and the stopping benchmark's (summary, frequencies, per_run), or None
+    in place of the latter when n_stop is 0.
     """
     d, name = load_dataset(cfg)
-    l, m = d.n_features, d.n_classes
+    l = d.n_features
     sizes = cfg.sizes if cfg.sizes is not None else tuple(range(l - 1, 0, -1))
     if n_compare and not sizes:
         raise ConfigError(f"a comparison needs at least 2 features, the data has {l}")
     if n_compare and sizes[0] > l:
         raise ConfigError(f"sizes start at {sizes[0]} but the data has {l} features")
-    seeds: list[int] = []
-    rows: list[ResultRow] = []
-    traces: dict = {}
-    counts = {method: np.zeros(l, dtype=int) for method in cfg.selectors}
-    per_run: list[dict] = []
-    for r in range(max(n_compare, n_stop)):
-        seed = cfg.master_seed + r
-        _, (X_tr, y_tr), (X_cal, y_cal), (X_te, y_te) = scaled_split(d, seed)
-        tcfg = replace(cfg.train, seed=cfg.train.seed + r)
-        models: dict = {}  # shared by every elimination of this repeat
-
-        def eliminate(method, policy, observer=None):
-            runner = run_crfe if method == "crfe" else run_rfe
-            return runner(X_tr, y_tr, X_cal, y_cal, m, policy, tcfg, cfg.lam,
-                          observer=observer, models=models)
-
-        def evaluate(ms):
-            return _evaluate(ms, X_cal, y_cal, X_te, y_te, cfg.epsilon, m)
-
-        if r < n_compare:
-            seeds.append(seed)
-            for method in cfg.selectors:
-                collected: dict[int, tuple] = {}
-
-                def collect(_it, active, ms, _crit):
-                    if len(active) in sizes:
-                        collected[len(active)] = evaluate(ms)
-
-                traces[(method, seed)] = eliminate(method, FixedSize(sizes[-1]), collect)
-                for s in sizes:
-                    rows.append(ResultRow(name, method, s, seed, *collected[s]))
-        if r < n_stop:
-            # the last pass of an elimination trains on its final subset, so
-            # each selector's chosen model is taken from its run, not refitted
-            final: dict[str, LinearModelSet] = {}
-            if "crfe" in cfg.selectors:
-                stop = cfg.stopping
-                trace = eliminate("crfe", BetaCriterion(stop.sigma, stop.psi, stop.warmup))
-                final["crfe"] = models[trace.selected]
-            if "rfe" in cfg.selectors:
-                snapshots: dict[int, LinearModelSet] = {}
-
-                def snapshot(_it, active, ms, _crit):
-                    snapshots[len(active)] = ms
-
-                eliminate("rfe", FixedSize(1), snapshot)
-                best_size, best_acc = None, -math.inf
-                for size in sorted(snapshots, reverse=True):
-                    cols = list(snapshots[size].active_features)
-                    acc = _cv_accuracy(X_tr[:, cols], y_tr, m, tcfg)
-                    if acc > best_acc:
-                        best_size, best_acc = size, acc
-                final["rfe"] = snapshots[best_size]
-            for method in cfg.selectors:
-                cols = list(final[method].active_features)
-                sm, _pm = evaluate(final[method])
-                counts[method][cols] += 1
-                per_run.append({
-                    "method": method,
-                    "seed": seed,
-                    "size": len(cols),
-                    "inefficiency": sm.inefficiency,
-                    "certainty": sm.certainty,
-                })
+    results = [_run_repeat(d, name, sizes, cfg, r, r < n_compare, r < n_stop)
+               for r in range(max(n_compare, n_stop))]
+    rows = [row for r_rows, _, _ in results for row in r_rows]
+    traces = {key: t for _, r_traces, _ in results for key, t in r_traces.items()}
+    stops = [s for _, _, r_stops in results for s in r_stops]
     table = ResultsTable(
         dataset=name,
         feature_names=d.feature_names,
-        class_names=d.class_names,
         sizes=sizes,
         methods=cfg.selectors,
-        seeds=tuple(seeds),
+        seeds=tuple(cfg.master_seed + r for r in range(n_compare)),
         rows=tuple(rows),
         traces=traces,
     )
     if not n_stop:
         return table, None
+    per_run = [
+        {
+            "method": method,
+            "seed": seed,
+            "size": len(cols),
+            "inefficiency": sm.inefficiency,
+            "certainty": sm.certainty,
+        }
+        for method, seed, cols, sm in stops
+    ]
     summary = []
     for method in cfg.selectors:
         recs = [p for p in per_run if p["method"] == method]
@@ -500,7 +488,7 @@ def _run_repeats(cfg: ExperimentConfig, n_compare: int, n_stop: int):
             "method": method,
             "feature_index": j,
             "feature_name": d.feature_names[j],
-            "count": int(counts[method][j]),
+            "count": sum(j in cols for mth, _, cols, _ in stops if mth == method),
         }
         for method in cfg.selectors
         for j in range(l)

@@ -349,6 +349,11 @@ def test_json_rejects_garbage():
         two.join(['{"lambda": 0.5, "active_features": [-1, 0], "models": ', "}"]),
         two.join(['{"lambda": 0.5, "active_features": [1, 0], "models": ', "}"]),
         two.join(['{"lambda": 0.5, "active_features": [2, 2], "models": ', "}"]),
+        # Python's JSON parser reads these literals as floats
+        *(head + f'[{{"w": [{v}, 1], "b": 0}}, {{"w": [3, 4], "b": 1}}]}}'
+          for v in ("NaN", "Infinity", "-Infinity")),
+        *(head + f'[{{"w": [1, 2], "b": {v}}}, {{"w": [3, 4], "b": 1}}]}}'
+          for v in ("NaN", "Infinity", "-Infinity")),
     ):
         with pytest.raises(ConfigError):
             model_set_from_json(bad)

@@ -1,11 +1,19 @@
+import csv
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 from crfe import cli, harness, selection
 from crfe.cli import main
-from crfe.data import load_csv, split_with_all_classes
+from crfe.data import (
+    SyntheticSpec,
+    generate_synthetic,
+    load_csv,
+    save_csv,
+    split_with_all_classes,
+)
 
 # fewer samples than classes: no dataset can hold every class
 TINY_SPEC = {"n_samples": 2, "n_features": 3, "n_informative": 2, "n_redundant": 0,
@@ -124,6 +132,31 @@ def test_bench_writes_reports(tmp_path):
     got = sorted(f for f in os.listdir(out) if f.endswith(".csv"))
     assert got == ["consistency.csv", "frequencies.csv", "results.csv", "stopping.csv"]
     assert any(f.endswith(".svg") for f in os.listdir(out))
+
+
+def test_reports_quote_names_that_hold_a_comma(tmp_path):
+    d, _ = generate_synthetic(SyntheticSpec(**SPEC))
+    names = ("f,1", 'f"2', *d.feature_names[2:])
+    data = tmp_path / "my,data.csv"
+    save_csv(replace(d, feature_names=names, class_names=("a,b", "c,d", "e")), data)
+    sel, bench = tmp_path / "sel", tmp_path / "bench"
+    assert main(["select", "--data", str(data), "--label", "label", "--method", "crfe",
+                 "--stop", "fixed:3", "--out", str(sel)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CFG, "dataset": {"csv": str(data)}}))
+    assert main(["bench", "--config", str(cfg), "--out", str(bench)]) == 0
+    reports = {}
+    for path in sorted([*sel.glob("*.csv"), *bench.glob("*.csv")]):
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows and all(len(row) == len(header) for row in rows), path.name
+        reports[path.name] = [dict(zip(header, row)) for row in rows]
+    assert len(reports) == 6
+    freq = reports["frequencies.csv"]
+    assert [r["feature_name"] for r in freq if r["method"] == "crfe"] == list(names)
+    assert {r["dataset"] for r in freq + reports["results.csv"]} == {"my,data"}
+    members = {c for r in reports["predictions.csv"] for c in r["set"].split("|")}
+    assert {"a,b", "c,d"} <= members
 
 
 def test_bench_config_errors_exit_2(tmp_path):

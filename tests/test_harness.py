@@ -1,7 +1,6 @@
 import copy
 import csv
 import json
-import math
 import os
 from dataclasses import fields
 
@@ -96,6 +95,8 @@ def test_config_from_dict_wire_names():
     assert cfg.train.epochs == 40 and cfg.repeats == 4
     assert cfg.selectors == ("crfe",) and cfg.sizes == (5, 3, 1)
     assert cfg.stopping.sigma == 4.0 and cfg.stopping.repeats == 6
+    assert config_from_dict({"dataset": {"csv": "a.csv"}}).label_column == "label"
+    assert config_from_dict({"dataset": {"csv": "a.csv", "label": "y"}}).label_column == "y"
 
 
 # every JSON value kind: null, bool, int of any sign and size, float (nan
@@ -109,6 +110,7 @@ JSON_VALUES = st.recursive(
 CONFIG_PLACES = (
     [(None, k) for k in ("dataset", "epsilon", "lambda", "train", "repeats",
                          "master_seed", "selectors", "sizes", "stopping")]
+    + [("dataset", k) for k in ("csv", "label", "synthetic")]
     + [("train", f.name) for f in fields(TrainConfig)]
     + [("stopping", f.name) for f in fields(StoppingParams)]
 )
@@ -139,6 +141,10 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict({"dataset": {"synthetic": {"n_samples": 10}}})
     with pytest.raises(ConfigError):
         config_from_dict([1, 2])
+    with pytest.raises(ConfigError):  # a misspelt key is not dropped
+        config_from_dict({"dataset": {"csv": "a.csv", "lable": "y"}})
+    with pytest.raises(ConfigError):  # nor is a second source
+        config_from_dict({"dataset": {**BENCH_CFG["dataset"], "csv": "x.csv"}})
 
 
 # --------------------------------------------------------------- comparison
@@ -256,6 +262,30 @@ def test_stopping_benchmark_crfe_only():
     summary, freqs, _ = run_stopping_benchmark(tiny_config(selectors=("crfe",)))
     assert [s["method"] for s in summary] == ["crfe"]
     assert len(freqs) == 8
+
+
+def test_a_repeat_depends_only_on_data_config_and_index():
+    # what a worker that runs repeat 1 alone relies on
+    cfg = tiny_config()
+    table, (_, _, per_run) = harness._run_repeats(cfg, 2, 2)
+    d, name = harness.load_dataset(cfg)
+    rows, traces, stops = harness._run_repeat(d, name, table.sizes, cfg, 1, True, True)
+    seed = cfg.master_seed + 1
+    want = [r for r in table.rows if r.seed == seed]
+    assert [(r.method, r.subset_size) for r in rows] == [(r.method, r.subset_size) for r in want]
+    for got, row in zip(rows, want):
+        np.testing.assert_array_equal([got.metric(c) for c in METRIC_COLUMNS],
+                                      [row.metric(c) for c in METRIC_COLUMNS])
+    assert sorted(traces) == sorted(k for k in table.traces if k[1] == seed)
+    for key, trace in traces.items():
+        assert trace.selected == table.traces[key].selected
+        assert (selection.trace_to_json(trace)["steps"]
+                == selection.trace_to_json(table.traces[key])["steps"])
+    assert [
+        {"method": method, "seed": s, "size": len(cols),
+         "inefficiency": sm.inefficiency, "certainty": sm.certainty}
+        for method, s, cols, sm in stops
+    ] == [p for p in per_run if p["seed"] == seed]
 
 
 @pytest.mark.parametrize("n", [36, 37, 41, 43, 44])
