@@ -76,8 +76,7 @@ def _cmd_select(args) -> int:
     if not 0.0 <= args.lam <= 1.0:
         raise ConfigError("--lambda must lie in [0, 1]")
     d = load_csv(args.data, label_column=args.label)
-    if d.has_missing():
-        d = impute_knn(d)
+    d = impute_knn(d)
     sp, (X_tr, y_tr), (X_cal, y_cal), (X_te, _) = scaled_split(d, args.seed)
     runner = run_crfe if args.method == "crfe" else run_rfe
     models = {}  # the last pass trains on the selected subset, so its model is here

@@ -13,6 +13,7 @@ import math
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, asdict
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -166,7 +167,6 @@ class SyntheticSpec:
 def load_csv(
     path,
     label_column: str,
-    missing_token: str = "",
     drop_missing_over: float | None = DEFAULT_MISSING_DROP_THRESHOLD,
 ) -> Dataset:
     """Read an RFC-4180-style CSV with a header row into a Dataset.
@@ -177,10 +177,9 @@ def load_csv(
         CSV file, UTF-8, '.' decimal separator.
     label_column : str
         Header name of the label column. Distinct label strings are sorted
-        and mapped to class ids by rank.
-    missing_token : str
-        Cell content that marks a missing value (default: empty cell).
-        Every other feature cell must parse as a finite float.
+        and mapped to class ids by rank. An empty feature cell marks a
+        missing value; every other feature cell must parse as a finite
+        float.
     drop_missing_over : float or None
         Drop any feature whose missing fraction exceeds this threshold
         before returning (default 0.25); None disables the filter.
@@ -189,7 +188,7 @@ def load_csv(
     ------
     MissingFileError, MissingLabelColumnError, SingleClassError,
     UnparsableCellError (a ragged row, or a cell that is neither a finite
-    number nor the missing token; it names the 1-based file line, the
+    number nor empty; it names the 1-based file line, the
     header being line 1, and blank lines are skipped but counted)
     """
     try:
@@ -230,7 +229,7 @@ def load_csv(
         for i, cell in enumerate(row):
             if i == label_pos:
                 continue
-            if cell == missing_token:
+            if not cell:
                 values[r, c] = np.nan
                 mask[r, c] = True
             else:
@@ -239,7 +238,7 @@ def load_csv(
                 except ValueError:
                     v = math.nan
                 # 'nan', 'inf' and overflowing spellings parse but are
-                # not observations: only the missing token marks a gap
+                # not observations: only an empty cell marks a gap
                 if not math.isfinite(v):
                     raise UnparsableCellError(lines[r], i + 1, cell)
                 values[r, c] = v
@@ -267,21 +266,18 @@ def load_csv(
     )
 
 
-def save_csv(d: Dataset, path, label_column: str = "label", missing_token: str = "") -> None:
-    """Write a Dataset back to CSV (label column last, class names as labels)."""
-    mask = d.missing_mask
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(d.feature_names) + [label_column])
-        for i in range(d.n_samples):
-            row = []
-            for j in range(d.n_features):
-                if mask is not None and mask[i, j]:
-                    row.append(missing_token)
-                else:
-                    row.append(repr(float(d.X[i, j])))
-            row.append(d.class_names[d.y[i]])
-            writer.writerow(row)
+def save_csv(d: Dataset, path, label_column: str = "label") -> None:
+    """Write a Dataset back to CSV (label column last, class names as labels).
+
+    A masked cell is left empty; every other cell is the round-trip repr
+    of its value, so an unmasked NaN is written as ``nan``.
+    """
+    mask = d.missing_mask if d.has_missing() else np.zeros(d.X.shape, dtype=bool)
+    rows = (
+        [None if gap else repr(v) for v, gap in zip(values, gaps)] + [d.class_names[c]]
+        for values, gaps, c in zip(d.X.tolist(), mask.tolist(), d.y.tolist())
+    )
+    write_csv(path, [*d.feature_names, label_column], rows)
 
 
 def csv_cell(v) -> str:
@@ -303,11 +299,15 @@ def write_csv(path, columns, rows) -> None:
 
     A row is a sequence of cells in column order, or a mapping from
     column name to cell in which a missing column stays empty. A cell is
-    quoted only when it holds a comma, a quote or a line feed, as a name
-    read from a CSV file may.
+    quoted only when it holds a comma, a quote, a line feed or a carriage
+    return, as a name read from a CSV file may. Lines end in a line feed.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        # minimal quoting catches the terminator's characters, so a "\r\n"
+        # terminator quotes a bare "\r" as well; the writer hands over one
+        # whole line per write, whose "\r\n" becomes "\n" here
+        lines = SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))
+        writer = csv.writer(lines, lineterminator="\r\n")
         writer.writerow(columns)
         for row in rows:
             if isinstance(row, Mapping):

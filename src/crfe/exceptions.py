@@ -45,11 +45,11 @@ class MissingLabelColumnError(ConfigError):
 class UnparsableCellError(CrfeError):
     """A CSV row does not parse.
 
-    Either a cell is neither a finite number nor the missing token, or the
-    row has a different cell count from the header. ``line`` is the 1-based
-    line of the file (the header is line 1). ``col`` is the 1-based column
-    of the bad cell and ``value`` its text; a ragged row has ``col`` None
-    and ``value`` describing its cell count.
+    Either a cell is neither a finite number nor empty (a missing value),
+    or the row has a different cell count from the header. ``line`` is the
+    1-based line of the file (the header is line 1). ``col`` is the 1-based
+    column of the bad cell and ``value`` its text; a ragged row has ``col``
+    None and ``value`` describing its cell count.
     """
 
     def __init__(self, line: int, col: int | None, value: str):

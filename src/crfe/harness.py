@@ -208,8 +208,7 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[Dataset, str]:
         d, _ = generate_synthetic(cfg.synthetic)
         return d, "synthetic"
     d = load_csv(cfg.dataset_csv, label_column=cfg.label_column)
-    if d.has_missing():
-        d = impute_knn(d)
+    d = impute_knn(d)
     name = os.path.splitext(os.path.basename(cfg.dataset_csv))[0]
     return d, name
 

@@ -115,30 +115,26 @@ class BetaStopResult:
 
 def beta_stop_check(
     mean_history,
-    second_derivative_history,
     sigma: float = DEFAULT_SIGMA,
     psi: int = DEFAULT_PSI,
     warmup: int = DEFAULT_WARMUP,
 ) -> BetaStopResult:
-    """Evaluate the automatic stop.
+    """Evaluate the automatic stop on the mean-beta history so far.
 
-    The newest second difference of ``mean_history`` (window-limited to
-    the last psi means) is compared against sigma times the population
-    std of the last psi entries of ``second_derivative_history``, which
-    must hold the values from earlier iterations only; the newest value
-    is computed here and returned for the caller to append. A
-    zero-variance window falls back to a small absolute threshold scaled
-    by the newest mean, so an exactly flat history still fires on a real
-    kink. Never fires while fewer than 3 means exist, while the prior
-    derivative history is empty, or during the first ``warmup``
-    iterations.
+    The newest second difference of ``mean_history`` (it reads only the
+    last three means) is compared against sigma times the population std
+    of the psi second differences before it. A zero-variance window falls
+    back to a small absolute threshold scaled by the newest mean, so an
+    exactly flat history still fires on a real kink. Never fires while
+    fewer than 4 means exist, or while the history holds at most
+    ``warmup`` means.
     """
     hist = np.asarray(mean_history, dtype=float)
     if hist.size < 3:
         return BetaStopResult(False, math.nan, math.nan)
-    window = hist[-psi:] if psi >= 3 else hist[-3:]
-    latest = float(np.diff(window, n=2)[-1])
-    prior = np.asarray(second_derivative_history, dtype=float)[-psi:]
+    d2 = np.diff(hist, n=2)
+    latest = float(d2[-1])
+    prior = d2[:-1][-psi:]
     if prior.size == 0:
         return BetaStopResult(False, latest, math.nan)
     std = float(prior.std())
@@ -240,6 +236,7 @@ def _run_elimination(
     method: str,
     score,
     pick,
+    beta: bool,
     observer=None,
     models=None,
 ):
@@ -251,11 +248,13 @@ def _run_elimination(
     (X_train, y_train, config, lam), so runs on the same training data
     share their models. Each pass then calls
     ``score(ms, X_cal_active, y_cal)`` for the per-feature criterion and
-    its mean (None when the criterion has no mean-beta meaning) and
-    removes the feature at position ``pick(criterion)``. Whenever a mean
-    is given, its history and second difference are recorded and can
-    stop the loop under BetaCriterion. ``method`` only labels the trace.
+    removes the feature at position ``pick(criterion)``. When ``beta`` is
+    true the criterion's mean is the mean beta: its history and second
+    difference are recorded under either policy, and only BetaCriterion
+    stops on them. ``method`` only labels the trace.
     """
+    if isinstance(policy, BetaCriterion) and not beta:
+        raise InvalidPolicyError("the baseline has no automatic stop; use FixedSize")
     X_train = np.asarray(X_train, dtype=float)
     X_cal = np.asarray(X_cal, dtype=float)
     if X_train.ndim != 2 or X_cal.ndim != 2 or X_train.shape[1] != X_cal.shape[1]:
@@ -264,89 +263,57 @@ def _run_elimination(
         raise InvalidPolicyError(f"unsupported policy {policy!r}")
     if X_train.shape[1] < 1:
         raise EmptyVectorError("no features to select from")
-    if isinstance(policy, FixedSize) and policy.target >= X_train.shape[1]:
-        raise InvalidPolicyError(
-            f"target {policy.target} must be below the initial {X_train.shape[1]} features"
-        )
-    # the derivative record is kept under both policies so traces from
-    # fixed-size runs can be replayed against the criterion
-    stop = policy if isinstance(policy, BetaCriterion) else BetaCriterion()
+    if isinstance(policy, FixedSize):
+        if policy.target >= X_train.shape[1]:
+            raise InvalidPolicyError(
+                f"target {policy.target} must be below the initial {X_train.shape[1]} features"
+            )
+        floor, floor_reason = policy.target, StopReason.REACHED_TARGET_SIZE
+        # the derivative record is kept so fixed-size traces can be
+        # replayed against the criterion, which never stops them
+        stop = BetaCriterion()
+    else:
+        floor, floor_reason, stop = 1, StopReason.EXHAUSTED_TO_ONE_FEATURE, policy
     models = {} if models is None else models
 
     active = list(range(X_train.shape[1]))
     steps: list[SelectionStep] = []
     mean_hist: list[float] = []
-    d2_hist: list[float] = []
-    iteration = 0
-    while True:
-        iteration += 1
+    fired = False
+    while not fired:
         ms = models.get(tuple(active))
         if ms is None:
             ms = models[tuple(active)] = train_ova(
                 X_train[:, active], y_train, n_classes, config, lam,
                 active_features=active,
             )
-        crit, mean = score(ms, X_cal[:, active], y_cal)
+        crit = score(ms, X_cal[:, active], y_cal)
         if observer is not None:
-            observer(iteration, tuple(active), ms, crit)
+            observer(len(steps) + 1, tuple(active), ms, crit)
 
-        if mean is None:
-            mean = d2 = math.nan
-            fired = False
-        else:
+        if beta:
+            mean = float(crit.mean())
             mean_hist.append(mean)
-            check = beta_stop_check(mean_hist, d2_hist, stop.sigma, stop.psi, stop.warmup)
-            d2 = check.second_derivative
-            if not math.isnan(d2):
-                d2_hist.append(d2)
-            fired = check.fired
-
-        if isinstance(policy, FixedSize):
-            if len(active) <= policy.target:
-                reason = StopReason.REACHED_TARGET_SIZE
-                break
+            check = beta_stop_check(mean_hist, stop.sigma, stop.psi, stop.warmup)
+            d2, fired = check.second_derivative, check.fired and stop is policy
         else:
-            if fired:
-                steps.append(SelectionStep(
-                    iteration=iteration,
-                    removed_feature=None,
-                    criterion_value=math.nan,
-                    mean_beta=mean,
-                    second_derivative=d2,
-                    remaining_count=len(active),
-                ))
-                reason = StopReason.BETA_CRITERION_FIRED
-                break
-            if len(active) == 1:
-                reason = StopReason.EXHAUSTED_TO_ONE_FEATURE
-                break
+            mean = d2 = math.nan
 
-        pos = int(pick(crit))
-        steps.append(SelectionStep(
-            iteration=iteration,
-            removed_feature=active[pos],
-            criterion_value=float(crit[pos]),
-            mean_beta=mean,
-            second_derivative=d2,
-            remaining_count=len(active) - 1,
-        ))
-        active.pop(pos)
+        if fired:
+            removed, value = None, math.nan
+        elif len(active) <= floor:
+            break
+        else:
+            pos = int(pick(crit))
+            removed, value = active.pop(pos), float(crit[pos])
+        steps.append(SelectionStep(len(steps) + 1, removed, value, mean, d2, len(active)))
 
     return SelectionTrace(
         method=method,
         steps=tuple(steps),
         selected=tuple(active),
-        stop_reason=reason,
+        stop_reason=StopReason.BETA_CRITERION_FIRED if fired else floor_reason,
     )
-
-
-def _beta_score(ms: LinearModelSet, X_cal, y_cal):
-    beta = beta_measures(ms, X_cal, y_cal)
-    return beta, float(beta.mean())
-
-
-def _weight_score(ms: LinearModelSet, _X_cal, _y_cal):
-    return rfe_criterion(ms), None
 
 
 def run_crfe(
@@ -373,8 +340,8 @@ def run_crfe(
     """
     return _run_elimination(
         X_train, y_train, X_cal, y_cal, n_classes, policy, config, lam,
-        method="crfe", score=_beta_score, pick=np.argmax, observer=observer,
-        models=models,
+        method="crfe", score=beta_measures, pick=np.argmax, beta=True,
+        observer=observer, models=models,
     )
 
 
@@ -398,10 +365,8 @@ def run_rfe(
     both selectors may share one ``models`` dict, since a model depends
     only on the training data, config, lam and active set.
     """
-    if isinstance(policy, BetaCriterion):
-        raise InvalidPolicyError("the baseline has no automatic stop; use FixedSize")
     return _run_elimination(
         X_train, y_train, X_cal, y_cal, n_classes, policy, config, lam,
-        method="rfe", score=_weight_score, pick=np.argmin, observer=observer,
-        models=models,
+        method="rfe", score=lambda ms, _X, _y: rfe_criterion(ms), pick=np.argmin,
+        beta=False, observer=observer, models=models,
     )

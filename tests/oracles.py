@@ -7,7 +7,9 @@ cross-validation folds of one size, in one stacked loop, and imputes the
 rows of one missing pattern together. The forms here handle one sample,
 one model, one binary problem, one feature, one fold, one family or one
 imputed row at a time, straight from the definitions, so tests can
-check the array code entry by entry against them.
+check the array code entry by entry against them. The stop check here
+keeps the second differences in a list of their own, as an engine that
+appends each pass's value would.
 """
 
 import math
@@ -28,6 +30,7 @@ from crfe.exceptions import (
     NotEnoughDonorsError,
 )
 from crfe.metrics import point_predict
+from crfe.selection import BetaStopResult
 
 
 def theta(y, k):
@@ -227,6 +230,30 @@ def argmax_beta(beta) -> int:
     if beta.size == 0:
         raise EmptyVectorError("no features left to score")
     return int(np.argmax(beta))
+
+
+def beta_stop_check(mean_history, second_derivative_history, sigma: float, psi: int,
+                    warmup: int) -> BetaStopResult:
+    """The automatic stop, with the earlier second differences passed in.
+
+    ``second_derivative_history`` must hold the values of earlier passes
+    only; the newest is computed from the last psi means (at least three)
+    and compared against sigma times the population std of the last psi
+    entries of the history, with the package's zero-variance fallback.
+    """
+    hist = np.asarray(mean_history, dtype=float)
+    if hist.size < 3:
+        return BetaStopResult(False, math.nan, math.nan)
+    window = hist[-psi:] if psi >= 3 else hist[-3:]
+    latest = float(np.diff(window, n=2)[-1])
+    prior = np.asarray(second_derivative_history, dtype=float)[-psi:]
+    if prior.size == 0:
+        return BetaStopResult(False, latest, math.nan)
+    std = float(prior.std())
+    threshold = max(sigma * std, 1e-9 * max(1.0, abs(float(hist[-1]))))
+    if hist.size <= warmup:
+        return BetaStopResult(False, latest, threshold)
+    return BetaStopResult(abs(latest) > threshold, latest, threshold)
 
 
 def kuncheva_family(family: SubsetFamily, universe_size: int) -> float:

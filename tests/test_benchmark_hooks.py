@@ -3,7 +3,9 @@
 perfbench/tracer.py wraps crfe functions by module and name, and binds
 the arguments of train_ova by parameter name; perfbench/workloads.py and
 perfbench/run.py call crfe.<name> directly. A rename or deletion would
-otherwise surface only as a failed benchmark run.
+otherwise surface only as a failed benchmark run. The elimination
+engine must also look its traced functions up in its module at call
+time: a function bound early escapes the wrapper, and its spans read 0.
 """
 
 import importlib
@@ -11,9 +13,15 @@ import importlib.util
 import inspect
 import pkgutil
 import re
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import crfe
+from crfe import selection
+from crfe.exceptions import InvalidPolicyError
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -58,3 +66,25 @@ def test_benchmark_callers_resolve():
                 pkgutil.resolve_name(dotted)
             except (ImportError, AttributeError):
                 raise AssertionError(f"{name} uses {dotted}, which is gone") from None
+
+
+def test_engine_calls_traced_functions_through_its_module(monkeypatch):
+    calls = Counter()
+    for name in ("train_ova", "beta_measures", "rfe_criterion", "beta_stop_check"):
+        def counted(*args, _fn=getattr(selection, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(selection, name, counted)
+    rng = np.random.default_rng(0)
+    X, y = rng.standard_normal((40, 5)), np.arange(40) % 3
+    args = (X[:20], y[:20], X[20:], y[20:], 3)
+
+    selection.run_crfe(*args, selection.FixedSize(2))
+    assert calls == {"train_ova": 4, "beta_measures": 4, "beta_stop_check": 4}
+    calls.clear()
+    selection.run_rfe(*args, selection.FixedSize(2))
+    assert calls == {"train_ova": 4, "rfe_criterion": 4}
+    calls.clear()
+    with pytest.raises(InvalidPolicyError):
+        selection.run_rfe(*args, selection.BetaCriterion())
+    assert not calls

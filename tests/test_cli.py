@@ -136,7 +136,7 @@ def test_bench_writes_reports(tmp_path):
 
 def test_reports_quote_names_that_hold_a_comma(tmp_path):
     d, _ = generate_synthetic(SyntheticSpec(**SPEC))
-    names = ("f,1", 'f"2', *d.feature_names[2:])
+    names = ("f,1", 'f"2', "f\r3", *d.feature_names[3:])
     data = tmp_path / "my,data.csv"
     save_csv(replace(d, feature_names=names, class_names=("a,b", "c,d", "e")), data)
     sel, bench = tmp_path / "sel", tmp_path / "bench"

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crfe.classifier import LinearModelSet, TrainConfig
 from crfe.conformal import nonconformity_all_labels
@@ -27,6 +29,7 @@ from crfe.selection import (
     trace_to_csv,
     trace_to_json,
 )
+import oracles
 from oracles import argmax_beta, delta_nonconformity_oracle
 
 
@@ -123,18 +126,17 @@ def test_rfe_criterion_sums_squared_weights():
 
 def test_stop_check_linear_history_never_fires():
     means = [10.0, 9.0, 8.0, 7.0, 6.0]
-    d2_hist = [0.0, 0.0]
-    res = beta_stop_check(means, d2_hist, sigma=3.0, warmup=0)
+    res = beta_stop_check(means, sigma=3.0, warmup=0)
     assert not res.fired
     assert res.second_derivative == 0.0
 
 
 def test_stop_check_fires_on_kink_after_flat_run():
-    # second derivative of (..., 7, 6, 2) is 2 - 12 + 7 = -3; prior history
-    # is exactly flat so the zero-variance fallback threshold applies
+    # second derivative of (..., 7, 6, 2) is 2 - 12 + 7 = -3; the prior
+    # second differences are exactly flat so the zero-variance fallback
+    # threshold applies
     means = [10.0, 9.0, 8.0, 7.0, 6.0, 2.0]
-    d2_hist = [0.0, 0.0, 0.0]
-    res = beta_stop_check(means, d2_hist, sigma=3.0)
+    res = beta_stop_check(means, sigma=3.0)
     assert res.fired
     assert res.second_derivative == -3.0
     assert res.threshold == pytest.approx(1e-9 * 2.0)
@@ -142,26 +144,58 @@ def test_stop_check_fires_on_kink_after_flat_run():
 
 def test_stop_check_warmup_blocks_firing():
     means = [10.0, 9.0, 8.0, 7.0, 6.0, 2.0]
-    d2_hist = [0.0, 0.0, 0.0]
-    assert not beta_stop_check(means, d2_hist, sigma=3.0, warmup=6).fired
-    assert beta_stop_check(means, d2_hist, sigma=3.0, warmup=5).fired
+    assert not beta_stop_check(means, sigma=3.0, warmup=6).fired
+    assert beta_stop_check(means, sigma=3.0, warmup=5).fired
 
 
 def test_stop_check_insufficient_history():
-    assert not beta_stop_check([5.0, 4.0], [], warmup=0).fired
-    assert math.isnan(beta_stop_check([5.0, 4.0], [], warmup=0).second_derivative)
-    # three means but no recorded prior derivatives: nothing to compare against
-    res = beta_stop_check([5.0, 4.0, 1.0], [], warmup=0)
+    assert not beta_stop_check([5.0, 4.0], warmup=0).fired
+    assert math.isnan(beta_stop_check([5.0, 4.0], warmup=0).second_derivative)
+    # three means give one second difference and none before it to compare against
+    res = beta_stop_check([5.0, 4.0, 1.0], warmup=0)
     assert not res.fired and res.second_derivative == -2.0
 
 
 def test_stop_check_respects_sigma_threshold():
-    means = [10.0, 9.0, 8.0, 7.0, 6.0, 4.0]  # latest d2 = -1
-    d2_hist = [0.5, -0.5, 0.5]               # std sqrt(0.222)*... > 0
-    std = np.std(d2_hist)
-    assert beta_stop_check(means, d2_hist, sigma=1.0).fired  # 1 > 0.47
-    assert not beta_stop_check(means, d2_hist, sigma=3.0).fired  # 1 < 1.41
+    means = [10.0, 9.0, 8.5, 7.5, 7.0, 5.5]  # second differences 0.5, -0.5, 0.5, -1
+    std = np.std([0.5, -0.5, 0.5])
+    assert beta_stop_check(means, sigma=1.0).fired  # 1 > 0.47
+    assert not beta_stop_check(means, sigma=3.0).fired  # 1 < 1.41
     assert std > 0  # sanity: not exercising the zero-variance fallback here
+
+
+@st.composite
+def mean_histories(draw):
+    """Mean-beta histories: arbitrary, rounded to whole numbers, or stepped.
+
+    Rounded histories take few values and stepped ones are piecewise
+    linear, so their second differences repeat and the prior window is
+    often exactly flat, where the zero-variance fallback threshold
+    applies.
+    """
+    n = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["float", "rounded", "stepped"]))
+    if kind == "stepped":
+        steps = draw(st.lists(st.sampled_from([-1.0, -2.0, 0.5]), min_size=n, max_size=n))
+        return list(draw(st.floats(-100, 100)) + np.cumsum(steps))
+    if kind == "rounded":
+        return draw(st.lists(st.integers(-2, 2).map(float), min_size=n, max_size=n))
+    return draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mean_histories(), st.floats(1, 6), st.integers(3, 12), st.integers(0, 8))
+@example([5.0] * 12, 3.0, 3, 0)
+def test_stop_check_matches_two_list_oracle(means, sigma, psi, warmup):
+    # the oracle is fed the second differences of the earlier prefixes,
+    # collected pass by pass as an engine keeping a second list would
+    d2_hist = []
+    for k in range(1, len(means) + 1):
+        want = oracles.beta_stop_check(means[:k], d2_hist, sigma, psi, warmup)
+        got = beta_stop_check(means[:k], sigma, psi, warmup)
+        assert repr(got) == repr(want)
+        if not math.isnan(want.second_derivative):
+            d2_hist.append(want.second_derivative)
 
 
 def test_policy_validation():
