@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _whole_labels
 from .exceptions import (
     ConfigError,
     DegenerateLabelsError,
@@ -212,16 +213,6 @@ def _train_stacked(ZX, seeds, config: TrainConfig) -> tuple[np.ndarray, np.ndarr
                 n_tail += 1
     w_avg = w_sum / n_tail
     return w_avg[:, :l], w_avg[:, l]
-
-
-def _whole_labels(y) -> np.ndarray:
-    """y as an int array; labels that are not whole numbers are rejected."""
-    y = np.asarray(y)
-    if y.dtype.kind not in "iu":
-        yf = y.astype(float)
-        if not np.array_equal(yf, np.trunc(yf)):
-            raise DegenerateLabelsError("labels must be whole numbers")
-    return y.astype(int)
 
 
 def _check_labels(y, n_rows: int, n_classes: int) -> np.ndarray:

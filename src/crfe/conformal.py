@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import LinearModelSet, _whole_labels, decision_matrix
-from .data import write_csv
+from .classifier import LinearModelSet, decision_matrix
+from .data import _whole_labels, write_csv
 from .exceptions import (
     ConfigError,
     DimensionMismatchError,

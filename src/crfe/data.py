@@ -38,6 +38,16 @@ DEFAULT_IMPUTE_NEIGHBORS = 5
 DEFAULT_MISSING_DROP_THRESHOLD = 0.25
 
 
+def _whole_labels(y) -> np.ndarray:
+    """y as an int array; labels that are not whole numbers are rejected."""
+    y = np.asarray(y)
+    if y.dtype.kind not in "iu":
+        yf = y.astype(float)
+        if not (np.isfinite(yf).all() and np.array_equal(yf, np.trunc(yf))):
+            raise DegenerateLabelsError("labels must be whole numbers")
+    return y.astype(int)
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """A dense feature matrix with integer class labels.
@@ -49,6 +59,7 @@ class Dataset:
         ``missing_mask``.
     y : ndarray of shape (n_samples,)
         Class ids in ``[0, n_classes)``; every class occurs at least once.
+        Float ids must be whole numbers.
     feature_names : tuple of str
         One name per column of ``X``.
     class_names : tuple of str
@@ -65,7 +76,7 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "X", np.asarray(self.X, dtype=float))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=int))
+        object.__setattr__(self, "y", _whole_labels(self.y))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         object.__setattr__(self, "class_names", tuple(self.class_names))
         if self.X.ndim != 2:
@@ -315,6 +326,17 @@ def write_csv(path, columns, rows) -> None:
             writer.writerow(map(csv_cell, row))
 
 
+# missing cells per block of the shortlist stage: each (cells, rows)
+# array of a block holds about this many entries
+_IMPUTE_BLOCK_CELLS = 1 << 15
+
+# the shortlist margin _MARGIN_C (l + 8) (u (|x_i|^2 + |x_r|^2) + eta), with
+# u the unit roundoff and eta the underflow bound; see impute_knn
+_MARGIN_C = 16
+_UNIT_ROUNDOFF = 2.0 ** -53
+_UNDERFLOW = 2.0 ** -1022
+
+
 def impute_knn(d: Dataset, k: int = DEFAULT_IMPUTE_NEIGHBORS) -> Dataset:
     """Fill missing cells with the mean of the k nearest rows.
 
@@ -323,21 +345,46 @@ def impute_knn(d: Dataset, k: int = DEFAULT_IMPUTE_NEIGHBORS) -> Dataset:
     have that column observed; ties in distance go to the lower row index.
     All fills are computed from the original (pre-imputation) values,
     which makes the operation idempotent. Every observed cell must be
-    finite.
+    finite. A row that shares no feature with the imputed row, or whose
+    sum of squared differences overflows, is no donor.
 
-    Rows are processed one missing pattern at a time, so the masks of
-    shared features are built once per pattern rather than once per row;
-    the filled values are the same as a row-by-row pass would give.
+    Each donor distance that decides a fill is computed exactly as a
+    row-by-row pass computes it (subtract, zero the unshared terms,
+    square, sum in the (rows, features) layout, divide, root), so the
+    fills are bit-identical to that pass. Only a shortlist of donors is
+    scored so. It comes from the Gram form of each shared sum of squares,
+    sum x_i^2 + sum x_r^2 - 2 x_i . x_r over the shared features, taken
+    by matrix products for a block of missing cells at a time. By the
+    dot-product error bound (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, sec. 3.1), the Gram form and the exact pass
+    together are off the true sum by at most
+    (6 l + 14) (u (|x_i|^2 + |x_r|^2) + eta), where l is the number of
+    features, |x|^2 the sum of squares of a row's observed cells,
+    u = 2**-53 the unit roundoff and eta = 2**-1022 the most a product
+    can lose to underflow, flushed to zero or not. Each form gets the
+    margin
+
+        16 (l + 8) (u (|x_i|^2 + |x_r|^2) + eta),
+
+    more than twice that, before both bounds are divided by the shared
+    count. A cell's shortlist holds every donor whose lower bound is at
+    most the k-th smallest upper bound among the donors of its column,
+    and every donor whose form is not finite. Division and square root
+    keep order, so no donor the exact pass would pick is left out. A
+    cell whose shortlist holds fewer than k donors at a finite distance
+    has all its donors scored before any error is raised.
 
     Raises
     ------
+    ConfigError
+        If k is not an integer >= 1.
     NonFiniteInputError
         If an observed (unmasked) cell is NaN or infinite.
     NotEnoughDonorsError
-        If any column with missing entries has fewer than k donor rows.
+        If a missing cell has fewer than k donor rows; the first such
+        cell in column order, then row order, is named.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    require_int("k", k, 1)
     if not d.has_missing():
         return d
 
@@ -346,45 +393,52 @@ def impute_knn(d: Dataset, k: int = DEFAULT_IMPUTE_NEIGHBORS) -> Dataset:
     present = ~mask
     if not (np.isfinite(X) | mask).all():
         raise NonFiniteInputError("observed cells must be finite to impute")
+    n, l = X.shape
     filled = X.copy()
-    # scratch reused for every row: fresh X-sized temporaries per row made
-    # the run time swing with where the allocator placed and faulted them in
-    unshared = np.empty_like(mask)
-    sq = np.empty_like(X)
+    gram = _GramBounds(X, mask)
+    kth = min(k, n) - 1
+    block = max(1, _IMPUTE_BLOCK_CELLS // n)
 
-    rows_with_missing = np.flatnonzero(mask.any(axis=1))
-    patterns, which = np.unique(mask[rows_with_missing], axis=0, return_inverse=True)
-    which = which.ravel()  # numpy 2.0.0 shapes it (rows, 1)
-    for p, pattern in enumerate(patterns):
-        np.logical_or(mask, pattern, out=unshared)
-        n_shared = X.shape[1] - unshared.sum(axis=1)
-        denom = np.maximum(n_shared, 1)
-        no_shared = n_shared == 0
-        missing_cols = np.flatnonzero(pattern)
-        for i in rows_with_missing[which == p]:
-            # mean squared difference over the features both rows observe:
-            # every other term, NaN from a missing cell included, is
-            # zeroed before squaring, and the (n, l) layout keeps numpy's
-            # summation order
-            np.subtract(X, X[i], out=sq)
-            np.copyto(sq, 0.0, where=unshared)
-            np.multiply(sq, sq, out=sq)
-            dist = np.sqrt(sq.sum(axis=1) / denom)
-            dist[no_shared] = np.inf
-            dist[i] = np.inf
-            reachable = np.isfinite(dist)
-            for j in missing_cols:
-                donors = np.flatnonzero(present[:, j] & reachable)
-                if donors.size < k:
-                    raise NotEnoughDonorsError(
-                        f"column {d.feature_names[j]!r}: {donors.size} donors < k={k}"
-                    )
-                # the donors up to the k-th smallest distance, in row order,
-                # then stably sorted: the first k of a full stable sort
-                near = dist[donors]
-                near = donors[near <= np.partition(near, k - 1)[k - 1]]
-                order = near[np.argsort(dist[near], kind="stable")[:k]]
-                filled[i, j] = X[order, j].mean()
+    for j in np.flatnonzero(mask.any(axis=0)):
+        donor = present[:, j]
+        missing = np.flatnonzero(mask[:, j])
+        for start in range(0, missing.size, block):
+            cells = missing[start:start + block]
+            lo, up = gram.bounds(cells)
+            up[:, ~donor] = np.inf
+            bound = np.partition(up, kth, axis=1)[:, kth]
+            shortlist = donor & (lo <= bound[:, None])
+            for _ in range(2):
+                # the exact distance of each (cell, donor) pair: every
+                # term outside the shared features, NaN from a missing cell
+                # included, is zeroed before squaring, and the (pairs, l)
+                # layout keeps numpy's summation order of a row-by-row pass
+                c, r = np.nonzero(shortlist)
+                unshared = mask[cells[c]] | mask[r]
+                n_shared = l - unshared.sum(axis=1)
+                sq = X[r] - X[cells[c]]
+                np.copyto(sq, 0.0, where=unshared)
+                np.multiply(sq, sq, out=sq)
+                dist = np.sqrt(sq.sum(axis=1) / np.maximum(n_shared, 1))
+                ok = np.isfinite(dist) & (n_shared > 0)
+                counts = np.bincount(c[ok], minlength=cells.size)
+                short = counts < k
+                if not short.any():
+                    break
+                # score every donor of a cell short of k before counting,
+                # so the count is the one a full pass would find
+                shortlist[short] = donor
+            else:
+                raise NotEnoughDonorsError(
+                    f"column {d.feature_names[j]!r}: {counts[short][0]} donors < k={k}"
+                )
+            # per cell, its donors by distance, ties in row order (the
+            # order nonzero lists them in), and the first k of them
+            c, r, dist = c[ok], r[ok], dist[ok]
+            order = np.lexsort((dist, c))
+            first = np.cumsum(counts) - counts
+            picks = r[order[first[:, None] + np.arange(k)]]
+            filled[cells, j] = X[picks, j].mean(axis=1)
 
     return Dataset(
         X=filled,
@@ -393,6 +447,68 @@ def impute_knn(d: Dataset, k: int = DEFAULT_IMPUTE_NEIGHBORS) -> Dataset:
         class_names=d.class_names,
         missing_mask=None,
     )
+
+
+class _GramBounds:
+    """Bounds on shared-feature mean squares from the Gram form.
+
+    The shared sum of squares of rows i and r is
+    |x_i|^2 + |x_r|^2 - 2 x_i . x_r, less the squares of each row's
+    observed cells that the other row misses. With missing cells set to
+    0 the dot product runs over the shared features by itself, and only
+    the columns with a gap can hold an unshared square.
+    """
+
+    def __init__(self, X, mask):
+        l = X.shape[1]
+        gaps = np.flatnonzero(mask.any(axis=0))
+        gap = mask[:, gaps].astype(float)
+        self.X0 = np.where(mask, 0.0, X)
+        with np.errstate(over="ignore"):
+            sq = self.X0[:, gaps] ** 2
+            norms = np.einsum("ij,ij->i", self.X0, self.X0)
+        self.gap = gap
+        # unshared squares of (i, r): [sq_i, gap_i] . [gap_r, sq_r]
+        self.sq_gap = np.hstack([sq, gap])
+        self.gap_sq = np.hstack([gap, sq])
+        self.norms = norms
+        self.observed = l - mask.sum(axis=1)
+        self.l = l
+        # margin of (i, r) is part[i] + part[r] + floor
+        scale = _MARGIN_C * (l + 8)
+        self.part = scale * _UNIT_ROUNDOFF * norms
+        self.floor = scale * _UNDERFLOW
+
+    def bounds(self, rows):
+        """Lower and upper bounds of the (rows, all rows) mean squares.
+
+        Where the form is not finite they are -inf and inf; for a pair
+        that shares no feature both are inf.
+        """
+        # shared = observed by i + observed by r - l + missing in both,
+        # small whole numbers that the products hold exactly
+        n_shared = self.gap[rows] @ self.gap.T
+        n_shared += (self.observed[rows] - self.l)[:, None]
+        n_shared += self.observed
+        with np.errstate(over="ignore", invalid="ignore"):
+            form = self.X0[rows] @ self.X0.T
+            form *= -2.0
+            form -= self.sq_gap[rows] @ self.gap_sq.T
+            form += self.norms[rows, None]
+            form += self.norms
+            margin = (self.part[rows] + self.floor)[:, None] + self.part
+            lo = form - margin
+            up = form + margin
+        none = n_shared == 0
+        np.maximum(n_shared, 1.0, out=n_shared)
+        lo /= n_shared
+        up /= n_shared
+        unbounded = ~np.isfinite(form)
+        lo[unbounded] = -np.inf
+        up[unbounded] = np.inf
+        lo[none] = np.inf
+        up[none] = np.inf
+        return lo, up
 
 
 def fit_scaler(d: Dataset, rows) -> Scaler:
@@ -468,9 +584,10 @@ def scaled_split(d: Dataset, seed: int):
     calibration and test rows.
     """
     sp = split_with_all_classes(d, seed)
-    ds = apply_scaler(fit_scaler(d, sp.train_idx), d)
+    s = fit_scaler(d, sp.train_idx)
+    X = (d.X - s.mean) / s.std
     parts = (sp.train_idx, sp.calib_idx, sp.test_idx)
-    return (sp, *((ds.X[idx], ds.y[idx]) for idx in parts))
+    return (sp, *((X[idx], d.y[idx]) for idx in parts))
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:

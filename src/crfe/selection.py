@@ -23,8 +23,8 @@ from enum import Enum
 
 import numpy as np
 
-from .classifier import LinearModelSet, TrainConfig, _whole_labels, train_ova
-from .data import write_csv
+from .classifier import LinearModelSet, TrainConfig, train_ova
+from .data import _whole_labels, write_csv
 from .exceptions import (
     DimensionMismatchError,
     EmptyVectorError,

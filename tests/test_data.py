@@ -1,7 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from crfe.data import (
     Dataset,
@@ -17,6 +21,7 @@ from crfe.data import (
     split_with_all_classes,
 )
 from crfe.exceptions import (
+    ConfigError,
     DegenerateLabelsError,
     DimensionMismatchError,
     EmptyRowSetError,
@@ -57,9 +62,14 @@ def test_dataset_rejects_inconsistent_fields():
             Dataset(**{"X": X, "y": y, "feature_names": names,
                        "class_names": ("a", "b"), **bad})
     for bad_y, classes in (([0, 1, 0, -1], ("a", "b")),   # id out of range
-                           ([0, 1, 0, 1], ("a", "b", "c"))):  # "c" never seen
+                           ([0, 1, 0, 1], ("a", "b", "c")),  # "c" never seen
+                           ([0.2, 1.9, 0.7, 1.1], ("a", "b")),  # not whole
+                           ([0.0, 1.0, 0.0, np.inf], ("a", "b"))):
         with pytest.raises(DegenerateLabelsError):
             Dataset(X=X, y=np.array(bad_y), feature_names=names, class_names=classes)
+    # whole-valued floats are the same labels as their ints
+    whole = Dataset(X=X, y=[0.0, 1.0, 0.0, 1.0], feature_names=names, class_names=("a", "b"))
+    assert whole.y.tolist() == [0, 1, 0, 1] and whole.y.dtype.kind == "i"
 
 
 # ---------------------------------------------------------------- loading
@@ -194,6 +204,27 @@ def test_csv_round_trip_missing_cells(tmp_path):
     assert back.missing_mask.tolist() == mask.tolist()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+    arrays(np.float64, (n, 3), elements=st.floats(allow_nan=False, allow_infinity=False)),
+    arrays(np.bool_, (n, 3)),
+)))
+def test_csv_round_trip_keeps_every_observed_double(problem):
+    """-0.0, subnormals and the largest doubles come back bit for bit."""
+    X, mask = problem
+    n = X.shape[0]
+    d = Dataset(X=X, y=np.arange(n) % 2, feature_names=("a", "b", "c"),
+                class_names=("n", "p"), missing_mask=mask)
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "rt.csv"
+        save_csv(d, p)
+        back = load_csv(p, label_column="label", drop_missing_over=None)
+    got_mask = back.missing_mask if back.has_missing() else np.zeros_like(mask)
+    assert got_mask.tolist() == mask.tolist()
+    assert back.X[~mask].tobytes() == X[~mask].tobytes()
+    assert back.y.tolist() == d.y.tolist()
+
+
 # ---------------------------------------------------------------- imputation
 
 
@@ -284,6 +315,94 @@ def test_impute_knn_rejects_non_finite_observed_cells(value):
                 class_names=("n", "p"), missing_mask=mask)
     with pytest.raises(NonFiniteInputError):
         impute_knn(d, k=2)
+
+
+@pytest.mark.parametrize("k", [2.5, True, 0])
+def test_impute_knn_rejects_a_k_that_is_not_a_count(k):
+    X = np.array([[1.0, np.nan], [2.0, 5.0], [3.0, 4.0], [4.0, 6.0]])
+    d = Dataset(X=X, y=np.array([0, 1, 0, 1]), feature_names=("a", "b"),
+                class_names=("n", "p"), missing_mask=np.isnan(X))
+    with pytest.raises(ConfigError, match="k must be an integer >= 1"):
+        impute_knn(d, k)
+
+
+@st.composite
+def hard_holed_matrices(draw):
+    """Rows that defeat a Gram-form distance: cancellation, ties, overflow.
+
+    Most draws keep several donors per cell, so most of them impute.
+    """
+    n = draw(st.integers(4, 30))
+    l = draw(st.integers(2, 8))
+    k = draw(st.integers(1, max(1, min(9, n // 4))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("offset", "nextafter", "magnitude")))
+    if kind == "offset":
+        # a large common offset with tiny relative noise: |x|^2 dwarfs
+        # every squared difference
+        offset = draw(st.floats(1.0, 1e8)) * draw(st.sampled_from((1.0, -1.0)))
+        X = offset * (1.0 + 1e-12 * rng.standard_normal((n, l)))
+    elif kind == "nextafter":
+        # rows a few ulps apart from a handful of base rows
+        base = rng.standard_normal((3, l)) * 10.0 ** draw(st.integers(-8, 8))
+        X = base[rng.integers(0, 3, n)]
+        for _ in range(3):
+            step = rng.integers(-1, 2, X.shape)
+            X = np.where(step > 0, np.nextafter(X, np.inf),
+                         np.where(step < 0, np.nextafter(X, -np.inf), X))
+    else:
+        # copies of two rows whose columns have magnitudes from 1e-300 to
+        # 1e200: squares underflow or overflow, while a copy stays at
+        # distance 0
+        exps = rng.integers(-300, 201, l).astype(float)
+        X = (rng.standard_normal((2, l)) * 10.0 ** exps)[rng.integers(0, 2, n)]
+    mask = rng.random((n, l)) < draw(st.floats(0.0, 0.3))
+    mask[rng.integers(0, n), rng.integers(0, l)] = True
+    return np.where(mask, np.nan, X), mask, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(hard_holed_matrices())
+@example((np.array([[1e200, np.nan], [1e200, 1.0], [1e200, 2.0],
+                    [1.0000000002e200, 3.0], [5.0, 4.0]]),
+          np.array([[False, True]] + [[False, False]] * 4), 2))
+@example((np.array([[np.nan, 0.0, np.nan], [1e200, 0.0, 7.0],
+                    [np.nan, 1.0, 3.0], [np.nan, 2.0, 5.0]]),
+          np.array([[True, False, True], [False, False, False],
+                    [True, False, False], [True, False, False]]), 1))
+def test_impute_knn_matches_per_row_oracle_under_cancellation_and_overflow(problem):
+    """The shortlist never drops a donor that the per-row loop would pick.
+
+    Squares of 1e200 overflow. In the first example the exact distances
+    from row 0 are 0 to rows 1 and 2 and overflow to the others, so the
+    fill is 1.5. In the second the nearest donor of row 0 for column 2,
+    row 1 at distance 0, has no finite Gram form, while rows 2 and 3
+    have one.
+    """
+    X, mask, k = problem
+    n, l = X.shape
+    d = Dataset(X=X, y=np.arange(n) % 2, feature_names=tuple(f"f{j}" for j in range(l)),
+                class_names=("n", "p"), missing_mask=mask)
+    # a squared difference past the largest double overflows in both
+    with np.errstate(over="ignore"):
+        try:
+            want = per_row_impute_knn(d, k)
+        except NotEnoughDonorsError:
+            with pytest.raises(NotEnoughDonorsError):
+                impute_knn(d, k)
+            return
+        assert impute_knn(d, k).X.tobytes() == want.tobytes()
+
+
+def test_impute_knn_gram_overflow_stays_silent():
+    """Squares past 1e308 in the shortlist stage raise no warning."""
+    rng = np.random.default_rng(5)
+    X = 1e160 * (1.0 + 1e-12 * rng.standard_normal((12, 4)))
+    mask = np.zeros(X.shape, dtype=bool)
+    mask[[0, 3, 7], [1, 2, 0]] = True
+    d = Dataset(X=np.where(mask, np.nan, X), y=np.arange(12) % 2,
+                feature_names=tuple("abcd"), class_names=("n", "p"), missing_mask=mask)
+    assert impute_knn(d, 3).X.tobytes() == per_row_impute_knn(d, 3).tobytes()
 
 
 def test_impute_noop_when_complete():
