@@ -15,19 +15,18 @@ solver returns them and in which scoring and feature selection read them.
 train_ova solves its K one-vs-all problems in one stacked loop, and the
 cross-validation folds of one training-set size go through the same loop
 together, F folds times K classes. Each step gathers one mini-batch per
-problem, shape (P, b, l + 1), and updates all P weight vectors with a
-handful of array calls, so the Python overhead of a step is paid once per
-step rather than once per problem. The result is bit-identical to
-training each problem on its own (tests/oracles.py keeps that
+problem, shape (F * K, b, l + 1), and updates all F * K weight vectors
+with a handful of array calls, so the Python overhead of a step is paid
+once per step rather than once per problem. The result is bit-identical
+to training each problem on its own (tests/oracles.py keeps that
 per-problem loop):
 
 - the step counter t, and with it eta and the penalty, depends only on n,
   so all problems share one schedule;
 - Generator.permuted along the epoch axis of a block of epochs draws from
-  problem p's stream exactly what one Generator.permutation(n) call per
-  epoch draws, so every problem visits its rows in its own seeded order
-  (folds share n and the per-class seeds, so their streams are drawn once
-  and copied);
+  a class's stream exactly what one Generator.permutation(n) call per
+  epoch draws, so every problem visits its rows in its class's seeded
+  order (_train_stacked states the seed rule);
 - the margins come from the same matrix-vector product per problem, and
   the update sums the masked batch rows in batch order, so the rows of
   non-violators add exact zeros and every other sum keeps its order.
@@ -152,45 +151,41 @@ def _check_matrix(X) -> np.ndarray:
 _ORDER_BUFFER = 1 << 16
 
 
-def _epoch_orders(seeds, n: int, epochs: int):
-    """Yield each epoch's (P, n) row order into the stacked rows.
+def _epoch_orders(rngs, n: int, epochs: int):
+    """Yield each epoch's (K, n) row orders into K stacked blocks of n rows.
 
-    Problem p draws from default_rng(seeds[p]), and its orders are offset
-    by p * n. Problems with the same seed share one stream: it is drawn
-    once and copied. Generator.permuted over a block of epochs draws
-    exactly what one Generator.permutation(n) call per epoch would. The
-    yielded array is a view that the next block overwrites.
+    Row k is drawn from rngs[k] and offset by k * n. Generator.permuted
+    over a block of epochs draws exactly what one Generator.permutation(n)
+    call per epoch would. The yielded array is a view that the next block
+    overwrites.
     """
-    P = len(seeds)
-    first = {}  # seed -> the first problem that uses it
-    for p, s in enumerate(seeds):
-        first.setdefault(s, p)
-    rngs = [(p, np.random.default_rng(s)) for s, p in first.items()]
-    copies = [(p, first[s]) for p, s in enumerate(seeds) if first[s] != p]
-    block = max(1, min(epochs, _ORDER_BUFFER // (P * n)))
+    K = len(rngs)
+    block = max(1, min(epochs, _ORDER_BUFFER // (K * n)))
     order = np.tile(np.arange(n, dtype=np.int32), (block, 1))
-    idx = np.empty((P, block, n), dtype=np.int32)
-    offsets = np.arange(0, P * n, n, dtype=np.int32)[:, None, None]
+    idx = np.empty((K, block, n), dtype=np.int32)
+    offsets = np.arange(0, K * n, n, dtype=np.int32)[:, None, None]
     for start in range(0, epochs, block):
         m = min(block, epochs - start)
-        for p, rng in rngs:
-            rng.permuted(order[:m], axis=1, out=idx[p, :m])
-        for p, q in copies:
-            idx[p, :m] = idx[q, :m]
+        for k, rng in enumerate(rngs):
+            rng.permuted(order[:m], axis=1, out=idx[k, :m])
         idx[:, :m] += offsets
         for e in range(m):
             yield idx[:, e]
 
 
-def _train_stacked(ZX, seeds, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Fit the P binary problems whose label-signed rows are ZX[p].
+def _train_stacked(ZX, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Fit the F x K binary problems whose label-signed rows are ZX[f, k].
 
-    ZX has shape (P, n, l + 1); row i of problem p is z_pi * (x_pi, 1) with
-    z_pi in {-1, +1}. Problem p shuffles with seed seeds[p]. Returns the
-    tail-averaged weights, shape (P, l), and biases, shape (P,).
+    ZX has shape (F, K, n, l + 1): F training sets of K one-vs-all
+    problems, row i of problem (f, k) being z_fki * (x_fi, 1) with z_fki
+    in {-1, +1}. Class k of every training set visits its rows in the
+    orders drawn from default_rng(seed + k), seed being config.seed, so
+    each set's models equal those of a solve over it alone. Returns the
+    tail-averaged weights, shape (F, K, l), and biases, shape (F, K).
     """
-    P, n, l = ZX.shape[0], ZX.shape[1], ZX.shape[2] - 1
-    ZX = ZX.reshape(P * n, l + 1)
+    F, K, n, l = ZX.shape[0], ZX.shape[1], ZX.shape[2], ZX.shape[3] - 1
+    P = F * K
+    ZX = ZX.reshape(F, K * n, l + 1)
     lam_reg = 1.0 / (config.c * n)
     batch = min(config.batch_size, n)
     tail_from = config.epochs * math.ceil(n / batch) // 2
@@ -200,9 +195,11 @@ def _train_stacked(ZX, seeds, config: TrainConfig) -> tuple[np.ndarray, np.ndarr
     w_sum = np.zeros((P, l + 1))
     n_tail = 0
     t = 0
-    for order in _epoch_orders(seeds, n, config.epochs):
+    rngs = [np.random.default_rng(config.seed + k) for k in range(K)]
+    for order in _epoch_orders(rngs, n, config.epochs):
         for start in range(0, n, batch):
-            rows = ZX[order[:, start:start + batch]]  # (P, b, l + 1)
+            # (F, K, b, l + 1), flattened to one mini-batch per problem
+            rows = np.take(ZX, order[:, start:start + batch], axis=1).reshape(P, -1, l + 1)
             eta = config.eta0 / (1.0 + config.eta0 * lam_reg * t)
             viol = (np.matmul(rows, w_col) < 1.0).astype(float)  # (P, b, 1)
             w *= 1.0 - eta * lam_reg
@@ -211,8 +208,8 @@ def _train_stacked(ZX, seeds, config: TrainConfig) -> tuple[np.ndarray, np.ndarr
             if t > tail_from:
                 w_sum += w
                 n_tail += 1
-    w_avg = w_sum / n_tail
-    return w_avg[:, :l], w_avg[:, l]
+    w_avg = (w_sum / n_tail).reshape(F, K, l + 1)
+    return w_avg[..., :l], w_avg[..., l]
 
 
 def _check_labels(y, n_rows: int, n_classes: int) -> np.ndarray:
@@ -248,38 +245,33 @@ def train_ova(
 ) -> LinearModelSet:
     """Train one binary model per class (class k vs the rest).
 
-    Model k uses seed config.seed + k. Labels must be whole numbers, and
-    every class id in [0, n_classes) must occur in y.
+    Labels must be whole numbers, and every class id in [0, n_classes)
+    must occur in y.
     """
     X = _check_matrix(X)
     y = _check_labels(y, X.shape[0], n_classes)
     if active_features is None:
         active_features = range(X.shape[1])
-    seeds = [config.seed + k for k in range(n_classes)]
-    W, b = _train_stacked(_signed_rows(X, y, n_classes), seeds, config)
-    return LinearModelSet(W=W, b=b, lam=lam, active_features=active_features)
+    W, b = _train_stacked(_signed_rows(X, y, n_classes)[None], config)
+    return LinearModelSet(W=W[0], b=b[0], lam=lam, active_features=active_features)
 
 
 def _train_ova_folds(X, y, train_rows, n_classes: int, config: TrainConfig):
     """train_ova(X[rows], y[rows], n_classes, config) for every rows in train_rows.
 
-    train_rows has shape (F, n_train): F training sets of one size. All
-    F * n_classes problems run in one stacked solve, fold f's class k with
-    seed config.seed + k, so each returned model set is bit-identical to
+    train_rows has shape (F, n_train): F training sets of one size, trained
+    in one stacked solve, so each returned model set is bit-identical to
     its own train_ova call.
     """
     X = _check_matrix(X)
     y = np.asarray(y)
-    K = n_classes
-    ZX = np.concatenate([
-        _signed_rows(X[rows], _check_labels(y[rows], len(rows), K), K)
+    ZX = np.stack([
+        _signed_rows(X[rows], _check_labels(y[rows], len(rows), n_classes), n_classes)
         for rows in train_rows
     ])
-    seeds = [config.seed + k for _ in train_rows for k in range(K)]
-    W, b = _train_stacked(ZX, seeds, config)
     return [
-        LinearModelSet(W=W[f:f + K], b=b[f:f + K], active_features=range(X.shape[1]))
-        for f in range(0, len(W), K)
+        LinearModelSet(W=W, b=b, active_features=range(X.shape[1]))
+        for W, b in zip(*_train_stacked(ZX, config))
     ]
 
 

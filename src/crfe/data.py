@@ -18,6 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .exceptions import (
+    CrfeError,
     DegenerateLabelsError,
     DimensionMismatchError,
     EmptyRowSetError,
@@ -200,7 +201,8 @@ def load_csv(
     MissingFileError, MissingLabelColumnError, SingleClassError,
     UnparsableCellError (a ragged row, or a cell that is neither a finite
     number nor empty; it names the 1-based file line, the
-    header being line 1, and blank lines are skipped but counted)
+    header being line 1, and blank lines are skipped but counted),
+    CrfeError (bytes that are not UTF-8, or a field over csv's size limit)
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -219,6 +221,10 @@ def load_csv(
                     lines.append(reader.line_num)
     except FileNotFoundError:
         raise MissingFileError(f"no such file: {path}") from None
+    except UnicodeDecodeError as e:
+        raise CrfeError(f"{path}: not UTF-8 text ({e.reason})") from None
+    except csv.Error as e:  # a field longer than csv.field_size_limit()
+        raise CrfeError(f"{path}, line {reader.line_num}: {e}") from None
 
     if label_column not in header:
         raise MissingLabelColumnError(
@@ -416,10 +422,11 @@ def impute_knn(d: Dataset, k: int = DEFAULT_IMPUTE_NEIGHBORS) -> Dataset:
                 c, r = np.nonzero(shortlist)
                 unshared = mask[cells[c]] | mask[r]
                 n_shared = l - unshared.sum(axis=1)
-                sq = X[r] - X[cells[c]]
-                np.copyto(sq, 0.0, where=unshared)
-                np.multiply(sq, sq, out=sq)
-                dist = np.sqrt(sq.sum(axis=1) / np.maximum(n_shared, 1))
+                with np.errstate(over="ignore", invalid="ignore"):  # inf is no donor
+                    sq = X[r] - X[cells[c]]
+                    np.copyto(sq, 0.0, where=unshared)
+                    np.multiply(sq, sq, out=sq)
+                    dist = np.sqrt(sq.sum(axis=1) / np.maximum(n_shared, 1))
                 ok = np.isfinite(dist) & (n_shared > 0)
                 counts = np.bincount(c[ok], minlength=cells.size)
                 short = counts < k

@@ -361,9 +361,8 @@ def _cv_accuracy(X, y, n_classes, tcfg, folds: int = 5) -> float:
     A fold whose training rows miss a class is skipped; -1.0 when every
     fold is skipped. The remaining folds are grouped by training-set size
     (array_split makes at most two sizes), and each group trains in one
-    stacked solve, fold f's class k with seed tcfg.seed + k, as a
-    train_ova call per fold would. The accuracies are averaged in fold
-    order.
+    stacked solve with the models a train_ova call per fold would give.
+    The accuracies are averaged in fold order.
     """
     n = X.shape[0]
     groups: dict[int, list] = {}

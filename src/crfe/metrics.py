@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _whole_labels
 from .exceptions import EmptyTestSetError, LengthMismatchError
 
 
@@ -52,10 +53,10 @@ def set_metrics(mask, y_true) -> SetMetricsReport:
     ----------
     mask : ndarray of bool, shape (n, m)
         Row i marks the labels inside sample i's prediction set.
-    y_true : ndarray of shape (n,)
+    y_true : ndarray of whole numbers, shape (n,)
     """
     mask = np.asarray(mask, dtype=bool)
-    y_true = np.asarray(y_true, dtype=int)
+    y_true = _whole_labels(y_true)
     if mask.ndim != 2:
         raise LengthMismatchError("mask must be 2-dimensional")
     n, m = mask.shape
@@ -82,9 +83,9 @@ def point_predict(D) -> np.ndarray:
 
 
 def point_metrics(y_pred, y_true, n_classes: int) -> PointMetricsReport:
-    """Score hard label predictions; zero-count ratios come out as 0."""
-    y_pred = np.asarray(y_pred, dtype=int)
-    y_true = np.asarray(y_true, dtype=int)
+    """Score whole-number label predictions; zero-count ratios come out as 0."""
+    y_pred = _whole_labels(y_pred)
+    y_true = _whole_labels(y_true)
     if y_pred.shape != y_true.shape:
         raise LengthMismatchError("prediction and truth lengths differ")
     n = y_true.shape[0]

@@ -1,7 +1,10 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +125,26 @@ def test_select_non_finite_cell_exits_3_before_training(data_csv, tmp_path, caps
                      "--method", "crfe", "--stop", stop, "--out", str(out)]) == 3
         assert not out.exists()
         assert f"line {row + 2}, column 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, reason", [
+    (b"1,2,x\n\xff\xfe,4,y\n", ": not UTF-8 text"),
+    (b"1,2,x\n3,4,y\n" + b"9" * 131_073 + b",4,y\n", ", line 4: field larger than field limit"),
+], ids=["not-utf8", "field-over-limit"])
+def test_unreadable_csv_exits_3_without_traceback(tmp_path, body, reason):
+    data = tmp_path / "data.csv"
+    data.write_bytes(b"a,b,label\n" + body)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CFG, "dataset": {"csv": str(data)}}))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    for args in (["select", "--data", str(data), "--label", "label", "--method", "crfe",
+                  "--stop", "beta"], ["bench", "--config", str(cfg)]):
+        run = subprocess.run([sys.executable, "-m", "crfe.cli", *args, "--out", str(tmp_path / "o")],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 3, run.stderr
+        assert f"crfe: data error: {data}{reason}" in run.stderr
+        assert "Traceback" not in run.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_bench_writes_reports(tmp_path):

@@ -395,7 +395,7 @@ def test_impute_knn_matches_per_row_oracle_under_cancellation_and_overflow(probl
 
 
 def test_impute_knn_gram_overflow_stays_silent():
-    """Squares past 1e308 in the shortlist stage raise no warning."""
+    """Squares past 1e308 raise no warning, in the shortlist stage or the exact pass."""
     rng = np.random.default_rng(5)
     X = 1e160 * (1.0 + 1e-12 * rng.standard_normal((12, 4)))
     mask = np.zeros(X.shape, dtype=bool)
@@ -403,6 +403,12 @@ def test_impute_knn_gram_overflow_stays_silent():
     d = Dataset(X=np.where(mask, np.nan, X), y=np.arange(12) % 2,
                 feature_names=tuple("abcd"), class_names=("n", "p"), missing_mask=mask)
     assert impute_knn(d, 3).X.tobytes() == per_row_impute_knn(d, 3).tobytes()
+    # the exact distances from row 0 to rows 3 and 4 overflow: they are no donors
+    X = np.array([[1e200, np.nan], [1e200, 1.0], [1e200, 2.0],
+                  [1.0000000002e200, 3.0], [5.0, 4.0]])
+    d = Dataset(X=X, y=np.arange(5) % 2, feature_names=("a", "b"),
+                class_names=("n", "p"), missing_mask=np.isnan(X))
+    assert impute_knn(d, 2).X[0, 1] == 1.5
 
 
 def test_impute_noop_when_complete():

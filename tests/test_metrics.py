@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crfe.exceptions import EmptyTestSetError, LengthMismatchError
+from crfe.exceptions import DegenerateLabelsError, EmptyTestSetError, LengthMismatchError
 from crfe.metrics import point_metrics, point_predict, set_metrics
 
 
@@ -48,6 +48,12 @@ def test_set_metrics_errors():
         set_metrics(np.zeros((0, 2), dtype=bool), np.array([], dtype=int))
     with pytest.raises(LengthMismatchError):
         set_metrics(np.zeros((3, 2), dtype=bool), np.array([0, 1]))
+    # labels that are not whole numbers are rejected, not truncated
+    mask = np.array([[True, False], [False, True]])
+    for bad in ([0.7, 1.9], [0, np.nan], [0, np.inf]):
+        with pytest.raises(DegenerateLabelsError, match="whole numbers"):
+            set_metrics(mask, bad)
+    assert set_metrics(mask, [0.0, 1.0]) == set_metrics(mask, [0, 1])
 
 
 def test_point_predict_argmax_tie_low():
@@ -89,3 +95,9 @@ def test_point_metrics_errors():
         point_metrics(np.array([0]), np.array([0, 1]), 2)
     with pytest.raises(EmptyTestSetError):
         point_metrics(np.array([], dtype=int), np.array([], dtype=int), 2)
+    for bad in ([0.7, 1.9], [0, np.nan], [0, np.inf]):
+        with pytest.raises(DegenerateLabelsError, match="whole numbers"):
+            point_metrics([0, 1], bad, 2)
+        with pytest.raises(DegenerateLabelsError, match="whole numbers"):
+            point_metrics(bad, [0, 1], 2)
+    assert point_metrics([1.0, 1.0], [0.0, 1.0], 2).accuracy == 0.5
