@@ -12,12 +12,14 @@ fixed TrainConfig. A LinearModelSet holds the K one-vs-all models as one
 (K, l) weight matrix W and one (K,) bias vector b, the form in which the
 solver returns them and in which scoring and feature selection read them.
 
-train_ova solves its K one-vs-all problems in one stacked loop, and the
-cross-validation folds of one training-set size go through the same loop
-together, F folds times K classes. Each step gathers one mini-batch per
-problem, shape (F * K, b, l + 1), and updates all F * K weight vectors
-with a handful of array calls, so the Python overhead of a step is paid
-once per step rather than once per problem. The result is bit-identical
+train_ova solves its K one-vs-all problems in one stacked loop. Training
+sets of one shape go through the same loop together, F sets times K
+classes: the cross-validation folds of one training-set size, and the
+active sets that the eliminations of one repeat reach in the same pass.
+Each step gathers one mini-batch per problem, shape (F * K, b, l + 1),
+and updates all F * K weight vectors with a handful of array calls, so
+the Python overhead of a step is paid once per step rather than once
+per problem. The result is bit-identical
 to training each problem on its own (tests/oracles.py keeps that
 per-problem loop):
 
@@ -248,31 +250,37 @@ def train_ova(
     Labels must be whole numbers, and every class id in [0, n_classes)
     must occur in y.
     """
-    X = _check_matrix(X)
-    y = _check_labels(y, X.shape[0], n_classes)
-    if active_features is None:
-        active_features = range(X.shape[1])
-    W, b = _train_stacked(_signed_rows(X, y, n_classes)[None], config)
-    return LinearModelSet(W=W[0], b=b[0], lam=lam, active_features=active_features)
+    return _train_ova_stacked([(X, y, active_features)], n_classes, config, lam)[0]
+
+
+def _train_ova_stacked(problems, n_classes: int, config: TrainConfig,
+                       lam: float = DEFAULT_LAMBDA) -> list[LinearModelSet]:
+    """train_ova(X, y, n_classes, config, lam, active) for each (X, y, active).
+
+    Every X has one shape; they train in one stacked solve, so each
+    returned model set is bit-identical to its own train_ova call. An
+    active of None means all of X's columns.
+    """
+    ZX, actives = [], []
+    for X, y, active in problems:
+        X = _check_matrix(X)
+        ZX.append(_signed_rows(X, _check_labels(y, X.shape[0], n_classes), n_classes))
+        actives.append(range(X.shape[1]) if active is None else active)
+    # np.stack copies, which one training set does not need
+    W, b = _train_stacked(np.stack(ZX) if len(ZX) > 1 else ZX[0][None], config)
+    return [LinearModelSet(W=W[f], b=b[f], lam=lam, active_features=active)
+            for f, active in enumerate(actives)]
 
 
 def _train_ova_folds(X, y, train_rows, n_classes: int, config: TrainConfig):
     """train_ova(X[rows], y[rows], n_classes, config) for every rows in train_rows.
 
     train_rows has shape (F, n_train): F training sets of one size, trained
-    in one stacked solve, so each returned model set is bit-identical to
-    its own train_ova call.
+    in one stacked solve.
     """
-    X = _check_matrix(X)
-    y = np.asarray(y)
-    ZX = np.stack([
-        _signed_rows(X[rows], _check_labels(y[rows], len(rows), n_classes), n_classes)
-        for rows in train_rows
-    ])
-    return [
-        LinearModelSet(W=W, b=b, active_features=range(X.shape[1]))
-        for W, b in zip(*_train_stacked(ZX, config))
-    ]
+    X, y = _check_matrix(X), np.asarray(y)
+    return _train_ova_stacked([(X[rows], y[rows], None) for rows in train_rows],
+                              n_classes, config)
 
 
 def decision_matrix(ms: LinearModelSet, X) -> np.ndarray:

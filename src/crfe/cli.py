@@ -56,6 +56,15 @@ def _parse_stop(text: str, sigma: float, psi: int):
     raise ConfigError(f"--stop must be 'fixed:<t>' or 'beta', got {text!r}")
 
 
+def _check_out(out) -> None:
+    """Fail unless ``out`` is a directory or can be made one."""
+    path = os.path.abspath(out)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise NotADirectoryError(f"--out {out}: {path} is not a directory")
+
+
 def _cmd_synth(args) -> int:
     try:
         spec = SyntheticSpec(**read_json_object(args.spec, "spec"))
@@ -75,6 +84,7 @@ def _cmd_select(args) -> int:
         raise ConfigError("--epsilon must lie in [0, 1]")
     if not 0.0 <= args.lam <= 1.0:
         raise ConfigError("--lambda must lie in [0, 1]")
+    _check_out(args.out)
     d = load_csv(args.data, label_column=args.label)
     d = impute_knn(d)
     sp, (X_tr, y_tr), (X_cal, y_cal), (X_te, _) = scaled_split(d, args.seed)
@@ -99,12 +109,16 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    run_all(config_from_json(args.config), args.out)
+    cfg = config_from_json(args.config)
+    _check_out(args.out)
+    run_all(cfg, args.out)
     return 0
 
 
 def _cmd_consistency(args) -> int:
-    table = run_comparison(config_from_json(args.config))
+    cfg = config_from_json(args.config)
+    _check_out(args.out)
+    table = run_comparison(cfg)
     os.makedirs(args.out, exist_ok=True)
     write_csv(os.path.join(args.out, "consistency.csv"), CONSISTENCY_COLUMNS,
               consistency_report(table))

@@ -199,9 +199,10 @@ def load_csv(
     Raises
     ------
     MissingFileError, MissingLabelColumnError, SingleClassError,
-    UnparsableCellError (a ragged row, or a cell that is neither a finite
-    number nor empty; it names the 1-based file line, the
-    header being line 1, and blank lines are skipped but counted),
+    UnparsableCellError (a column name that appears twice, a ragged row,
+    or a cell that is neither a finite number nor empty; it names the
+    1-based file line, the header being line 1, and blank lines are
+    skipped but counted),
     CrfeError (bytes that are not UTF-8, or a field over csv's size limit)
     """
     try:
@@ -226,6 +227,9 @@ def load_csv(
     except csv.Error as e:  # a field longer than csv.field_size_limit()
         raise CrfeError(f"{path}, line {reader.line_num}: {e}") from None
 
+    if len(set(header)) < len(header):
+        twice = next(h for i, h in enumerate(header) if h in header[:i])
+        raise UnparsableCellError(1, None, f"column name {twice!r} appears twice")
     if label_column not in header:
         raise MissingLabelColumnError(
             f"label column {label_column!r} not in header {header}"

@@ -13,8 +13,10 @@ which returns its results: one split (seed master_seed + r), one solver
 seed (train.seed + r) and one model dict, keyed by active feature set,
 shared by every elimination of the repeat, comparison and stopping
 benchmark alike, and dropped when the repeat ends; so each (repeat,
-active set) model is trained once. Evaluations take their models from
-that dict along each trace's path. The baseline's cross-validated stop
+active set) model is trained once. The repeat's eliminations run in
+lock-step, so the new active sets of one pass train in one stacked
+solve. Evaluations take their models from that dict along each trace's
+path. The baseline's cross-validated stop
 trains the folds of one training-set size together in one stacked solve.
 """
 
@@ -46,8 +48,7 @@ from .selection import (
     BetaCriterion,
     FixedSize,
     SelectionTrace,
-    run_crfe,
-    run_rfe,
+    _run_eliminations,
     trace_to_json,
 )
 
@@ -395,10 +396,11 @@ def _run_repeat(d: Dataset, name: str, sizes, cfg: ExperimentConfig, r: int,
     tcfg = replace(cfg.train, seed=cfg.train.seed + r)
     m = d.n_classes
     models: dict = {}  # shared by every elimination of this repeat
-
-    def eliminate(method, policy):
-        runner = run_crfe if method == "crfe" else run_rfe
-        return runner(X_tr, y_tr, X_cal, y_cal, m, policy, tcfg, cfg.lam, models=models)
+    runs = [(method, FixedSize(sizes[-1])) for method in cfg.selectors if compare]
+    runs += [(method, cfg.stopping if method == "crfe" else FixedSize(1))
+             for method in cfg.selectors if stop]
+    # one lock-step call; its traces are read below in the order of runs
+    found = iter(_run_eliminations(X_tr, y_tr, X_cal, y_cal, m, runs, tcfg, cfg.lam, models))
 
     def path(trace):  # the model trained at each size of an elimination
         subsets = subsets_by_size(trace, d.n_features)
@@ -412,7 +414,7 @@ def _run_repeat(d: Dataset, name: str, sizes, cfg: ExperimentConfig, r: int,
     stops: list[tuple] = []
     if compare:
         for method in cfg.selectors:
-            trace = traces[(method, seed)] = eliminate(method, FixedSize(sizes[-1]))
+            trace = traces[(method, seed)] = next(found)
             models_at = path(trace)
             for s in sizes:
                 rows.append(ResultRow(name, method, s, seed, *evaluate(models_at[s])))
@@ -420,9 +422,9 @@ def _run_repeat(d: Dataset, name: str, sizes, cfg: ExperimentConfig, r: int,
         for method in cfg.selectors:
             # every final subset was trained by a pass of its run: no refit
             if method == "crfe":
-                final = models[eliminate("crfe", cfg.stopping).selected]
+                final = models[next(found).selected]
             else:
-                models_at = path(eliminate("rfe", FixedSize(1)))
+                models_at = path(next(found))
                 acc = {size: _cv_accuracy(X_tr[:, list(ms.active_features)], y_tr, m, tcfg)
                        for size, ms in models_at.items()}
                 final = models_at[max(acc, key=lambda s: (acc[s], s))]  # ties: larger size

@@ -7,7 +7,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _whole_labels
-from .exceptions import EmptyTestSetError, LengthMismatchError
+from .exceptions import (
+    DegenerateLabelsError,
+    EmptyTestSetError,
+    LengthMismatchError,
+    require_int,
+)
+
+
+def _labels_below(y, m: int, what: str) -> np.ndarray:
+    """y as whole-number labels, each in [0, m)."""
+    y = _whole_labels(y)
+    if y.size and (y.min() < 0 or y.max() >= m):
+        raise DegenerateLabelsError(f"{what} outside [0, {m})")
+    return y
 
 
 @dataclass(frozen=True)
@@ -53,13 +66,13 @@ def set_metrics(mask, y_true) -> SetMetricsReport:
     ----------
     mask : ndarray of bool, shape (n, m)
         Row i marks the labels inside sample i's prediction set.
-    y_true : ndarray of whole numbers, shape (n,)
+    y_true : ndarray of whole numbers in [0, m), shape (n,)
     """
     mask = np.asarray(mask, dtype=bool)
-    y_true = _whole_labels(y_true)
     if mask.ndim != 2:
         raise LengthMismatchError("mask must be 2-dimensional")
     n, m = mask.shape
+    y_true = _labels_below(y_true, m, "labels")
     if y_true.shape != (n,):
         raise LengthMismatchError("y_true length does not match mask rows")
     if n == 0:
@@ -83,9 +96,10 @@ def point_predict(D) -> np.ndarray:
 
 
 def point_metrics(y_pred, y_true, n_classes: int) -> PointMetricsReport:
-    """Score whole-number label predictions; zero-count ratios come out as 0."""
-    y_pred = _whole_labels(y_pred)
-    y_true = _whole_labels(y_true)
+    """Score labels in [0, n_classes); zero-count ratios come out as 0."""
+    require_int("n_classes", n_classes, 1)
+    y_pred = _labels_below(y_pred, n_classes, "predicted labels")
+    y_true = _labels_below(y_true, n_classes, "true labels")
     if y_pred.shape != y_true.shape:
         raise LengthMismatchError("prediction and truth lengths differ")
     n = y_true.shape[0]

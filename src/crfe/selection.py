@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .classifier import LinearModelSet, TrainConfig, train_ova
+from .classifier import LinearModelSet, TrainConfig, _train_ova_stacked, train_ova
 from .data import _whole_labels, write_csv
 from .exceptions import (
     DimensionMismatchError,
@@ -224,39 +224,24 @@ def trace_to_json(trace: SelectionTrace, feature_names=None) -> dict:
 # ------------------------------------------------------------------- engine
 
 
-def _run_elimination(
-    X_train,
-    y_train,
-    X_cal,
-    y_cal,
-    n_classes: int,
-    policy,
-    config: TrainConfig,
-    lam: float,
-    method: str,
-    score,
-    pick,
-    beta: bool,
-    observer=None,
-    models=None,
-):
-    """The backward loop shared by both selectors.
+def _elimination(X_train, X_cal, y_cal, method: str, policy, observer):
+    """The backward loop shared by both selectors, as a generator.
 
-    Each pass trains on the active features, unless ``models`` (a dict
-    from tuple(active) to LinearModelSet) already holds that set's model;
-    a trained model is stored there. The caller keeps one dict per
-    (X_train, y_train, config, lam), so runs on the same training data
-    share their models. Each pass then calls
-    ``score(ms, X_cal_active, y_cal)`` for the per-feature criterion and
-    removes the feature at position ``pick(criterion)``. When ``beta`` is
-    true the criterion's mean is the mean beta: its history and second
-    difference are recorded under either policy, and only BetaCriterion
-    stops on them. ``method`` only labels the trace.
+    It yields each pass's active set as a tuple and is sent that set's
+    LinearModelSet; it returns the SelectionTrace. Its checks run at the
+    first next(), before anything trains. Each pass scores the active
+    features with the method's criterion (beta for crfe, squared weights
+    for rfe) and removes the one it picks. For crfe the criterion's mean
+    is the mean beta: its history and second difference are recorded
+    under either policy, and only BetaCriterion stops on them.
     """
+    # built per run, so the scores go through this module's names at call time
+    score, pick, beta = {
+        "crfe": (beta_measures, np.argmax, True),
+        "rfe": (lambda ms, _X, _y: rfe_criterion(ms), np.argmin, False),
+    }[method]
     if isinstance(policy, BetaCriterion) and not beta:
         raise InvalidPolicyError("the baseline has no automatic stop; use FixedSize")
-    X_train = np.asarray(X_train, dtype=float)
-    X_cal = np.asarray(X_cal, dtype=float)
     if X_train.ndim != 2 or X_cal.ndim != 2 or X_train.shape[1] != X_cal.shape[1]:
         raise DimensionMismatchError("train and calibration matrices disagree on columns")
     if not isinstance(policy, (FixedSize, BetaCriterion)):
@@ -274,19 +259,13 @@ def _run_elimination(
         stop = BetaCriterion()
     else:
         floor, floor_reason, stop = 1, StopReason.EXHAUSTED_TO_ONE_FEATURE, policy
-    models = {} if models is None else models
 
     active = list(range(X_train.shape[1]))
     steps: list[SelectionStep] = []
     mean_hist: list[float] = []
     fired = False
     while not fired:
-        ms = models.get(tuple(active))
-        if ms is None:
-            ms = models[tuple(active)] = train_ova(
-                X_train[:, active], y_train, n_classes, config, lam,
-                active_features=active,
-            )
+        ms = yield tuple(active)
         crit = score(ms, X_cal[:, active], y_cal)
         if observer is not None:
             observer(len(steps) + 1, tuple(active), ms, crit)
@@ -316,6 +295,45 @@ def _run_elimination(
     )
 
 
+def _run_eliminations(X_train, y_train, X_cal, y_cal, n_classes: int, runs,
+                      config: TrainConfig, lam: float, models=None,
+                      observer=None) -> list[SelectionTrace]:
+    """Run every (method, policy) in ``runs`` in lock-step; one trace each.
+
+    All runs share the data, config, lam and ``models``, a dict from
+    tuple(active) to the LinearModelSet trained on those features: a pass
+    whose set is in it reuses that model, and each newly trained one is
+    added. Every policy is checked before anything trains. In each round
+    the live runs are all at the same pass, so the sets not yet in
+    ``models`` have one size: a single one trains through train_ova, two
+    or more in one stacked solve with the models a train_ova call per set
+    would give. ``observer``, if given, is called by every run as
+    observer(iteration, active, model_set, criterion) after each pass.
+    """
+    X_train = np.asarray(X_train, dtype=float)
+    X_cal = np.asarray(X_cal, dtype=float)
+    models = {} if models is None else models
+    gens = [_elimination(X_train, X_cal, y_cal, method, policy, observer)
+            for method, policy in runs]
+    wants = {i: next(g) for i, g in enumerate(gens)}  # the active set each live run waits for
+    traces = [None] * len(gens)
+    while wants:
+        new = list(dict.fromkeys(a for a in wants.values() if a not in models))
+        if len(new) == 1:
+            models[new[0]] = train_ova(X_train[:, new[0]], y_train, n_classes, config, lam,
+                                       active_features=new[0])
+        elif new:
+            problems = [(X_train[:, a], y_train, a) for a in new]
+            models.update(zip(new, _train_ova_stacked(problems, n_classes, config, lam)))
+        for i, active in list(wants.items()):
+            try:
+                wants[i] = gens[i].send(models[active])
+            except StopIteration as done:
+                traces[i] = done.value
+                del wants[i]
+    return traces
+
+
 def run_crfe(
     X_train,
     y_train,
@@ -338,11 +356,8 @@ def run_crfe(
     in it reuse that model, and newly trained ones are added. Pass the
     same dict only to runs with the same X_train, y_train, config and lam.
     """
-    return _run_elimination(
-        X_train, y_train, X_cal, y_cal, n_classes, policy, config, lam,
-        method="crfe", score=beta_measures, pick=np.argmax, beta=True,
-        observer=observer, models=models,
-    )
+    return _run_eliminations(X_train, y_train, X_cal, y_cal, n_classes, [("crfe", policy)],
+                             config, lam, models, observer)[0]
 
 
 def run_rfe(
@@ -365,8 +380,5 @@ def run_rfe(
     both selectors may share one ``models`` dict, since a model depends
     only on the training data, config, lam and active set.
     """
-    return _run_elimination(
-        X_train, y_train, X_cal, y_cal, n_classes, policy, config, lam,
-        method="rfe", score=lambda ms, _X, _y: rfe_criterion(ms), pick=np.argmin,
-        beta=False, observer=observer, models=models,
-    )
+    return _run_eliminations(X_train, y_train, X_cal, y_cal, n_classes, [("rfe", policy)],
+                             config, lam, models, observer)[0]

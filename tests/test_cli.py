@@ -37,6 +37,7 @@ def no_training(monkeypatch):
         raise AssertionError("trained before the bad value was rejected")
 
     monkeypatch.setattr(selection, "train_ova", refuse)
+    monkeypatch.setattr(selection, "_train_ova_stacked", refuse)
     monkeypatch.setattr(harness, "_train_ova_folds", refuse)
 
 
@@ -145,6 +146,16 @@ def test_unreadable_csv_exits_3_without_traceback(tmp_path, body, reason):
         assert f"crfe: data error: {data}{reason}" in run.stderr
         assert "Traceback" not in run.stderr
     assert not (tmp_path / "o").exists()
+
+
+def test_repeated_column_name_exits_3(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("a,label,label\n1,0,0\n2,1,1\n")
+    out = tmp_path / "o"
+    assert main(["select", "--data", str(data), "--label", "label", "--method", "crfe",
+                 "--stop", "fixed:1", "--out", str(out)]) == 3
+    assert "crfe: data error: line 1: column name 'label' appears twice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_writes_reports(tmp_path):
@@ -264,3 +275,27 @@ def test_bad_select_argument_exits_2_before_reading_data(data_csv, tmp_path, mon
     assert main(["select", "--data", str(data_csv), "--label", "label", "--method", "crfe",
                  "--stop", "fixed:3", "--out", str(out), *bad]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["select", "bench", "consistency"])
+@pytest.mark.parametrize("below", [(), ("x",), ("x", "y")], ids=["file", "under_file", "deeper"])
+def test_unusable_out_exits_3_before_loading_data(data_csv, tmp_path, monkeypatch, no_training,
+                                                  capsys, command, below):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("loaded the data before the bad --out was rejected")
+
+    monkeypatch.setattr(cli, "load_csv", refuse)
+    monkeypatch.setattr(harness, "load_dataset", refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CFG))
+    if command == "select":
+        argv = ["select", "--data", str(data_csv), "--label", "label", "--method", "crfe",
+                "--stop", "fixed:3"]
+    else:
+        argv = [command, "--config", str(cfg)]
+    out = data_csv.joinpath(*below)  # the CSV file, or a path below it
+    before = data_csv.read_bytes()
+    assert main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("crfe: data error: ") and f"--out {out}" in err
+    assert data_csv.read_bytes() == before

@@ -107,6 +107,18 @@ def test_load_csv_missing_label_column(tmp_path):
         load_csv(p, label_column="label")
 
 
+@pytest.mark.parametrize("header, twice", [("a,label,label", "label"), ("a,a,label", "a")])
+def test_load_csv_rejects_a_repeated_column_name(tmp_path, header, twice):
+    # a second label column would be read as a feature that leaks the label,
+    # and two features of one name make the selected subset ambiguous
+    p = tmp_path / "d.csv"
+    p.write_text(f"{header}\n1,0,0\n2,1,1\n")
+    with pytest.raises(UnparsableCellError) as ei:
+        load_csv(p, label_column="label")
+    assert (ei.value.line, ei.value.col) == (1, None)
+    assert str(ei.value) == f"line 1: column name {twice!r} appears twice"
+
+
 def test_load_csv_unparsable_cell_reports_location(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("a,b,label\n1,2,x\n1,oops,y\n")

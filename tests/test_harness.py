@@ -318,14 +318,19 @@ def test_cv_accuracy_skips_degenerate_folds_like_oracle():
 def test_run_all_trains_each_repeat_model_once(tmp_path, monkeypatch):
     """Both selectors and both benchmarks share each repeat's models."""
     trained = []
-    real = selection.train_ova
+    real, real_stacked = selection.train_ova, selection._train_ova_stacked
 
     def recording(X, y, n_classes, config, lam, active_features=None):
         # a repeat's solver seed is train.seed + r, so it names the repeat
         trained.append((config.seed, tuple(active_features)))
         return real(X, y, n_classes, config, lam, active_features=active_features)
 
+    def recording_stacked(problems, n_classes, config, lam):
+        trained.extend((config.seed, tuple(active)) for _, _, active in problems)
+        return real_stacked(problems, n_classes, config, lam)
+
     monkeypatch.setattr(selection, "train_ova", recording)
+    monkeypatch.setattr(selection, "_train_ova_stacked", recording_stacked)
     run_all(config_from_dict(BENCH_CFG), tmp_path)
     assert trained
     assert len(trained) == len(set(trained))

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from crfe.exceptions import DegenerateLabelsError, EmptyTestSetError, LengthMismatchError
+from crfe.exceptions import (
+    ConfigError,
+    DegenerateLabelsError,
+    EmptyTestSetError,
+    LengthMismatchError,
+)
 from crfe.metrics import point_metrics, point_predict, set_metrics
 
 
@@ -56,6 +61,13 @@ def test_set_metrics_errors():
     assert set_metrics(mask, [0.0, 1.0]) == set_metrics(mask, [0, 1])
 
 
+@pytest.mark.parametrize("bad", [[-1, -2], [0, 2], [-1, 0]])
+def test_set_metrics_rejects_labels_outside_the_mask_columns(bad):
+    # a negative label would wrap to a class from the end and count as covered
+    with pytest.raises(DegenerateLabelsError, match=r"outside \[0, 2\)"):
+        set_metrics([[False, True], [True, False]], bad)
+
+
 def test_point_predict_argmax_tie_low():
     D = np.array([[0.2, 0.9, 0.9], [1.0, 1.0, -1.0]])
     assert point_predict(D).tolist() == [1, 0]
@@ -101,3 +113,21 @@ def test_point_metrics_errors():
         with pytest.raises(DegenerateLabelsError, match="whole numbers"):
             point_metrics(bad, [0, 1], 2)
     assert point_metrics([1.0, 1.0], [0.0, 1.0], 2).accuracy == 0.5
+
+
+@pytest.mark.parametrize("y_pred, y_true", [
+    ([0, 5], [0, 5]),
+    ([0, 1], [0, 5]),
+    ([0, 5], [0, 1]),
+    ([-1, 0], [-1, 0]),
+])
+def test_point_metrics_rejects_labels_outside_n_classes(y_pred, y_true):
+    # an out-of-range label would count in accuracy and in no class
+    with pytest.raises(DegenerateLabelsError, match=r"outside \[0, 2\)"):
+        point_metrics(y_pred, y_true, 2)
+
+
+@pytest.mark.parametrize("n_classes", [0, -1, 1.5, 2.0, True, "2"])
+def test_point_metrics_rejects_bad_class_counts(n_classes):
+    with pytest.raises(ConfigError, match="n_classes"):
+        point_metrics([0, 0], [0, 0], n_classes)

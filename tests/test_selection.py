@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crfe import selection
 from crfe.classifier import LinearModelSet, TrainConfig
 from crfe.conformal import nonconformity_all_labels
 from crfe.data import SyntheticSpec, apply_scaler, fit_scaler, generate_synthetic, split
@@ -305,6 +306,57 @@ def test_run_rfe_keeps_the_signal_column():
     tr = run_rfe(X[: n // 2], y[: n // 2], X[n // 2:], y[n // 2:], 2,
                  FixedSize(1), TrainConfig(seed=3))
     assert tr.selected == (2,)
+
+
+def test_lockstep_runs_match_separate_runs(monkeypatch):
+    args, _ = synth_problem(seed=3)
+    cfg = TrainConfig(epochs=40, seed=1)
+    runs = [("crfe", FixedSize(1)), ("rfe", FixedSize(1)), ("crfe", BetaCriterion())]
+    alone, alone_models = [], {}
+    for method, policy in runs:
+        models = {}
+        runner = run_crfe if method == "crfe" else run_rfe
+        alone.append(runner(*args, policy, cfg, models=models))
+        alone_models.update(models)
+
+    stacked = []
+    real = selection._train_ova_stacked
+
+    def recording(problems, *rest):
+        stacked.append(len(problems))
+        return real(problems, *rest)
+
+    monkeypatch.setattr(selection, "_train_ova_stacked", recording)
+    shared = {}
+    together = selection._run_eliminations(*args, runs, cfg, 0.5, shared)
+    assert [trace_to_json(t) for t in together] == [trace_to_json(t) for t in alone]
+    assert stacked and set(stacked) == {2}  # crfe's and rfe's new set of each pass
+    assert shared.keys() == alone_models.keys()
+    for key, ms in shared.items():
+        assert np.array_equal(ms.W, alone_models[key].W)
+        assert np.array_equal(ms.b, alone_models[key].b)
+        assert ms.active_features == key
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("trained a set the shared dict holds")
+
+    # every round finds its sets in the dict, so nothing trains
+    monkeypatch.setattr(selection, "train_ova", refuse)
+    monkeypatch.setattr(selection, "_train_ova_stacked", refuse)
+    again = selection._run_eliminations(*args, runs, cfg, 0.5, shared)
+    assert [trace_to_json(t) for t in again] == [trace_to_json(t) for t in alone]
+
+
+def test_lockstep_checks_every_policy_before_training(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("trained before a bad policy was rejected")
+
+    monkeypatch.setattr(selection, "train_ova", refuse)
+    monkeypatch.setattr(selection, "_train_ova_stacked", refuse)
+    args, _ = synth_problem()
+    with pytest.raises(InvalidPolicyError):
+        selection._run_eliminations(*args, [("crfe", FixedSize(3)), ("rfe", BetaCriterion())],
+                                    TrainConfig(), 0.5)
 
 
 def test_observer_sees_every_iteration():
