@@ -14,8 +14,8 @@ solver returns them and in which scoring and feature selection read them.
 
 train_ova solves its K one-vs-all problems in one stacked loop. Training
 sets of one shape go through the same loop together, F sets times K
-classes: the cross-validation folds of one training-set size, and the
-active sets that the eliminations of one repeat reach in the same pass.
+classes, each set with its own seed: the active sets all repeats reach
+in one pass, and the cross-validation folds of one shape across repeats.
 Each step gathers one mini-batch per problem, shape (F * K, b, l + 1),
 and updates all F * K weight vectors with a handful of array calls, so
 the Python overhead of a step is paid once per step rather than once
@@ -27,8 +27,8 @@ per-problem loop):
   so all problems share one schedule;
 - Generator.permuted along the epoch axis of a block of epochs draws from
   a class's stream exactly what one Generator.permutation(n) call per
-  epoch draws, so every problem visits its rows in its class's seeded
-  order (_train_stacked states the seed rule);
+  epoch draws, so every problem visits its rows in the seeded order of
+  its set and class (_train_stacked states the seed rule);
 - the margins come from the same matrix-vector product per problem, and
   the update sums the masked batch rows in batch order, so the rows of
   non-violators add exact zeros and every other sum keeps its order.
@@ -152,42 +152,42 @@ def _check_matrix(X) -> np.ndarray:
 # problems draw every epoch at once, large ones a block of epochs at a time
 _ORDER_BUFFER = 1 << 16
 
+# bytes of label-signed rows in one stacked solve; larger groups take several
+_STACK_BYTES = 1 << 21
+
 
 def _epoch_orders(rngs, n: int, epochs: int):
-    """Yield each epoch's (K, n) row orders into K stacked blocks of n rows.
+    """Yield each epoch's (R, n) row orders, row r drawn from rngs[r].
 
-    Row k is drawn from rngs[k] and offset by k * n. Generator.permuted
-    over a block of epochs draws exactly what one Generator.permutation(n)
-    call per epoch would. The yielded array is a view that the next block
-    overwrites.
+    Generator.permuted over a block of epochs draws exactly what one
+    Generator.permutation(n) call per epoch would. The yielded array is a
+    view that the next block overwrites.
     """
-    K = len(rngs)
-    block = max(1, min(epochs, _ORDER_BUFFER // (K * n)))
+    R = len(rngs)
+    block = max(1, min(epochs, _ORDER_BUFFER // (R * n)))
     order = np.tile(np.arange(n, dtype=np.int32), (block, 1))
-    idx = np.empty((K, block, n), dtype=np.int32)
-    offsets = np.arange(0, K * n, n, dtype=np.int32)[:, None, None]
+    idx = np.empty((R, block, n), dtype=np.int32)
     for start in range(0, epochs, block):
         m = min(block, epochs - start)
-        for k, rng in enumerate(rngs):
-            rng.permuted(order[:m], axis=1, out=idx[k, :m])
-        idx[:, :m] += offsets
+        for r, rng in enumerate(rngs):
+            rng.permuted(order[:m], axis=1, out=idx[r, :m])
         for e in range(m):
             yield idx[:, e]
 
 
-def _train_stacked(ZX, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+def _train_stacked(ZX, config: TrainConfig, seeds) -> tuple[np.ndarray, np.ndarray]:
     """Fit the F x K binary problems whose label-signed rows are ZX[f, k].
 
     ZX has shape (F, K, n, l + 1): F training sets of K one-vs-all
     problems, row i of problem (f, k) being z_fki * (x_fi, 1) with z_fki
-    in {-1, +1}. Class k of every training set visits its rows in the
-    orders drawn from default_rng(seed + k), seed being config.seed, so
-    each set's models equal those of a solve over it alone. Returns the
-    tail-averaged weights, shape (F, K, l), and biases, shape (F, K).
+    in {-1, +1}. Class k of set f visits its rows in the orders drawn
+    from default_rng(seeds[f] + k), so each set's models equal those of
+    a solve over it alone. Returns the tail-averaged weights, shape
+    (F, K, l), and biases, shape (F, K).
     """
     F, K, n, l = ZX.shape[0], ZX.shape[1], ZX.shape[2], ZX.shape[3] - 1
     P = F * K
-    ZX = ZX.reshape(F, K * n, l + 1)
+    ZX = ZX.reshape(P * n, l + 1)
     lam_reg = 1.0 / (config.c * n)
     batch = min(config.batch_size, n)
     tail_from = config.epochs * math.ceil(n / batch) // 2
@@ -197,11 +197,14 @@ def _train_stacked(ZX, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     w_sum = np.zeros((P, l + 1))
     n_tail = 0
     t = 0
-    rngs = [np.random.default_rng(config.seed + k) for k in range(K)]
+    distinct = list(dict.fromkeys(seeds))  # sets of one seed share its K streams
+    rngs = [np.random.default_rng(s + k) for s in distinct for k in range(K)]
+    stream = [distinct.index(s) * K + k for s in seeds for k in range(K)]  # per problem
+    offsets = np.arange(0, P * n, n)[:, None]  # to each problem's own rows
     for order in _epoch_orders(rngs, n, config.epochs):
+        idx = order[stream] + offsets
         for start in range(0, n, batch):
-            # (F, K, b, l + 1), flattened to one mini-batch per problem
-            rows = np.take(ZX, order[:, start:start + batch], axis=1).reshape(P, -1, l + 1)
+            rows = np.take(ZX, idx[:, start:start + batch], axis=0)  # (P, b, l + 1)
             eta = config.eta0 / (1.0 + config.eta0 * lam_reg * t)
             viol = (np.matmul(rows, w_col) < 1.0).astype(float)  # (P, b, 1)
             w *= 1.0 - eta * lam_reg
@@ -212,6 +215,19 @@ def _train_stacked(ZX, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
                 n_tail += 1
     w_avg = (w_sum / n_tail).reshape(F, K, l + 1)
     return w_avg[..., :l], w_avg[..., l]
+
+
+def _stacked_solves(items, shape, n_classes: int):
+    """Yield items in groups of one (n, l) = shape(item), in order, each
+    cut to at most _STACK_BYTES of label-signed rows (one set at least).
+    """
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(shape(item), []).append(item)
+    for (n, l), group in groups.items():
+        step = max(1, _STACK_BYTES // (8 * n_classes * n * (l + 1)))
+        for start in range(0, len(group), step):
+            yield group[start:start + step]
 
 
 def _check_labels(y, n_rows: int, n_classes: int) -> np.ndarray:
@@ -250,24 +266,25 @@ def train_ova(
     Labels must be whole numbers, and every class id in [0, n_classes)
     must occur in y.
     """
-    return _train_ova_stacked([(X, y, active_features)], n_classes, config, lam)[0]
+    return _train_ova_stacked([(X, y, active_features, config.seed)], n_classes, config, lam)[0]
 
 
 def _train_ova_stacked(problems, n_classes: int, config: TrainConfig,
                        lam: float = DEFAULT_LAMBDA) -> list[LinearModelSet]:
-    """train_ova(X, y, n_classes, config, lam, active) for each (X, y, active).
+    """train_ova(X, y, n_classes, config with seed, lam, active) per (X, y, active, seed).
 
     Every X has one shape; they train in one stacked solve, so each
     returned model set is bit-identical to its own train_ova call. An
-    active of None means all of X's columns.
+    active of None means all of X's columns; config.seed is not read.
     """
-    ZX, actives = [], []
-    for X, y, active in problems:
+    ZX, actives, seeds = [], [], []
+    for X, y, active, seed in problems:
         X = _check_matrix(X)
         ZX.append(_signed_rows(X, _check_labels(y, X.shape[0], n_classes), n_classes))
         actives.append(range(X.shape[1]) if active is None else active)
+        seeds.append(seed)
     # np.stack copies, which one training set does not need
-    W, b = _train_stacked(np.stack(ZX) if len(ZX) > 1 else ZX[0][None], config)
+    W, b = _train_stacked(np.stack(ZX) if len(ZX) > 1 else ZX[0][None], config, seeds)
     return [LinearModelSet(W=W[f], b=b[f], lam=lam, active_features=active)
             for f, active in enumerate(actives)]
 
@@ -279,7 +296,7 @@ def _train_ova_folds(X, y, train_rows, n_classes: int, config: TrainConfig):
     in one stacked solve.
     """
     X, y = _check_matrix(X), np.asarray(y)
-    return _train_ova_stacked([(X[rows], y[rows], None) for rows in train_rows],
+    return _train_ova_stacked([(X[rows], y[rows], None, config.seed) for rows in train_rows],
                               n_classes, config)
 
 

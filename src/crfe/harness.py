@@ -8,16 +8,14 @@ every size. Aggregation, consistency indices, the automatic-stop
 benchmark and all file outputs (CSV, trace JSON, SVG) hang off the same
 table so a whole run is a pure function of its config.
 
-A run loads its dataset once. Repeat r is one call of _run_repeat,
-which returns its results: one split (seed master_seed + r), one solver
-seed (train.seed + r) and one model dict, keyed by active feature set,
-shared by every elimination of the repeat, comparison and stopping
-benchmark alike, and dropped when the repeat ends; so each (repeat,
-active set) model is trained once. The repeat's eliminations run in
-lock-step, so the new active sets of one pass train in one stacked
-solve. Evaluations take their models from that dict along each trace's
-path. The baseline's cross-validated stop
-trains the folds of one training-set size together in one stacked solve.
+A run loads its dataset once. Repeat r has one split (seed master_seed
++ r), one solver seed (train.seed + r) and one model dict, keyed by
+active feature set and shared by all its eliminations, so each (repeat,
+active set) model is trained once. _run_block runs every repeat of a run
+in one lock-step: each pass trains the sets new to any repeat in one
+stacked solve per shape, and the baseline's cross-validated stop trains
+the folds of every stopping repeat in one solve per (fold training
+size, feature count). _run_repeat is its one-repeat case.
 """
 
 from __future__ import annotations
@@ -25,11 +23,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import TrainConfig, _train_ova_folds, decision_matrix
+from .classifier import TrainConfig, _stacked_solves, _train_ova_stacked, decision_matrix
 from .conformal import calibrate, nonconformity_all_labels, p_value_matrix, prediction_mask
 from .consistency import SubsetFamily, jaccard_multi, kuncheva, weighted_consistency
 from .data import (
@@ -48,7 +46,8 @@ from .selection import (
     BetaCriterion,
     FixedSize,
     SelectionTrace,
-    _run_eliminations,
+    _lockstep,
+    _Run,
     trace_to_json,
 )
 
@@ -356,28 +355,41 @@ def consistency_report(table: ResultsTable) -> list[dict]:
 # ---------------------------------------------------------------- stopping
 
 
-def _cv_accuracy(X, y, n_classes, tcfg, folds: int = 5) -> float:
-    """Mean held-out argmax accuracy over contiguous folds.
+def _cv_accuracies(mats, n_classes, tcfg, folds: int = 5) -> list[float]:
+    """_cv_accuracy of X[:, cols] with solver seed ``seed``, per (X, y, cols, seed).
 
-    A fold whose training rows miss a class is skipped; -1.0 when every
-    fold is skipped. The remaining folds are grouped by training-set size
-    (array_split makes at most two sizes), and each group trains in one
-    stacked solve with the models a train_ova call per fold would give.
-    The accuracies are averaged in fold order.
+    Folds of one (training size, len(cols)) train in stacked solves
+    (classifier._stacked_solves), each sliced just before its solve.
     """
-    n = X.shape[0]
-    groups: dict[int, list] = {}
-    for f, hold in enumerate(np.array_split(np.arange(n), folds)):
-        train_rows = np.setdiff1d(np.arange(n), hold)
-        if np.bincount(y[train_rows], minlength=n_classes).all():
-            groups.setdefault(train_rows.size, []).append((f, train_rows, hold))
-    accs = {}
-    for group in groups.values():
-        fitted = _train_ova_folds(X, y, [rows for _, rows, _ in group], n_classes, tcfg)
-        for (f, _, hold), ms in zip(group, fitted):
-            pred = point_predict(decision_matrix(ms, X[hold]))
-            accs[f] = float((pred == y[hold]).mean())
-    return float(np.mean([accs[f] for f in sorted(accs)])) if accs else -1.0
+    folds_of: dict[int, list] = {}  # n -> (train_rows, hold) of each fold
+    jobs = []  # (matrix, fold, train_rows, hold) of every fold that trains
+    for i, (X, y, _, _) in enumerate(mats):
+        n = X.shape[0]
+        if n not in folds_of:
+            folds_of[n] = [(np.setdiff1d(np.arange(n), hold), hold)
+                           for hold in np.array_split(np.arange(n), folds)]
+        jobs += [(i, f, train_rows, hold) for f, (train_rows, hold) in enumerate(folds_of[n])
+                 if hold.size and np.bincount(y[train_rows], minlength=n_classes).all()]
+    accs: list[dict] = [{} for _ in mats]
+    for solve in _stacked_solves(jobs, lambda j: (j[2].size, len(mats[j[0]][2])), n_classes):
+        problems = []
+        for i, _, train_rows, _ in solve:
+            X, y, cols, seed = mats[i]
+            problems.append((X[np.ix_(train_rows, cols)], y[train_rows], None, seed))
+        for (i, f, _, hold), ms in zip(solve, _train_ova_stacked(problems, n_classes, tcfg)):
+            X, y, cols, _ = mats[i]
+            pred = point_predict(decision_matrix(ms, X[np.ix_(hold, cols)]))
+            accs[i][f] = float((pred == y[hold]).mean())
+    return [float(np.mean([a[f] for f in sorted(a)])) if a else -1.0 for a in accs]
+
+
+def _cv_accuracy(X, y, n_classes, tcfg, folds: int = 5) -> float:
+    """Mean held-out argmax accuracy over contiguous folds, in fold order.
+
+    A fold that holds out no row, or whose training rows miss a class, is
+    skipped; -1.0 when every fold is skipped.
+    """
+    return _cv_accuracies([(X, y, range(X.shape[1]), tcfg.seed)], n_classes, tcfg, folds)[0]
 
 
 # ----------------------------------------------------------------- repeats
@@ -391,45 +403,61 @@ def _run_repeat(d: Dataset, name: str, sizes, cfg: ExperimentConfig, r: int,
     {(method, seed): trace}, and per selector the stopping run's (method,
     seed, final active features, SetMetricsReport).
     """
-    seed = cfg.master_seed + r
-    _, (X_tr, y_tr), (X_cal, y_cal), (X_te, y_te) = scaled_split(d, seed)
-    tcfg = replace(cfg.train, seed=cfg.train.seed + r)
+    return _run_block(d, name, sizes, cfg, [(r, compare, stop)])[0]
+
+
+def _run_block(d: Dataset, name: str, sizes, cfg: ExperimentConfig, repeats) -> list:
+    """[_run_repeat(d, name, sizes, cfg, r, compare, stop) per (r, compare, stop)],
+    with every elimination in one _lockstep and every CV fold in one _cv_accuracies.
+    """
     m = d.n_classes
-    models: dict = {}  # shared by every elimination of this repeat
-    runs = [(method, FixedSize(sizes[-1])) for method in cfg.selectors if compare]
-    runs += [(method, cfg.stopping if method == "crfe" else FixedSize(1))
-             for method in cfg.selectors if stop]
+    reps, runs = [], []
+    for r, compare, stop in repeats:
+        seed, solver_seed = cfg.master_seed + r, cfg.train.seed + r
+        _, train, cal, test = scaled_split(d, seed)
+        models: dict = {}  # shared by every elimination of this repeat
+        plan = [(method, FixedSize(sizes[-1])) for method in cfg.selectors if compare]
+        plan += [(method, cfg.stopping if method == "crfe" else FixedSize(1))
+                 for method in cfg.selectors if stop]
+        runs += [_Run(*train, *cal, solver_seed, models, method, policy)
+                 for method, policy in plan]
+        reps.append((seed, solver_seed, train, cal + test, models, compare, stop))
     # one lock-step call; its traces are read below in the order of runs
-    found = iter(_run_eliminations(X_tr, y_tr, X_cal, y_cal, m, runs, tcfg, cfg.lam, models))
+    found = iter(_lockstep(runs, m, cfg.train, cfg.lam))
 
-    def path(trace):  # the model trained at each size of an elimination
-        subsets = subsets_by_size(trace, d.n_features)
-        return {size: models[tuple(sorted(s))] for size, s in subsets.items()}
+    done, cv = [], []
+    for seed, solver_seed, (X_tr, y_tr), held_out, models, compare, stop in reps:
 
-    def evaluate(ms):
-        return _evaluate(ms, X_cal, y_cal, X_te, y_te, cfg.epsilon, m)
+        def path(trace):  # the model trained at each size of an elimination
+            subsets = subsets_by_size(trace, d.n_features)
+            return {size: models[tuple(sorted(s))] for size, s in subsets.items()}
 
-    rows: list[ResultRow] = []
-    traces: dict = {}
-    stops: list[tuple] = []
-    if compare:
-        for method in cfg.selectors:
-            trace = traces[(method, seed)] = next(found)
+        traces = {(method, seed): next(found) for method in cfg.selectors if compare}
+        rows = []
+        for (method, _), trace in traces.items():
             models_at = path(trace)
-            for s in sizes:
-                rows.append(ResultRow(name, method, s, seed, *evaluate(models_at[s])))
-    if stop:
-        for method in cfg.selectors:
-            # every final subset was trained by a pass of its run: no refit
-            if method == "crfe":
-                final = models[next(found).selected]
-            else:
-                models_at = path(next(found))
-                acc = {size: _cv_accuracy(X_tr[:, list(ms.active_features)], y_tr, m, tcfg)
-                       for size, ms in models_at.items()}
-                final = models_at[max(acc, key=lambda s: (acc[s], s))]  # ties: larger size
-            stops.append((method, seed, final.active_features, evaluate(final)[0]))
-    return rows, traces, stops
+            rows += [ResultRow(name, method, s, seed,
+                               *_evaluate(models_at[s], *held_out, cfg.epsilon, m)) for s in sizes]
+        # per selector, crfe's final model set or the baseline's whole path;
+        # every final subset was trained by a pass of its run: no refit
+        stopped = [(method, models[next(found).selected] if method == "crfe" else path(next(found)))
+                   for method in (cfg.selectors if stop else ())]
+        cv += [(X_tr, y_tr, ms.active_features, solver_seed)
+               for method, models_at in stopped if method == "rfe" for ms in models_at.values()]
+        done.append((rows, traces, seed, held_out, stopped))
+
+    accs = iter(_cv_accuracies(cv, m, cfg.train))
+    results = []
+    for rows, traces, seed, held_out, stopped in done:
+        stops = []
+        for method, final in stopped:
+            if method == "rfe":
+                acc = {size: next(accs) for size in final}
+                final = final[max(acc, key=lambda s: (acc[s], s))]  # ties: larger size
+            stops.append((method, seed, final.active_features,
+                          _evaluate(final, *held_out, cfg.epsilon, m)[0]))
+        results.append((rows, traces, stops))
+    return results
 
 
 def _run_repeats(cfg: ExperimentConfig, n_compare: int, n_stop: int):
@@ -447,8 +475,8 @@ def _run_repeats(cfg: ExperimentConfig, n_compare: int, n_stop: int):
         raise ConfigError(f"a comparison needs at least 2 features, the data has {l}")
     if n_compare and sizes[0] > l:
         raise ConfigError(f"sizes start at {sizes[0]} but the data has {l} features")
-    results = [_run_repeat(d, name, sizes, cfg, r, r < n_compare, r < n_stop)
-               for r in range(max(n_compare, n_stop))]
+    results = _run_block(d, name, sizes, cfg, [(r, r < n_compare, r < n_stop)
+                                               for r in range(max(n_compare, n_stop))])
     rows = [row for r_rows, _, _ in results for row in r_rows]
     traces = {key: t for _, r_traces, _ in results for key, t in r_traces.items()}
     stops = [s for _, _, r_stops in results for s in r_stops]
@@ -463,16 +491,9 @@ def _run_repeats(cfg: ExperimentConfig, n_compare: int, n_stop: int):
     )
     if not n_stop:
         return table, None
-    per_run = [
-        {
-            "method": method,
-            "seed": seed,
-            "size": len(cols),
-            "inefficiency": sm.inefficiency,
-            "certainty": sm.certainty,
-        }
-        for method, seed, cols, sm in stops
-    ]
+    per_run = [{"method": method, "seed": seed, "size": len(cols),
+                "inefficiency": sm.inefficiency, "certainty": sm.certainty}
+               for method, seed, cols, sm in stops]
     summary = []
     for method in cfg.selectors:
         recs = [p for p in per_run if p["method"] == method]
@@ -482,17 +503,10 @@ def _run_repeats(cfg: ExperimentConfig, n_compare: int, n_stop: int):
             entry["mean_" + col] = float(vals.mean())
             entry["std_" + col] = float(vals.std())
         summary.append(entry)
-    frequencies = [
-        {
-            "dataset": name,
-            "method": method,
-            "feature_index": j,
-            "feature_name": d.feature_names[j],
-            "count": sum(j in cols for mth, _, cols, _ in stops if mth == method),
-        }
-        for method in cfg.selectors
-        for j in range(l)
-    ]
+    frequencies = [{"dataset": name, "method": method, "feature_index": j,
+                    "feature_name": d.feature_names[j],
+                    "count": sum(j in cols for mth, _, cols, _ in stops if mth == method)}
+                   for method in cfg.selectors for j in range(l)]
     return table, (summary, frequencies, per_run)
 
 

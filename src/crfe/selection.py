@@ -18,12 +18,13 @@ engine.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .classifier import LinearModelSet, TrainConfig, _train_ova_stacked, train_ova
+from .classifier import LinearModelSet, TrainConfig, _stacked_solves, _train_ova_stacked, train_ova
 from .data import _whole_labels, write_csv
 from .exceptions import (
     DimensionMismatchError,
@@ -295,43 +296,67 @@ def _elimination(X_train, X_cal, y_cal, method: str, policy, observer):
     )
 
 
-def _run_eliminations(X_train, y_train, X_cal, y_cal, n_classes: int, runs,
-                      config: TrainConfig, lam: float, models=None,
-                      observer=None) -> list[SelectionTrace]:
-    """Run every (method, policy) in ``runs`` in lock-step; one trace each.
+class _Run(NamedTuple):
+    """One elimination of _lockstep. models maps tuple(active) to the model
+    trained on those features; runs that share it share X_train, y_train and seed."""
 
-    All runs share the data, config, lam and ``models``, a dict from
-    tuple(active) to the LinearModelSet trained on those features: a pass
-    whose set is in it reuses that model, and each newly trained one is
-    added. Every policy is checked before anything trains. In each round
-    the live runs are all at the same pass, so the sets not yet in
-    ``models`` have one size: a single one trains through train_ova, two
-    or more in one stacked solve with the models a train_ova call per set
-    would give. ``observer``, if given, is called by every run as
-    observer(iteration, active, model_set, criterion) after each pass.
+    X_train: np.ndarray
+    y_train: np.ndarray
+    X_cal: np.ndarray
+    y_cal: np.ndarray
+    seed: int
+    models: dict
+    method: str
+    policy: object
+
+
+def _lockstep(runs, n_classes: int, config: TrainConfig, lam: float,
+              observer=None) -> list[SelectionTrace]:
+    """Run every _Run in ``runs`` in lock-step; one trace each.
+
+    Every policy is checked before anything trains. A pass reuses its
+    run's model of the set if it has one. Each round, the sets new to
+    their dict train by shape: a lone one through train_ova (config with
+    the run's seed), more in stacked solves (classifier._stacked_solves).
+    ``observer`` is called by every run as observer(iteration, active,
+    model_set, criterion) after each pass.
     """
-    X_train = np.asarray(X_train, dtype=float)
-    X_cal = np.asarray(X_cal, dtype=float)
-    models = {} if models is None else models
-    gens = [_elimination(X_train, X_cal, y_cal, method, policy, observer)
-            for method, policy in runs]
+    gens = [_elimination(run.X_train, run.X_cal, run.y_cal, run.method, run.policy, observer)
+            for run in runs]
     wants = {i: next(g) for i, g in enumerate(gens)}  # the active set each live run waits for
     traces = [None] * len(gens)
     while wants:
-        new = list(dict.fromkeys(a for a in wants.values() if a not in models))
-        if len(new) == 1:
-            models[new[0]] = train_ova(X_train[:, new[0]], y_train, n_classes, config, lam,
-                                       active_features=new[0])
-        elif new:
-            problems = [(X_train[:, a], y_train, a) for a in new]
-            models.update(zip(new, _train_ova_stacked(problems, n_classes, config, lam)))
+        new = {(id(runs[i].models), a): (runs[i], a)
+               for i, a in wants.items() if a not in runs[i].models}
+        for solve in _stacked_solves(list(new.values()),
+                                     lambda p: (p[0].X_train.shape[0], len(p[1])), n_classes):
+            if len(solve) == 1:
+                (run, a), = solve
+                run.models[a] = train_ova(run.X_train[:, a], run.y_train, n_classes,
+                                          replace(config, seed=run.seed), lam, active_features=a)
+                continue
+            problems = [(run.X_train[:, a], run.y_train, a, run.seed) for run, a in solve]
+            for (run, a), ms in zip(solve, _train_ova_stacked(problems, n_classes, config, lam)):
+                run.models[a] = ms
         for i, active in list(wants.items()):
             try:
-                wants[i] = gens[i].send(models[active])
+                wants[i] = gens[i].send(runs[i].models[active])
             except StopIteration as done:
                 traces[i] = done.value
                 del wants[i]
     return traces
+
+
+def _run_eliminations(X_train, y_train, X_cal, y_cal, n_classes: int, runs,
+                      config: TrainConfig, lam: float, models=None,
+                      observer=None) -> list[SelectionTrace]:
+    """_lockstep over every (method, policy) in ``runs``; all share the data,
+    config (seed included), lam and ``models``."""
+    X_train = np.asarray(X_train, dtype=float)
+    X_cal = np.asarray(X_cal, dtype=float)
+    models = {} if models is None else models
+    return _lockstep([_Run(X_train, y_train, X_cal, y_cal, config.seed, models, method, policy)
+                      for method, policy in runs], n_classes, config, lam, observer)
 
 
 def run_crfe(

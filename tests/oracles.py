@@ -170,12 +170,14 @@ def train_binary(X, z, config: TrainConfig = TrainConfig()) -> tuple[np.ndarray,
 def cv_accuracy(X, y, n_classes, tcfg, folds: int = 5) -> float:
     """Mean held-out argmax accuracy over contiguous folds, one fold at a time.
 
-    A fold whose training rows miss a class is skipped; -1.0 when every
-    fold is skipped.
+    A fold that holds out no row, or whose training rows miss a class, is
+    skipped; -1.0 when every fold is skipped.
     """
     n = X.shape[0]
     accs = []
     for hold in np.array_split(np.arange(n), folds):
+        if not hold.size:
+            continue
         train_rows = np.setdiff1d(np.arange(n), hold)
         try:
             ms = train_ova(X[train_rows], y[train_rows], n_classes, tcfg)

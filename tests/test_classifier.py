@@ -187,6 +187,47 @@ def test_fold_trainer_matches_train_ova_per_fold(problem):
         assert ms.active_features == want.active_features
 
 
+@st.composite
+def seeded_sets(draw):
+    f = draw(st.integers(1, 6))
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k, 24))
+    l = draw(st.integers(1, 6))
+    # a small pool, so that sets often share a seed and with it K streams
+    pool = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3))
+    seeds = draw(st.lists(st.sampled_from(pool), min_size=f, max_size=f))
+    config = TrainConfig(
+        c=draw(st.floats(0.01, 100.0)),
+        epochs=draw(st.integers(1, 6)),
+        batch_size=draw(st.integers(1, n + 4)),
+        eta0=draw(st.floats(0.01, 5.0)),
+        seed=draw(st.integers(0, 9)),
+    )
+    # below the orders of every stream and epoch, so they come in blocks
+    buffer = draw(st.integers(1, len(set(seeds)) * k * n * config.epochs + 1))
+    return k, n, l, seeds, config, buffer, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeded_sets())
+@example((3, 36, 8, [5, 6, 5, 7, 6], TrainConfig(epochs=5), 1 << 16, 0))  # CV across repeats
+def test_stacked_sets_with_their_own_seeds_match_train_ova(problem):
+    """Each set of a stacked solve trains as train_ova with its own seed."""
+    k, n, l, seeds, config, buffer, data_seed = problem
+    rng = np.random.default_rng(data_seed)
+    sets = []
+    for seed in seeds:
+        X = rng.standard_normal((n, l)) * rng.uniform(0.1, 10.0)
+        sets.append((X, rng.permutation(np.arange(n) % k), None, seed))
+    with mock.patch.object(classifier, "_ORDER_BUFFER", buffer):
+        got = classifier._train_ova_stacked(sets, k, config)
+    assert len(got) == len(sets)
+    for ms, (X, y, _, seed) in zip(got, sets):
+        want = train_ova(X, y, k, replace(config, seed=seed))
+        assert np.array_equal(ms.W, want.W)
+        assert np.array_equal(ms.b, want.b)
+
+
 def test_labels_must_be_whole_numbers():
     X = np.random.default_rng(1).standard_normal((6, 2))
     fractional = [0.2, 1.9, 0.7, 1.1, 0.4, 1.5]

@@ -38,7 +38,7 @@ def no_training(monkeypatch):
 
     monkeypatch.setattr(selection, "train_ova", refuse)
     monkeypatch.setattr(selection, "_train_ova_stacked", refuse)
-    monkeypatch.setattr(harness, "_train_ova_folds", refuse)
+    monkeypatch.setattr(harness, "_train_ova_stacked", refuse)  # the CV folds
 
 
 @pytest.fixture()

@@ -1,7 +1,9 @@
 import copy
 import csv
 import json
+import math
 import os
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crfe import harness, selection
+from crfe import classifier, harness, selection
 from crfe.classifier import TrainConfig
 from crfe.consistency import SubsetFamily
 from crfe.data import SyntheticSpec
@@ -315,6 +317,32 @@ def test_cv_accuracy_skips_degenerate_folds_like_oracle():
     assert _cv_accuracy(X, y, 5, tcfg) == cv_accuracy(X, y, 5, tcfg) == -1.0
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_cv_accuracy_skips_folds_that_hold_out_nothing(n):
+    # 5 contiguous folds of 3 or 4 rows leave a fold or two with no held-out
+    # row; such a fold has no accuracy and must not make the mean NaN
+    rng = np.random.default_rng(n)
+    y = np.arange(n) % 2
+    X = rng.standard_normal((n, 2)) + y[:, None]
+    tcfg = TrainConfig(epochs=20, batch_size=8, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an empty mean warns
+        got = _cv_accuracy(X, y, 2, tcfg)
+        want = cv_accuracy(X, y, 2, tcfg)
+    assert math.isfinite(got)
+    assert got == want
+
+
+def test_stopping_benchmark_on_ten_rows_warns_nothing():
+    # 10 rows leave 3 or 4 training rows, so the baseline's CV has folds
+    # that hold out nothing; pytest turns the warning of a NaN mean into an error
+    spec = SyntheticSpec(n_samples=10, n_features=5, n_informative=2, n_redundant=0,
+                         n_classes=2, class_sep=2.0, flip_y=0.0, seed=1)
+    cfg = tiny_config(synthetic=spec, stopping=StoppingParams(repeats=3))
+    _, _, per_run = run_stopping_benchmark(cfg)
+    assert [p["method"] for p in per_run] == ["crfe", "rfe"] * 3
+
+
 def test_run_all_trains_each_repeat_model_once(tmp_path, monkeypatch):
     """Both selectors and both benchmarks share each repeat's models."""
     trained = []
@@ -326,7 +354,7 @@ def test_run_all_trains_each_repeat_model_once(tmp_path, monkeypatch):
         return real(X, y, n_classes, config, lam, active_features=active_features)
 
     def recording_stacked(problems, n_classes, config, lam):
-        trained.extend((config.seed, tuple(active)) for _, _, active in problems)
+        trained.extend((seed, tuple(active)) for _, _, active, seed in problems)
         return real_stacked(problems, n_classes, config, lam)
 
     monkeypatch.setattr(selection, "train_ova", recording)
@@ -337,6 +365,40 @@ def test_run_all_trains_each_repeat_model_once(tmp_path, monkeypatch):
     # the first pass of each repeat, on all 8 features, is shared too
     assert sorted(t for t in trained if len(t[1]) == 8) == [(0, tuple(range(8))),
                                                             (1, tuple(range(8)))]
+
+
+def _count_solves(monkeypatch) -> list:
+    """The number of training sets of every _train_stacked call, as it is made."""
+    sets = []
+    real = classifier._train_stacked
+
+    def counting(ZX, config, seeds):
+        sets.append(ZX.shape[0])
+        return real(ZX, config, seeds)
+
+    monkeypatch.setattr(classifier, "_train_stacked", counting)
+    return sets
+
+
+def test_run_all_trains_all_repeats_in_lockstep(tmp_path, monkeypatch):
+    # one solve per elimination pass of both repeats, and one per size of
+    # the baseline's path for its CV folds of both stopping repeats; the
+    # parent of this design made 32 solves of the same 102 training sets
+    sets = _count_solves(monkeypatch)
+    run_all(config_from_dict(BENCH_CFG), tmp_path)
+    assert len(sets) == 16
+    assert sum(sets) == 102
+
+
+def test_a_capped_solve_splits_its_group_without_changing_outputs(tmp_path, monkeypatch):
+    cfg = config_from_dict(BENCH_CFG)
+    run_all(cfg, tmp_path / "whole")
+    sets = _count_solves(monkeypatch)
+    monkeypatch.setattr(classifier, "_STACK_BYTES", 1 << 14)  # 1 to 14 sets a solve
+    run_all(cfg, tmp_path / "split")
+    assert len(sets) > 16 and max(sets) < 10 and sum(sets) == 102
+    for path in sorted((tmp_path / "whole").iterdir()):
+        assert (tmp_path / "split" / path.name).read_bytes() == path.read_bytes()
 
 
 def test_run_all_loads_once_and_splits_once_per_repeat(tmp_path, monkeypatch):
