@@ -28,7 +28,11 @@ per-problem loop):
 - Generator.permuted along the epoch axis of a block of epochs draws from
   a class's stream exactly what one Generator.permutation(n) call per
   epoch draws, so every problem visits its rows in the seeded order of
-  its set and class (_train_stacked states the seed rule);
+  its set and class (_train_stacked states the seed rule). A stream is
+  keyed by its integer seed s + k alone, and one of at most
+  _ORDER_BUFFER entries is drawn whole and kept, read-only, for the
+  solves of one selection._lockstep or harness._cv_accuracies call,
+  which share their seeds and row counts;
 - the margins come from the same matrix-vector product per problem, and
   the update sums the masked batch rows in batch order, so the rows of
   non-violators add exact zeros and every other sum keeps its order.
@@ -148,22 +152,36 @@ def _check_matrix(X) -> np.ndarray:
     return X
 
 
-# int32 entries of the buffer that row orders are drawn into: small
-# problems draw every epoch at once, large ones a block of epochs at a time
+# entries of the longest row-order stream that is drawn whole and kept, and
+# int32 entries of the buffer that longer streams fill a block of epochs at a time
 _ORDER_BUFFER = 1 << 16
 
 # bytes of label-signed rows in one stacked solve; larger groups take several
 _STACK_BYTES = 1 << 21
 
 
-def _epoch_orders(rngs, n: int, epochs: int):
-    """Yield each epoch's (R, n) row orders, row r drawn from rngs[r].
+def _epoch_orders(seeds, n: int, epochs: int, kept: dict):
+    """Yield each epoch's (R, n) row orders, row r from default_rng(seeds[r]).
 
     Generator.permuted over a block of epochs draws exactly what one
-    Generator.permutation(n) call per epoch would. The yielded array is a
-    view that the next block overwrites.
+    Generator.permutation(n) call per epoch would, whatever the integer
+    type. Streams of at most _ORDER_BUFFER entries are drawn whole, once
+    per ``kept``, which holds them read-only under (seed, n, epochs) in
+    the smallest unsigned type that holds n - 1. Larger ones are drawn a
+    block of epochs at a time into a buffer that the next block
+    overwrites, and are not kept.
     """
-    R = len(rngs)
+    if n * epochs <= _ORDER_BUFFER:
+        for s in seeds:
+            if (s, n, epochs) not in kept:
+                rows = np.arange(n, dtype=np.min_scalar_type(n - 1))
+                stream = np.random.default_rng(s).permuted(np.tile(rows, (epochs, 1)), axis=1)
+                stream.flags.writeable = False
+                kept[s, n, epochs] = stream
+        yield from np.stack([kept[s, n, epochs] for s in seeds], axis=1)
+        return
+    R = len(seeds)
+    rngs = [np.random.default_rng(s) for s in seeds]
     block = max(1, min(epochs, _ORDER_BUFFER // (R * n)))
     order = np.tile(np.arange(n, dtype=np.int32), (block, 1))
     idx = np.empty((R, block, n), dtype=np.int32)
@@ -175,15 +193,20 @@ def _epoch_orders(rngs, n: int, epochs: int):
             yield idx[:, e]
 
 
-def _train_stacked(ZX, config: TrainConfig, seeds) -> tuple[np.ndarray, np.ndarray]:
+def _train_stacked(ZX, config: TrainConfig, seeds,
+                   orders: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Fit the F x K binary problems whose label-signed rows are ZX[f, k].
 
     ZX has shape (F, K, n, l + 1): F training sets of K one-vs-all
     problems, row i of problem (f, k) being z_fki * (x_fi, 1) with z_fki
     in {-1, +1}. Class k of set f visits its rows in the orders drawn
     from default_rng(seeds[f] + k), so each set's models equal those of
-    a solve over it alone. Returns the tail-averaged weights, shape
-    (F, K, l), and biases, shape (F, K).
+    a solve over it alone. Streams are keyed by that seed s + k alone:
+    problems of one stream seed read one draw. ``orders`` keeps the
+    streams of at most _ORDER_BUFFER entries for the solves that share
+    it (one _lockstep or _cv_accuracies call, of one config); None
+    keeps them for this solve only. Returns the tail-averaged weights,
+    shape (F, K, l), and biases, shape (F, K).
     """
     F, K, n, l = ZX.shape[0], ZX.shape[1], ZX.shape[2], ZX.shape[3] - 1
     P = F * K
@@ -197,11 +220,10 @@ def _train_stacked(ZX, config: TrainConfig, seeds) -> tuple[np.ndarray, np.ndarr
     w_sum = np.zeros((P, l + 1))
     n_tail = 0
     t = 0
-    distinct = list(dict.fromkeys(seeds))  # sets of one seed share its K streams
-    rngs = [np.random.default_rng(s + k) for s in distinct for k in range(K)]
-    stream = [distinct.index(s) * K + k for s in seeds for k in range(K)]  # per problem
+    streams = list(dict.fromkeys(s + k for s in seeds for k in range(K)))
+    stream = [streams.index(s + k) for s in seeds for k in range(K)]  # per problem
     offsets = np.arange(0, P * n, n)[:, None]  # to each problem's own rows
-    for order in _epoch_orders(rngs, n, config.epochs):
+    for order in _epoch_orders(streams, n, config.epochs, {} if orders is None else orders):
         idx = order[stream] + offsets
         for start in range(0, n, batch):
             rows = np.take(ZX, idx[:, start:start + batch], axis=0)  # (P, b, l + 1)
@@ -270,12 +292,13 @@ def train_ova(
 
 
 def _train_ova_stacked(problems, n_classes: int, config: TrainConfig,
-                       lam: float = DEFAULT_LAMBDA) -> list[LinearModelSet]:
+                       lam: float = DEFAULT_LAMBDA, orders=None) -> list[LinearModelSet]:
     """train_ova(X, y, n_classes, config with seed, lam, active) per (X, y, active, seed).
 
     Every X has one shape; they train in one stacked solve, so each
     returned model set is bit-identical to its own train_ova call. An
     active of None means all of X's columns; config.seed is not read.
+    ``orders`` is _train_stacked's memo of row-order streams.
     """
     ZX, actives, seeds = [], [], []
     for X, y, active, seed in problems:
@@ -284,20 +307,9 @@ def _train_ova_stacked(problems, n_classes: int, config: TrainConfig,
         actives.append(range(X.shape[1]) if active is None else active)
         seeds.append(seed)
     # np.stack copies, which one training set does not need
-    W, b = _train_stacked(np.stack(ZX) if len(ZX) > 1 else ZX[0][None], config, seeds)
+    W, b = _train_stacked(np.stack(ZX) if len(ZX) > 1 else ZX[0][None], config, seeds, orders)
     return [LinearModelSet(W=W[f], b=b[f], lam=lam, active_features=active)
             for f, active in enumerate(actives)]
-
-
-def _train_ova_folds(X, y, train_rows, n_classes: int, config: TrainConfig):
-    """train_ova(X[rows], y[rows], n_classes, config) for every rows in train_rows.
-
-    train_rows has shape (F, n_train): F training sets of one size, trained
-    in one stacked solve.
-    """
-    X, y = _check_matrix(X), np.asarray(y)
-    return _train_ova_stacked([(X[rows], y[rows], None, config.seed) for rows in train_rows],
-                              n_classes, config)
 
 
 def decision_matrix(ms: LinearModelSet, X) -> np.ndarray:

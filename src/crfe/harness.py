@@ -359,7 +359,8 @@ def _cv_accuracies(mats, n_classes, tcfg, folds: int = 5) -> list[float]:
     """_cv_accuracy of X[:, cols] with solver seed ``seed``, per (X, y, cols, seed).
 
     Folds of one (training size, len(cols)) train in stacked solves
-    (classifier._stacked_solves), each sliced just before its solve.
+    (classifier._stacked_solves), each sliced just before its solve; all
+    solves share one memo of row-order streams.
     """
     folds_of: dict[int, list] = {}  # n -> (train_rows, hold) of each fold
     jobs = []  # (matrix, fold, train_rows, hold) of every fold that trains
@@ -371,12 +372,14 @@ def _cv_accuracies(mats, n_classes, tcfg, folds: int = 5) -> list[float]:
         jobs += [(i, f, train_rows, hold) for f, (train_rows, hold) in enumerate(folds_of[n])
                  if hold.size and np.bincount(y[train_rows], minlength=n_classes).all()]
     accs: list[dict] = [{} for _ in mats]
+    orders: dict = {}  # _train_stacked's streams, kept for this call
     for solve in _stacked_solves(jobs, lambda j: (j[2].size, len(mats[j[0]][2])), n_classes):
         problems = []
         for i, _, train_rows, _ in solve:
             X, y, cols, seed = mats[i]
             problems.append((X[np.ix_(train_rows, cols)], y[train_rows], None, seed))
-        for (i, f, _, hold), ms in zip(solve, _train_ova_stacked(problems, n_classes, tcfg)):
+        trained = _train_ova_stacked(problems, n_classes, tcfg, orders=orders)
+        for (i, f, _, hold), ms in zip(solve, trained):
             X, y, cols, _ = mats[i]
             pred = point_predict(decision_matrix(ms, X[np.ix_(hold, cols)]))
             accs[i][f] = float((pred == y[hold]).mean())
@@ -424,6 +427,7 @@ def _run_block(d: Dataset, name: str, sizes, cfg: ExperimentConfig, repeats) -> 
         reps.append((seed, solver_seed, train, cal + test, models, compare, stop))
     # one lock-step call; its traces are read below in the order of runs
     found = iter(_lockstep(runs, m, cfg.train, cfg.lam))
+    del runs  # each repeat's models are dropped below once its traces are read
 
     done, cv = [], []
     for seed, solver_seed, (X_tr, y_tr), held_out, models, compare, stop in reps:
@@ -445,6 +449,8 @@ def _run_block(d: Dataset, name: str, sizes, cfg: ExperimentConfig, repeats) -> 
         cv += [(X_tr, y_tr, ms.active_features, solver_seed)
                for method, models_at in stopped if method == "rfe" for ms in models_at.values()]
         done.append((rows, traces, seed, held_out, stopped))
+        models.clear()  # what the CV stage and the reports read is in rows and stopped
+    del reps
 
     accs = iter(_cv_accuracies(cv, m, cfg.train))
     results = []

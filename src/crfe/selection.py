@@ -317,7 +317,8 @@ def _lockstep(runs, n_classes: int, config: TrainConfig, lam: float,
     Every policy is checked before anything trains. A pass reuses its
     run's model of the set if it has one. Each round, the sets new to
     their dict train by shape: a lone one through train_ova (config with
-    the run's seed), more in stacked solves (classifier._stacked_solves).
+    the run's seed), more in stacked solves (classifier._stacked_solves)
+    that share one memo of row-order streams.
     ``observer`` is called by every run as observer(iteration, active,
     model_set, criterion) after each pass.
     """
@@ -325,6 +326,7 @@ def _lockstep(runs, n_classes: int, config: TrainConfig, lam: float,
             for run in runs]
     wants = {i: next(g) for i, g in enumerate(gens)}  # the active set each live run waits for
     traces = [None] * len(gens)
+    orders: dict = {}  # _train_stacked's streams, kept for this call
     while wants:
         new = {(id(runs[i].models), a): (runs[i], a)
                for i, a in wants.items() if a not in runs[i].models}
@@ -336,7 +338,8 @@ def _lockstep(runs, n_classes: int, config: TrainConfig, lam: float,
                                           replace(config, seed=run.seed), lam, active_features=a)
                 continue
             problems = [(run.X_train[:, a], run.y_train, a, run.seed) for run, a in solve]
-            for (run, a), ms in zip(solve, _train_ova_stacked(problems, n_classes, config, lam)):
+            trained = _train_ova_stacked(problems, n_classes, config, lam, orders)
+            for (run, a), ms in zip(solve, trained):
                 run.models[a] = ms
         for i, active in list(wants.items()):
             try:

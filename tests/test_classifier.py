@@ -178,7 +178,8 @@ def test_fold_trainer_matches_train_ova_per_fold(problem):
         rest = [int(i) for i in perm if i not in firsts]
         folds.append(np.array(firsts + rest[:n_train - k]))
     with mock.patch.object(classifier, "_ORDER_BUFFER", buffer):
-        got = classifier._train_ova_folds(X, y, folds, k, config)
+        got = classifier._train_ova_stacked([(X[rows], y[rows], None, config.seed)
+                                             for rows in folds], k, config)
     assert len(got) == f
     for ms, rows in zip(got, folds):
         want = train_ova(X[rows], y[rows], k, config)
@@ -228,6 +229,38 @@ def test_stacked_sets_with_their_own_seeds_match_train_ova(problem):
         assert np.array_equal(ms.b, want.b)
 
 
+@pytest.mark.parametrize("buffer", [1 << 16, 100])  # streams of 120 entries kept, or not
+def test_solves_that_share_kept_orders_match_fresh_solves(buffer):
+    """Solves with one memo of streams train what fresh solves train."""
+    k, config = 3, TrainConfig(epochs=6, batch_size=8)
+    rng = np.random.default_rng(8)
+
+    def sets(n, seeds):
+        return [(rng.standard_normal((n, 4)), rng.permutation(np.arange(n) % k), None, seed)
+                for seed in seeds]
+
+    # stream seeds 0-3, then 1-4, of which the second solve reads three
+    # kept ones, then 0-2 again at another row count, which it may not read
+    groups = [sets(20, [0, 1]), sets(20, [1, 2, 2]), sets(21, [0])]
+    orders = {}
+    with mock.patch.object(classifier, "_ORDER_BUFFER", buffer):
+        shared = [classifier._train_ova_stacked(group, k, config, orders=orders)
+                  for group in groups]
+        fresh = [classifier._train_ova_stacked(group, k, config) for group in groups]
+    for got, want in zip(sum(shared, []), sum(fresh, [])):
+        assert np.array_equal(got.W, want.W)
+        assert np.array_equal(got.b, want.b)
+    if buffer < 20 * config.epochs:
+        assert orders == {}
+        return
+    assert sorted(orders) == sorted([(seed, 20, 6) for seed in range(5)]
+                                    + [(seed, 21, 6) for seed in range(3)])
+    for (seed, n, _), stream in orders.items():
+        draws = np.random.default_rng(seed)
+        assert np.array_equal(stream, [draws.permutation(n) for _ in range(config.epochs)])
+        assert not stream.flags.writeable
+
+
 def test_labels_must_be_whole_numbers():
     X = np.random.default_rng(1).standard_normal((6, 2))
     fractional = [0.2, 1.9, 0.7, 1.1, 0.4, 1.5]
@@ -236,7 +269,7 @@ def test_labels_must_be_whole_numbers():
     with pytest.raises(DegenerateLabelsError, match="whole numbers"):
         train_ova(X, [0, 1, 0, 1, 0, np.nan], 2)
     with pytest.raises(DegenerateLabelsError, match="whole numbers"):
-        classifier._train_ova_folds(X, np.array(fractional), [np.arange(6)], 2, TrainConfig())
+        classifier._train_ova_stacked([(X, np.array(fractional), None, 0)], 2, TrainConfig())
     # whole-valued floats are the same labels as their ints
     whole = train_ova(X, [0.0, 1.0, 0.0, 1.0, 0.0, 1.0], 2)
     ints = train_ova(X, [0, 1, 0, 1, 0, 1], 2)
@@ -247,7 +280,9 @@ def test_fold_trainer_rejects_a_fold_missing_a_class():
     X = np.random.default_rng(2).standard_normal((8, 2))
     y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
     with pytest.raises(DegenerateLabelsError):
-        classifier._train_ova_folds(X, y, [np.arange(1, 5), np.arange(4)], 2, TrainConfig())
+        classifier._train_ova_stacked([(X[rows], y[rows], None, 0)
+                                       for rows in (np.arange(1, 5), np.arange(4))],
+                                      2, TrainConfig())
 
 
 def test_ova_structure_and_accuracy():

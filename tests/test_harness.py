@@ -353,9 +353,9 @@ def test_run_all_trains_each_repeat_model_once(tmp_path, monkeypatch):
         trained.append((config.seed, tuple(active_features)))
         return real(X, y, n_classes, config, lam, active_features=active_features)
 
-    def recording_stacked(problems, n_classes, config, lam):
+    def recording_stacked(problems, n_classes, config, lam, orders):
         trained.extend((seed, tuple(active)) for _, _, active, seed in problems)
-        return real_stacked(problems, n_classes, config, lam)
+        return real_stacked(problems, n_classes, config, lam, orders)
 
     monkeypatch.setattr(selection, "train_ova", recording)
     monkeypatch.setattr(selection, "_train_ova_stacked", recording_stacked)
@@ -372,9 +372,9 @@ def _count_solves(monkeypatch) -> list:
     sets = []
     real = classifier._train_stacked
 
-    def counting(ZX, config, seeds):
+    def counting(ZX, config, seeds, orders):
         sets.append(ZX.shape[0])
-        return real(ZX, config, seeds)
+        return real(ZX, config, seeds, orders)
 
     monkeypatch.setattr(classifier, "_train_stacked", counting)
     return sets
@@ -388,6 +388,25 @@ def test_run_all_trains_all_repeats_in_lockstep(tmp_path, monkeypatch):
     run_all(config_from_dict(BENCH_CFG), tmp_path)
     assert len(sets) == 16
     assert sum(sets) == 102
+
+
+def test_run_all_draws_each_row_order_stream_once_per_stage(tmp_path, monkeypatch):
+    # class k of repeat r shuffles with stream seed r + k: the 8 path solves
+    # of both repeats read seeds 0-3 at 45 rows, and the 8 CV solves the same
+    # seeds at 36 rows; drawn once per solve, they were 96 streams
+    drawn, solves = [], []
+    real = classifier._epoch_orders
+
+    def watching(seeds, n, epochs, kept):
+        before = set(kept)
+        yield from real(seeds, n, epochs, kept)
+        solves.append(n)
+        drawn.extend(sorted(set(kept) - before))
+
+    monkeypatch.setattr(classifier, "_epoch_orders", watching)
+    run_all(config_from_dict(BENCH_CFG), tmp_path)
+    assert solves == [45] * 8 + [36] * 8
+    assert drawn == [(s, 45, 40) for s in range(4)] + [(s, 36, 40) for s in range(4)]
 
 
 def test_a_capped_solve_splits_its_group_without_changing_outputs(tmp_path, monkeypatch):
