@@ -18,6 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .exceptions import (
+    ConfigError,
     CrfeError,
     DegenerateLabelsError,
     DimensionMismatchError,
@@ -183,6 +184,11 @@ def load_csv(
 ) -> Dataset:
     """Read an RFC-4180-style CSV with a header row into a Dataset.
 
+    Rows are converted as they are read, so memory stays near the size of
+    the matrix rather than of the text. Errors are raised only after the
+    whole file has been read: the file's own, then the header's, then the
+    first bad row or cell in file order, then too few classes.
+
     Parameters
     ----------
     path : str or Path
@@ -192,12 +198,13 @@ def load_csv(
         and mapped to class ids by rank. An empty feature cell marks a
         missing value; every other feature cell must parse as a finite
         float.
-    drop_missing_over : float or None
+    drop_missing_over : float in [0, 1] or None
         Drop any feature whose missing fraction exceeds this threshold
         before returning (default 0.25); None disables the filter.
 
     Raises
     ------
+    ConfigError (a threshold neither None nor in [0, 1], before any read),
     MissingFileError, MissingLabelColumnError, SingleClassError,
     UnparsableCellError (a column name that appears twice, a ragged row,
     or a cell that is neither a finite number nor empty; it names the
@@ -205,6 +212,11 @@ def load_csv(
     skipped but counted),
     CrfeError (bytes that are not UTF-8, or a field over csv's size limit)
     """
+    if drop_missing_over is not None:
+        require_real("drop_missing_over", drop_missing_over)
+        if not 0 <= drop_missing_over <= 1:
+            raise ConfigError(f"drop_missing_over must lie in [0, 1], not {drop_missing_over}")
+    labels, values, gaps = [], array("d"), bytearray()
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -212,14 +224,28 @@ def load_csv(
                 header = next(reader)
             except StopIteration:
                 raise SingleClassError(f"{path}: empty file") from None
-            # each row and the file line it ends on; the lines go into an
-            # int array, since one object per row pins heap memory. Blank
-            # lines carry no row and are skipped.
-            rows, lines = [], array("l")
+            label_pos = header.index(label_column) if label_column in header else None
+            # a bad header or the first bad row ends the conversion, not
+            # the reading: a decoding error later in the file comes first
+            fault = len(set(header)) < len(header) or label_pos is None
             for row in reader:
-                if row:
-                    rows.append(row)
-                    lines.append(reader.line_num)
+                if fault or not row:  # blank lines carry no row
+                    continue
+                if len(row) != len(header):
+                    msg = f"row has {len(row)} cells, expected {len(header)}"
+                    fault = UnparsableCellError(reader.line_num, None, msg)
+                    continue
+                labels.append(row.pop(label_pos))
+                gaps.extend([not c for c in row])
+                try:  # a gap reads as 0 here and as NaN once the file is read
+                    cells = list(map(float, [c or "0" for c in row] if "" in row else row))
+                except ValueError:  # a cell that is no number, named by the scan
+                    cells = [math.nan]
+                # 'nan', 'inf' and overflowing spellings parse but are not
+                # observations; a finite row whose sum overflows passes the scan
+                if not math.isfinite(sum(cells)):
+                    fault = _first_bad_cell(row, label_pos, reader.line_num)
+                values.fromlist(cells)
     except FileNotFoundError:
         raise MissingFileError(f"no such file: {path}") from None
     except UnicodeDecodeError as e:
@@ -230,61 +256,39 @@ def load_csv(
     if len(set(header)) < len(header):
         twice = next(h for i, h in enumerate(header) if h in header[:i])
         raise UnparsableCellError(1, None, f"column name {twice!r} appears twice")
-    if label_column not in header:
-        raise MissingLabelColumnError(
-            f"label column {label_column!r} not in header {header}"
-        )
-    label_pos = header.index(label_column)
-    feature_names = [h for i, h in enumerate(header) if i != label_pos]
-
-    labels: list[str] = []
-    values = np.empty((len(rows), len(feature_names)), dtype=float)
-    mask = np.zeros_like(values, dtype=bool)
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise UnparsableCellError(
-                lines[r], None, f"row has {len(row)} cells, expected {len(header)}"
-            )
-        labels.append(row[label_pos])
-        c = 0
-        for i, cell in enumerate(row):
-            if i == label_pos:
-                continue
-            if not cell:
-                values[r, c] = np.nan
-                mask[r, c] = True
-            else:
-                try:
-                    v = float(cell)
-                except ValueError:
-                    v = math.nan
-                # 'nan', 'inf' and overflowing spellings parse but are
-                # not observations: only an empty cell marks a gap
-                if not math.isfinite(v):
-                    raise UnparsableCellError(lines[r], i + 1, cell)
-                values[r, c] = v
-            c += 1
-
+    if label_pos is None:
+        raise MissingLabelColumnError(f"label column {label_column!r} not in header {header}")
+    if fault:
+        raise fault
     class_names = sorted(set(labels))
     if len(class_names) < 2:
         raise SingleClassError(f"label column has {len(class_names)} distinct value(s)")
     rank = {name: i for i, name in enumerate(class_names)}
     y = np.array([rank[s] for s in labels], dtype=int)
+    feature_names = header[:label_pos] + header[label_pos + 1:]
+    X = np.frombuffer(values).reshape(len(labels), len(feature_names))
+    mask = np.frombuffer(gaps, dtype=bool).reshape(X.shape)
+    X[mask] = np.nan
+    if drop_missing_over is not None:
+        keep = mask.mean(axis=0) <= drop_missing_over
+        if not keep.all():
+            X, mask = X[:, keep], mask[:, keep]
+            feature_names = [n for n, k in zip(feature_names, keep) if k]
+    return Dataset(X=X, y=y, feature_names=feature_names, class_names=class_names,
+                   missing_mask=mask if mask.any() else None)
 
-    if drop_missing_over is not None and len(rows):
-        frac = mask.mean(axis=0)
-        keep = frac <= drop_missing_over
-        values = values[:, keep]
-        mask = mask[:, keep]
-        feature_names = [n for n, k in zip(feature_names, keep) if k]
 
-    return Dataset(
-        X=values,
-        y=y,
-        feature_names=feature_names,
-        class_names=class_names,
-        missing_mask=mask if mask.any() else None,
-    )
+def _first_bad_cell(cells, label_pos: int, line: int) -> UnparsableCellError | None:
+    """The error for the first feature cell of a row, its label popped, that
+    is neither empty nor a finite float; None if there is none."""
+    for i, cell in enumerate(cells):
+        try:
+            if not cell or math.isfinite(float(cell)):
+                continue
+        except ValueError:
+            pass
+        return UnparsableCellError(line, i + 1 + (i >= label_pos), cell)
+    return None
 
 
 def save_csv(d: Dataset, path, label_column: str = "label") -> None:

@@ -258,8 +258,9 @@ class ResultsTable:
                 out.append(entry)
         return out
 
-    def to_csv(self, path) -> None:
-        """Per-seed rows (std cells empty), then one aggregate row per group."""
+    def to_csv(self, path) -> list[dict]:
+        """Per-seed rows (std cells empty), then one aggregate row per group (returned)."""
+        aggs = self.aggregates()
         no_std = [None] * len(METRIC_COLUMNS)
         rows = [
             [r.dataset, r.method, r.subset_size, r.seed,
@@ -269,9 +270,10 @@ class ResultsTable:
         rows += [
             [self.dataset, a["method"], a["subset_size"], "aggregate",
              *(a[c] for c in METRIC_COLUMNS), *(a[c + "_std"] for c in METRIC_COLUMNS)]
-            for a in self.aggregates()
+            for a in aggs
         ]
         write_csv(path, RESULTS_COLUMNS, rows)
+        return aggs
 
 
 def _evaluate(ms, X_cal, y_cal, X_test, y_test, epsilon, n_classes):
@@ -556,10 +558,10 @@ def emit_outputs(
 
     def emit(name, writer):
         path = os.path.join(out_dir, name)
-        writer(path)
         written.append(path)
+        return writer(path)
 
-    emit("results.csv", table.to_csv)
+    aggs = emit("results.csv", table.to_csv)
     emit("consistency.csv", lambda p: write_csv(p, CONSISTENCY_COLUMNS, consistency_rows))
     emit("stopping.csv", lambda p: write_csv(p, STOPPING_COLUMNS, stopping_summary))
     emit("frequencies.csv", lambda p: write_csv(p, FREQUENCY_COLUMNS, frequencies))
@@ -569,7 +571,6 @@ def emit_outputs(
             json.dump(trace_to_json(trace, table.feature_names), fh, indent=2)
             fh.write("\n")
         written.append(path)
-    aggs = table.aggregates()
     xs = np.array(table.sizes, dtype=float)
     for method in table.methods:
         rows = {a["subset_size"]: a for a in aggs if a["method"] == method}

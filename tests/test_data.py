@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from crfe.data import (
 )
 from crfe.exceptions import (
     ConfigError,
+    CrfeError,
     DegenerateLabelsError,
     DimensionMismatchError,
     EmptyRowSetError,
@@ -105,6 +107,10 @@ def test_load_csv_missing_label_column(tmp_path):
     p.write_text("a,b\n1,2\n")
     with pytest.raises(MissingLabelColumnError):
         load_csv(p, label_column="label")
+    # the header is judged before any row: a ragged row does not outrank it
+    p.write_text("a,b\n1,2\n1\n")
+    with pytest.raises(MissingLabelColumnError):
+        load_csv(p, label_column="label")
 
 
 @pytest.mark.parametrize("header, twice", [("a,label,label", "label"), ("a,a,label", "a")])
@@ -117,6 +123,11 @@ def test_load_csv_rejects_a_repeated_column_name(tmp_path, header, twice):
         load_csv(p, label_column="label")
     assert (ei.value.line, ei.value.col) == (1, None)
     assert str(ei.value) == f"line 1: column name {twice!r} appears twice"
+    # ... also when a later row holds a bad cell
+    p.write_text(f"{header}\n1,0,0\noops,1,1\n")
+    with pytest.raises(UnparsableCellError) as ei:
+        load_csv(p, label_column="label")
+    assert (ei.value.line, ei.value.col) == (1, None)
 
 
 def test_load_csv_unparsable_cell_reports_location(tmp_path):
@@ -139,6 +150,18 @@ def test_load_csv_unparsable_cell_reports_location(tmp_path):
     with pytest.raises(UnparsableCellError) as ei:
         load_csv(p, label_column="label")
     assert (ei.value.line, ei.value.col) == (4, 2)
+    # between a ragged row and a bad cell, the earlier line wins
+    for text, where in [("1,y\n1,oops,y\n", (3, None)), ("1,oops,y\n1,y\n", (3, 2))]:
+        p.write_text("a,b,label\n1,2,x\n" + text)
+        with pytest.raises(UnparsableCellError) as ei:
+            load_csv(p, label_column="label")
+        assert (ei.value.line, ei.value.col) == where
+    # the whole file is read before a bad cell is reported: bytes that are
+    # not UTF-8 on a later line come first
+    p.write_bytes(b"a,b,label\n1,2,x\n1,oops,y\n3,4,x\n\xff,5,y\n")
+    with pytest.raises(CrfeError, match="not UTF-8 text") as ei:
+        load_csv(p, label_column="label")
+    assert not isinstance(ei.value, UnparsableCellError)
 
 
 def test_load_csv_skips_blank_lines(tmp_path):
@@ -188,6 +211,39 @@ def test_load_csv_missing_token_and_drop_threshold(tmp_path):
     assert full.has_missing()
     assert full.missing_mask[:, 1].tolist() == [True, False, True, False]
     assert np.isnan(full.X[0, 1])
+    # the thresholds 0 and 1 are the ends of the scale
+    assert load_csv(p, label_column="label", drop_missing_over=1).feature_names == ("a", "b")
+    assert load_csv(p, label_column="label", drop_missing_over=0).feature_names == ("a",)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5, float("inf"), "0.5", True])
+def test_load_csv_rejects_a_drop_threshold_outside_0_1(bad):
+    # a NaN or negative threshold would drop every feature; the check comes
+    # before the file is opened, so a missing file does not mask it
+    with pytest.raises(ConfigError, match="drop_missing_over"):
+        load_csv("/nonexistent/nope.csv", label_column="label", drop_missing_over=bad)
+
+
+def test_load_csv_memory_stays_near_the_matrix(tmp_path):
+    # rows are converted as they are read, so the text of every cell is
+    # never held at once (that peaked at 12x the matrix)
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((2000, 60))
+    mask = np.zeros(X.shape, dtype=bool)
+    mask[:, :8] = rng.random((2000, 8)) < 0.1
+    X[mask] = np.nan
+    d = Dataset(X=X, y=np.arange(2000) % 3, feature_names=[f"f{j}" for j in range(60)],
+                class_names=("a", "b", "c"), missing_mask=mask)
+    p = tmp_path / "tall.csv"
+    save_csv(d, p)
+    tracemalloc.start()
+    try:
+        back = load_csv(p, label_column="label")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.X.shape == (2000, 60)
+    assert peak <= 4 * back.X.nbytes
 
 
 def test_csv_round_trip_exact(tmp_path):

@@ -180,7 +180,7 @@ def test_aggregates_recompute_exactly(tiny_table):
 
 def test_results_csv_round_trip(tmp_path, tiny_table):
     path = tmp_path / "results.csv"
-    tiny_table.to_csv(path)
+    assert tiny_table.to_csv(path) == tiny_table.aggregates()  # it returns what it wrote
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     seed_rows = [r for r in rows if r["seed"] != "aggregate"]
@@ -459,6 +459,17 @@ def test_emit_outputs_files_and_determinism(tmp_path, tiny_table):
     before = {n: (out / n).read_bytes() for n in names}
     emit_outputs(tiny_table, rows, summary, freqs, out)
     assert {n: (out / n).read_bytes() for n in names} == before
+
+
+def test_emit_outputs_computes_the_aggregates_once(tmp_path, tiny_table, monkeypatch):
+    # results.csv and the plots read one list of aggregates
+    summary, freqs, _ = run_stopping_benchmark(tiny_config())
+    calls = []
+    aggregates = type(tiny_table).aggregates
+    monkeypatch.setattr(type(tiny_table), "aggregates",
+                        lambda table: calls.append(table) or aggregates(table))
+    emit_outputs(tiny_table, consistency_report(tiny_table), summary, freqs, tmp_path)
+    assert calls == [tiny_table]
 
 
 def test_emitted_csvs_parse_back(tmp_path, tiny_table):
