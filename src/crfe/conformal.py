@@ -122,7 +122,8 @@ def write_prediction_csv(path, P, mask, class_names, sample_ids=None) -> None:
 
     Columns are ``sample_id, p_class_0..p_class_{m-1}, set``; the set cell
     joins member class names with '|' (empty cell for the empty set).
-    Floats are written with round-trip precision.
+    Floats are written with round-trip precision. ``sample_ids``, if
+    given, holds one id per row of P.
     """
     P = np.asarray(P, dtype=float)
     mask = np.asarray(mask, dtype=bool)
@@ -131,9 +132,11 @@ def write_prediction_csv(path, P, mask, class_names, sample_ids=None) -> None:
         raise DimensionMismatchError("P, mask and class_names disagree on shape")
     if sample_ids is None:
         sample_ids = range(n)
+    if len(sample_ids) != n:
+        raise DimensionMismatchError(f"{len(sample_ids)} sample ids for {n} rows of P")
     columns = ["sample_id", *(f"p_class_{k}" for k in range(m)), "set"]
     rows = (
         [sid, *P[i], "|".join(class_names[k] for k in np.flatnonzero(mask[i]))]
-        for i, sid in zip(range(n), sample_ids)
+        for i, sid in enumerate(sample_ids)
     )
     write_csv(path, columns, rows)

@@ -195,9 +195,9 @@ def load_csv(
         CSV file, UTF-8, '.' decimal separator.
     label_column : str
         Header name of the label column. Distinct label strings are sorted
-        and mapped to class ids by rank. An empty feature cell marks a
-        missing value; every other feature cell must parse as a finite
-        float.
+        and mapped to class ids by rank; a label cell may not be empty. An
+        empty feature cell marks a missing value; every other feature cell
+        must parse as a finite float.
     drop_missing_over : float in [0, 1] or None
         Drop any feature whose missing fraction exceeds this threshold
         before returning (default 0.25); None disables the filter.
@@ -207,9 +207,9 @@ def load_csv(
     ConfigError (a threshold neither None nor in [0, 1], before any read),
     MissingFileError, MissingLabelColumnError, SingleClassError,
     UnparsableCellError (a column name that appears twice, a ragged row,
-    or a cell that is neither a finite number nor empty; it names the
-    1-based file line, the header being line 1, and blank lines are
-    skipped but counted),
+    an empty label cell, or a feature cell that is neither a finite
+    number nor empty; it names the 1-based file line, the header being
+    line 1, and blank lines are skipped but counted),
     CrfeError (bytes that are not UTF-8, or a field over csv's size limit)
     """
     if drop_missing_over is not None:
@@ -235,7 +235,12 @@ def load_csv(
                     msg = f"row has {len(row)} cells, expected {len(header)}"
                     fault = UnparsableCellError(reader.line_num, None, msg)
                     continue
-                labels.append(row.pop(label_pos))
+                label = row.pop(label_pos)
+                if not label:
+                    msg = f"label column {label_column!r} is empty"
+                    fault = UnparsableCellError(reader.line_num, None, msg)
+                    continue
+                labels.append(label)
                 gaps.extend([not c for c in row])
                 try:  # a gap reads as 0 here and as NaN once the file is read
                     cells = list(map(float, [c or "0" for c in row] if "" in row else row))

@@ -46,10 +46,11 @@ class UnparsableCellError(CrfeError):
     """A CSV row does not parse.
 
     Either a cell is neither a finite number nor empty (a missing value),
-    or the row has a different cell count from the header. ``line`` is the
-    1-based line of the file (the header is line 1). ``col`` is the 1-based
-    column of the bad cell and ``value`` its text; a ragged row has ``col``
-    None and ``value`` describing its cell count.
+    or the row has a different cell count from the header or an empty
+    label. ``line`` is the 1-based line of the file (the header is line 1).
+    ``col`` is the 1-based column of the bad cell and ``value`` its text; a
+    ragged row or an empty label has ``col`` None and ``value`` describing
+    the fault.
     """
 
     def __init__(self, line: int, col: int | None, value: str):

@@ -15,7 +15,7 @@ active set) model is trained once. _run_block runs every repeat of a run
 in one lock-step: each pass trains the sets new to any repeat in one
 stacked solve per shape, and the baseline's cross-validated stop trains
 the folds of every stopping repeat in one solve per (fold training
-size, feature count). _run_repeat is its one-repeat case.
+size, feature count).
 """
 
 from __future__ import annotations
@@ -358,9 +358,13 @@ def consistency_report(table: ResultsTable) -> list[dict]:
 
 
 def _cv_accuracies(mats, n_classes, tcfg, folds: int = 5) -> list[float]:
-    """_cv_accuracy of X[:, cols] with solver seed ``seed``, per (X, y, cols, seed).
+    """Cross-validated accuracy of X[:, cols] with solver seed ``seed``,
+    per (X, y, cols, seed) in ``mats``.
 
-    Folds of one (training size, len(cols)) train in stacked solves
+    Each is the mean held-out argmax accuracy over contiguous folds, in
+    fold order. A fold that holds out no row, or whose training rows miss
+    a class, is skipped; -1.0 when every fold is skipped. Folds of one
+    (training size, len(cols)) train in stacked solves
     (classifier._stacked_solves), each sliced just before its solve; all
     solves share one memo of row-order streams.
     """
@@ -388,32 +392,18 @@ def _cv_accuracies(mats, n_classes, tcfg, folds: int = 5) -> list[float]:
     return [float(np.mean([a[f] for f in sorted(a)])) if a else -1.0 for a in accs]
 
 
-def _cv_accuracy(X, y, n_classes, tcfg, folds: int = 5) -> float:
-    """Mean held-out argmax accuracy over contiguous folds, in fold order.
-
-    A fold that holds out no row, or whose training rows miss a class, is
-    skipped; -1.0 when every fold is skipped.
-    """
-    return _cv_accuracies([(X, y, range(X.shape[1]), tcfg.seed)], n_classes, tcfg, folds)[0]
-
-
 # ----------------------------------------------------------------- repeats
 
 
-def _run_repeat(d: Dataset, name: str, sizes, cfg: ExperimentConfig, r: int,
-                compare: bool, stop: bool):
-    """Repeat r of the comparison (if compare) and of the stopping run (if stop).
+def _run_block(d: Dataset, name: str, sizes, cfg: ExperimentConfig, repeats):
+    """Repeat r of the comparison (if compare) and of the stopping run (if
+    stop), per (r, compare, stop) in ``repeats``, in that order.
 
-    Depends only on its arguments. Returns the comparison's ResultRows, its
-    {(method, seed): trace}, and per selector the stopping run's (method,
-    seed, final active features, SetMetricsReport).
-    """
-    return _run_block(d, name, sizes, cfg, [(r, compare, stop)])[0]
-
-
-def _run_block(d: Dataset, name: str, sizes, cfg: ExperimentConfig, repeats) -> list:
-    """[_run_repeat(d, name, sizes, cfg, r, compare, stop) per (r, compare, stop)],
-    with every elimination in one _lockstep and every CV fold in one _cv_accuracies.
+    A repeat depends only on d, cfg and r. Every elimination runs in one
+    _lockstep and every CV fold in one _cv_accuracies. Returns the
+    comparison's ResultRows, its {(method, seed): trace}, and per stopping
+    run of each selector its (method, seed, final active features,
+    SetMetricsReport).
     """
     m = d.n_classes
     reps, runs = [], []
@@ -431,16 +421,15 @@ def _run_block(d: Dataset, name: str, sizes, cfg: ExperimentConfig, repeats) -> 
     found = iter(_lockstep(runs, m, cfg.train, cfg.lam))
     del runs  # each repeat's models are dropped below once its traces are read
 
-    done, cv = [], []
+    rows, traces, done, cv = [], {}, [], []
     for seed, solver_seed, (X_tr, y_tr), held_out, models, compare, stop in reps:
 
         def path(trace):  # the model trained at each size of an elimination
             subsets = subsets_by_size(trace, d.n_features)
             return {size: models[tuple(sorted(s))] for size, s in subsets.items()}
 
-        traces = {(method, seed): next(found) for method in cfg.selectors if compare}
-        rows = []
-        for (method, _), trace in traces.items():
+        for method in cfg.selectors if compare else ():
+            traces[method, seed] = trace = next(found)
             models_at = path(trace)
             rows += [ResultRow(name, method, s, seed,
                                *_evaluate(models_at[s], *held_out, cfg.epsilon, m)) for s in sizes]
@@ -450,31 +439,29 @@ def _run_block(d: Dataset, name: str, sizes, cfg: ExperimentConfig, repeats) -> 
                    for method in (cfg.selectors if stop else ())]
         cv += [(X_tr, y_tr, ms.active_features, solver_seed)
                for method, models_at in stopped if method == "rfe" for ms in models_at.values()]
-        done.append((rows, traces, seed, held_out, stopped))
+        done.append((seed, held_out, stopped))
         models.clear()  # what the CV stage and the reports read is in rows and stopped
     del reps
 
     accs = iter(_cv_accuracies(cv, m, cfg.train))
-    results = []
-    for rows, traces, seed, held_out, stopped in done:
-        stops = []
+    stops = []
+    for seed, held_out, stopped in done:
         for method, final in stopped:
             if method == "rfe":
                 acc = {size: next(accs) for size in final}
                 final = final[max(acc, key=lambda s: (acc[s], s))]  # ties: larger size
             stops.append((method, seed, final.active_features,
                           _evaluate(final, *held_out, cfg.epsilon, m)[0]))
-        results.append((rows, traces, stops))
-    return results
+    return rows, traces, stops
 
 
 def _run_repeats(cfg: ExperimentConfig, n_compare: int, n_stop: int):
     """Comparison repeats r < n_compare and stopping repeats r < n_stop.
 
-    Loads the dataset once, runs each repeat with _run_repeat and joins
-    their results in repeat order. Returns the comparison's ResultsTable
-    and the stopping benchmark's (summary, frequencies, per_run), or None
-    in place of the latter when n_stop is 0.
+    Loads the dataset once and runs every repeat in one _run_block.
+    Returns the comparison's ResultsTable and the stopping benchmark's
+    (summary, frequencies, per_run), or None in place of the latter when
+    n_stop is 0.
     """
     d, name = load_dataset(cfg)
     l = d.n_features
@@ -483,11 +470,8 @@ def _run_repeats(cfg: ExperimentConfig, n_compare: int, n_stop: int):
         raise ConfigError(f"a comparison needs at least 2 features, the data has {l}")
     if n_compare and sizes[0] > l:
         raise ConfigError(f"sizes start at {sizes[0]} but the data has {l} features")
-    results = _run_block(d, name, sizes, cfg, [(r, r < n_compare, r < n_stop)
-                                               for r in range(max(n_compare, n_stop))])
-    rows = [row for r_rows, _, _ in results for row in r_rows]
-    traces = {key: t for _, r_traces, _ in results for key, t in r_traces.items()}
-    stops = [s for _, _, r_stops in results for s in r_stops]
+    rows, traces, stops = _run_block(d, name, sizes, cfg, [(r, r < n_compare, r < n_stop)
+                                                           for r in range(max(n_compare, n_stop))])
     table = ResultsTable(
         dataset=name,
         feature_names=d.feature_names,

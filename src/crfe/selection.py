@@ -225,7 +225,7 @@ def trace_to_json(trace: SelectionTrace, feature_names=None) -> dict:
 # ------------------------------------------------------------------- engine
 
 
-def _elimination(X_train, X_cal, y_cal, method: str, policy, observer):
+def _elimination(X_train, X_cal, y_cal, method: str, policy):
     """The backward loop shared by both selectors, as a generator.
 
     It yields each pass's active set as a tuple and is sent that set's
@@ -268,9 +268,6 @@ def _elimination(X_train, X_cal, y_cal, method: str, policy, observer):
     while not fired:
         ms = yield tuple(active)
         crit = score(ms, X_cal[:, active], y_cal)
-        if observer is not None:
-            observer(len(steps) + 1, tuple(active), ms, crit)
-
         if beta:
             mean = float(crit.mean())
             mean_hist.append(mean)
@@ -310,8 +307,7 @@ class _Run(NamedTuple):
     policy: object
 
 
-def _lockstep(runs, n_classes: int, config: TrainConfig, lam: float,
-              observer=None) -> list[SelectionTrace]:
+def _lockstep(runs, n_classes: int, config: TrainConfig, lam: float) -> list[SelectionTrace]:
     """Run every _Run in ``runs`` in lock-step; one trace each.
 
     Every policy is checked before anything trains. A pass reuses its
@@ -319,10 +315,8 @@ def _lockstep(runs, n_classes: int, config: TrainConfig, lam: float,
     their dict train by shape: a lone one through train_ova (config with
     the run's seed), more in stacked solves (classifier._stacked_solves)
     that share one memo of row-order streams.
-    ``observer`` is called by every run as observer(iteration, active,
-    model_set, criterion) after each pass.
     """
-    gens = [_elimination(run.X_train, run.X_cal, run.y_cal, run.method, run.policy, observer)
+    gens = [_elimination(run.X_train, run.X_cal, run.y_cal, run.method, run.policy)
             for run in runs]
     wants = {i: next(g) for i, g in enumerate(gens)}  # the active set each live run waits for
     traces = [None] * len(gens)
@@ -351,15 +345,14 @@ def _lockstep(runs, n_classes: int, config: TrainConfig, lam: float,
 
 
 def _run_eliminations(X_train, y_train, X_cal, y_cal, n_classes: int, runs,
-                      config: TrainConfig, lam: float, models=None,
-                      observer=None) -> list[SelectionTrace]:
+                      config: TrainConfig, lam: float, models=None) -> list[SelectionTrace]:
     """_lockstep over every (method, policy) in ``runs``; all share the data,
     config (seed included), lam and ``models``."""
     X_train = np.asarray(X_train, dtype=float)
     X_cal = np.asarray(X_cal, dtype=float)
     models = {} if models is None else models
     return _lockstep([_Run(X_train, y_train, X_cal, y_cal, config.seed, models, method, policy)
-                      for method, policy in runs], n_classes, config, lam, observer)
+                      for method, policy in runs], n_classes, config, lam)
 
 
 def run_crfe(
@@ -371,21 +364,19 @@ def run_crfe(
     policy,
     config: TrainConfig = TrainConfig(),
     lam: float = 0.5,
-    observer=None,
     models=None,
 ) -> SelectionTrace:
     """Conformal elimination: retrain, score with beta, drop the largest.
 
     policy is FixedSize or BetaCriterion. The calibration split feeds the
-    beta scores and is never used for weight fitting. ``observer``, if
-    given, is called as observer(iteration, active, model_set, criterion)
-    after every pass. ``models`` is an optional dict from tuple(active)
-    to the LinearModelSet trained on those features: passes whose set is
-    in it reuse that model, and newly trained ones are added. Pass the
-    same dict only to runs with the same X_train, y_train, config and lam.
+    beta scores and is never used for weight fitting. ``models`` is an
+    optional dict from tuple(active) to the LinearModelSet trained on
+    those features: passes whose set is in it reuse that model, and newly
+    trained ones are added. Pass the same dict only to runs with the same
+    X_train, y_train, config and lam.
     """
     return _run_eliminations(X_train, y_train, X_cal, y_cal, n_classes, [("crfe", policy)],
-                             config, lam, models, observer)[0]
+                             config, lam, models)[0]
 
 
 def run_rfe(
@@ -397,16 +388,15 @@ def run_rfe(
     policy,
     config: TrainConfig = TrainConfig(),
     lam: float = 0.5,
-    observer=None,
     models=None,
 ) -> SelectionTrace:
     """Weight-norm elimination baseline; drops the smallest squared weight.
 
     Accepts the calibration split so callers can swap methods freely, but
     the criterion itself only reads the trained weights. Only FixedSize
-    stopping applies. ``observer`` and ``models`` work as in run_crfe;
-    both selectors may share one ``models`` dict, since a model depends
-    only on the training data, config, lam and active set.
+    stopping applies. ``models`` works as in run_crfe; both selectors
+    may share one ``models`` dict, since a model depends only on the
+    training data, config, lam and active set.
     """
     return _run_eliminations(X_train, y_train, X_cal, y_cal, n_classes, [("rfe", policy)],
-                             config, lam, models, observer)[0]
+                             config, lam, models)[0]

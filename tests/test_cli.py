@@ -158,6 +158,19 @@ def test_repeated_column_name_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_empty_label_cell_exits_3(tmp_path, capsys, no_training):
+    data = tmp_path / "data.csv"
+    data.write_text("a,label\n1,x\n2,\n3,y\n4,x\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CFG, "dataset": {"csv": str(data)}}))
+    out = tmp_path / "o"
+    for args in (["select", "--data", str(data), "--label", "label", "--method", "crfe",
+                  "--stop", "beta"], ["bench", "--config", str(cfg)]):
+        assert main([*args, "--out", str(out)]) == 3
+        assert "crfe: data error: line 3: label column 'label' is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_writes_reports(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(CFG))

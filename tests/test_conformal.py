@@ -12,7 +12,12 @@ from crfe.conformal import (
     write_prediction_csv,
 )
 from crfe.data import SyntheticSpec, apply_scaler, fit_scaler, generate_synthetic, split
-from crfe.exceptions import ConfigError, DegenerateLabelsError, EmptyCalibrationError
+from crfe.exceptions import (
+    ConfigError,
+    DegenerateLabelsError,
+    DimensionMismatchError,
+    EmptyCalibrationError,
+)
 from oracles import (
     binary_nonconformity,
     multiclass_nonconformity,
@@ -169,6 +174,15 @@ def test_write_prediction_csv_golden(tmp_path):
         "7,0.5,0.25,no|yes\n"
         "9,0.125,0.75,yes\n"
     )
+
+
+@pytest.mark.parametrize("ids", [(7,), (7, 9, 11)], ids=["short", "long"])
+def test_write_prediction_csv_rejects_sample_ids_of_another_length(tmp_path, ids):
+    P = np.array([[0.5, 0.25], [0.125, 0.75]])
+    p = tmp_path / "pred.csv"
+    with pytest.raises(DimensionMismatchError, match=f"{len(ids)} sample ids for 2 rows"):
+        write_prediction_csv(p, P, P > 0.2, class_names=("no", "yes"), sample_ids=ids)
+    assert not p.exists()
 
 
 def test_write_prediction_csv_empty_set(tmp_path):

@@ -156,6 +156,18 @@ def test_load_csv_unparsable_cell_reports_location(tmp_path):
         with pytest.raises(UnparsableCellError) as ei:
             load_csv(p, label_column="label")
         assert (ei.value.line, ei.value.col) == where
+    # an empty label is a row fault, not a class named ''
+    p.write_text("a,label\n1,x\n2,\n3,y\n4,x\n")
+    with pytest.raises(UnparsableCellError) as ei:
+        load_csv(p, label_column="label")
+    assert (ei.value.line, ei.value.col) == (3, None)
+    assert str(ei.value) == "line 3: label column 'label' is empty"
+    # between an empty label and a bad cell, the earlier line wins
+    for text, where in [("1,2,\n1,oops,y\n", (3, None)), ("1,oops,y\n1,2,\n", (3, 2))]:
+        p.write_text("a,b,label\n1,2,x\n" + text)
+        with pytest.raises(UnparsableCellError) as ei:
+            load_csv(p, label_column="label")
+        assert (ei.value.line, ei.value.col) == where
     # the whole file is read before a bad cell is reported: bytes that are
     # not UTF-8 on a later line come first
     p.write_bytes(b"a,b,label\n1,2,x\n1,oops,y\n3,4,x\n\xff,5,y\n")

@@ -20,7 +20,7 @@ from crfe.harness import (
     METRIC_COLUMNS,
     ExperimentConfig,
     StoppingParams,
-    _cv_accuracy,
+    _cv_accuracies,
     config_from_dict,
     consistency_report,
     emit_outputs,
@@ -271,7 +271,7 @@ def test_a_repeat_depends_only_on_data_config_and_index():
     cfg = tiny_config()
     table, (_, _, per_run) = harness._run_repeats(cfg, 2, 2)
     d, name = harness.load_dataset(cfg)
-    rows, traces, stops = harness._run_repeat(d, name, table.sizes, cfg, 1, True, True)
+    rows, traces, stops = harness._run_block(d, name, table.sizes, cfg, [(1, True, True)])
     seed = cfg.master_seed + 1
     want = [r for r in table.rows if r.seed == seed]
     assert [(r.method, r.subset_size) for r in rows] == [(r.method, r.subset_size) for r in want]
@@ -290,6 +290,10 @@ def test_a_repeat_depends_only_on_data_config_and_index():
     ] == [p for p in per_run if p["seed"] == seed]
 
 
+def cv_of_all_columns(X, y, n_classes, tcfg):
+    return _cv_accuracies([(X, y, range(X.shape[1]), tcfg.seed)], n_classes, tcfg)[0]
+
+
 @pytest.mark.parametrize("n", [36, 37, 41, 43, 44])
 def test_cv_accuracy_matches_per_fold_oracle(n):
     # n % 5 != 0 gives folds of two training-set sizes, trained in two solves
@@ -298,7 +302,7 @@ def test_cv_accuracy_matches_per_fold_oracle(n):
     y = rng.permutation(np.arange(n) % 3)
     X[:, 0] += y
     tcfg = TrainConfig(epochs=20, batch_size=8, seed=n)
-    assert _cv_accuracy(X, y, 3, tcfg) == cv_accuracy(X, y, 3, tcfg)
+    assert cv_of_all_columns(X, y, 3, tcfg) == cv_accuracy(X, y, 3, tcfg)
 
 
 def test_cv_accuracy_skips_degenerate_folds_like_oracle():
@@ -308,13 +312,13 @@ def test_cv_accuracy_skips_degenerate_folds_like_oracle():
     # fold's training rows miss it and the fold is skipped
     y = np.repeat([0, 1, 2], [3, 20, 14])
     X = rng.standard_normal((y.size, 3)) + y[:, None]
-    got = _cv_accuracy(X, y, 3, tcfg)
+    got = cv_of_all_columns(X, y, 3, tcfg)
     assert got == cv_accuracy(X, y, 3, tcfg)
     assert got >= 0.0
     # every fold holds out a whole class
     y = np.repeat(np.arange(5), 2)
     X = rng.standard_normal((10, 3))
-    assert _cv_accuracy(X, y, 5, tcfg) == cv_accuracy(X, y, 5, tcfg) == -1.0
+    assert cv_of_all_columns(X, y, 5, tcfg) == cv_accuracy(X, y, 5, tcfg) == -1.0
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -327,7 +331,7 @@ def test_cv_accuracy_skips_folds_that_hold_out_nothing(n):
     tcfg = TrainConfig(epochs=20, batch_size=8, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an empty mean warns
-        got = _cv_accuracy(X, y, 2, tcfg)
+        got = cv_of_all_columns(X, y, 2, tcfg)
         want = cv_accuracy(X, y, 2, tcfg)
     assert math.isfinite(got)
     assert got == want

@@ -35,3 +35,37 @@ def test_checker_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions and classes, per module name, that no
+    source reads by name (as an ast.Name or an ast.Attribute)."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{name}: {node.name}" for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and node.name not in read]
+
+
+def test_checker_sees_an_unread_private_definition():
+    assert unread_private_definitions({
+        "a.py": "def _used(): pass\ndef _twin(): return _used()\nclass _Gone: pass\n",
+        "b.py": "_Gone = 1\n",  # binding a name is no read of it
+    }) == ["a.py: _twin", "a.py: _Gone"]
+    assert unread_private_definitions({
+        "a.py": "def _f(): pass\nclass _C: pass\ndef public(): pass\ndef __dir__(): pass\n",
+        "b.py": "import a\nprint(a._f, a._C)\n",
+    }) == []
+
+
+def test_no_private_definition_is_read_only_by_tests():
+    package = ROOT / "src" / "crfe"
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))}
+    assert unread_private_definitions(sources) == []

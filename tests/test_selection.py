@@ -359,19 +359,6 @@ def test_lockstep_checks_every_policy_before_training(monkeypatch):
                                     TrainConfig(), 0.5)
 
 
-def test_observer_sees_every_iteration():
-    args, _ = synth_problem(seed=13)
-    seen = []
-    run_crfe(*args, FixedSize(6), TrainConfig(seed=0),
-             observer=lambda it, active, ms, crit: seen.append((it, active, len(crit))))
-    assert [s[0] for s in seen] == list(range(1, 8))
-    assert len(seen[0][1]) == 12 and len(seen[-1][1]) == 6
-    assert all(len(a) == c for _, a, c in seen)
-    # active sets shrink by one feature per iteration
-    for (_, a1, _), (_, a2, _) in zip(seen, seen[1:]):
-        assert set(a2) < set(a1)
-
-
 # ------------------------------------------------------------------- traces
 
 
