@@ -14,8 +14,9 @@ solver returns them and in which scoring and feature selection read them.
 
 train_ova solves its K one-vs-all problems in one stacked loop. Training
 sets of one shape go through the same loop together, F sets times K
-classes, each set with its own seed: the active sets all repeats reach
-in one pass, and the cross-validation folds of one shape across repeats.
+classes, each set with its own seed: _train_sets, the drivers' one
+entry, groups the active sets all repeats reach in one pass, and the
+cross-validation folds of one shape across repeats.
 Each step gathers one mini-batch per problem, shape (F * K, b, l + 1),
 and updates all F * K weight vectors with a handful of array calls, so
 the Python overhead of a step is paid once per step rather than once
@@ -30,9 +31,8 @@ per-problem loop):
   epoch draws, so every problem visits its rows in the seeded order of
   its set and class (_train_stacked states the seed rule). A stream is
   keyed by its integer seed s + k alone, and one of at most
-  _ORDER_BUFFER entries is drawn whole and kept, read-only, for the
-  solves of one selection._lockstep or harness._cv_accuracies call,
-  which share their seeds and row counts;
+  _ORDER_BUFFER entries is drawn whole and kept, read-only, by
+  _kept_stream for every later solve of its seed and row count;
 - the margins come from the same matrix-vector product per problem, and
   the update sums the masked batch rows in batch order, so the rows of
   non-violators add exact zeros and every other sum keeps its order.
@@ -40,9 +40,10 @@ per-problem loop):
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -117,6 +118,8 @@ class LinearModelSet:
         object.__setattr__(self, "active_features", active)
         if b.size < 2:
             raise ConfigError("need one model per class, at least two classes")
+        if not (np.isfinite(W).all() and np.isfinite(b).all()):
+            raise ConfigError("weights and biases must be finite")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError("lam must lie in [0, 1]")
         if min(active, default=0) < 0 or any(a >= c for a, c in zip(active, active[1:])):
@@ -160,25 +163,30 @@ _ORDER_BUFFER = 1 << 16
 _STACK_BYTES = 1 << 21
 
 
-def _epoch_orders(seeds, n: int, epochs: int, kept: dict):
+# 128 streams hold the README default's largest working set, 53 stream seeds at
+# each of two CV fold sizes; at most _ORDER_BUFFER 2-byte entries each, 16 MiB
+@functools.lru_cache(maxsize=128)
+def _kept_stream(seed: int, n: int, epochs: int) -> np.ndarray:
+    """The (epochs, n) row orders default_rng(seed) draws, read-only, in the
+    smallest unsigned type that holds n - 1 (at most _ORDER_BUFFER entries)."""
+    rows = np.arange(n, dtype=np.min_scalar_type(n - 1))
+    stream = np.random.default_rng(seed).permuted(np.tile(rows, (epochs, 1)), axis=1)
+    stream.flags.writeable = False
+    return stream
+
+
+def _epoch_orders(seeds, n: int, epochs: int):
     """Yield each epoch's (R, n) row orders, row r from default_rng(seeds[r]).
 
     Generator.permuted over a block of epochs draws exactly what one
     Generator.permutation(n) call per epoch would, whatever the integer
     type. Streams of at most _ORDER_BUFFER entries are drawn whole, once
-    per ``kept``, which holds them read-only under (seed, n, epochs) in
-    the smallest unsigned type that holds n - 1. Larger ones are drawn a
-    block of epochs at a time into a buffer that the next block
-    overwrites, and are not kept.
+    per process, by _kept_stream. Larger ones are drawn a block of epochs
+    at a time into a buffer that the next block overwrites, and are not
+    kept.
     """
     if n * epochs <= _ORDER_BUFFER:
-        for s in seeds:
-            if (s, n, epochs) not in kept:
-                rows = np.arange(n, dtype=np.min_scalar_type(n - 1))
-                stream = np.random.default_rng(s).permuted(np.tile(rows, (epochs, 1)), axis=1)
-                stream.flags.writeable = False
-                kept[s, n, epochs] = stream
-        yield from np.stack([kept[s, n, epochs] for s in seeds], axis=1)
+        yield from np.stack([_kept_stream(s, n, epochs) for s in seeds], axis=1)
         return
     R = len(seeds)
     rngs = [np.random.default_rng(s) for s in seeds]
@@ -193,8 +201,7 @@ def _epoch_orders(seeds, n: int, epochs: int, kept: dict):
             yield idx[:, e]
 
 
-def _train_stacked(ZX, config: TrainConfig, seeds,
-                   orders: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _train_stacked(ZX, config: TrainConfig, seeds) -> tuple[np.ndarray, np.ndarray]:
     """Fit the F x K binary problems whose label-signed rows are ZX[f, k].
 
     ZX has shape (F, K, n, l + 1): F training sets of K one-vs-all
@@ -202,10 +209,8 @@ def _train_stacked(ZX, config: TrainConfig, seeds,
     in {-1, +1}. Class k of set f visits its rows in the orders drawn
     from default_rng(seeds[f] + k), so each set's models equal those of
     a solve over it alone. Streams are keyed by that seed s + k alone:
-    problems of one stream seed read one draw. ``orders`` keeps the
-    streams of at most _ORDER_BUFFER entries for the solves that share
-    it (one _lockstep or _cv_accuracies call, of one config); None
-    keeps them for this solve only. Returns the tail-averaged weights,
+    problems of one stream seed read one draw, and _kept_stream keeps
+    the short ones for later solves. Returns the tail-averaged weights,
     shape (F, K, l), and biases, shape (F, K).
     """
     F, K, n, l = ZX.shape[0], ZX.shape[1], ZX.shape[2], ZX.shape[3] - 1
@@ -223,7 +228,7 @@ def _train_stacked(ZX, config: TrainConfig, seeds,
     streams = list(dict.fromkeys(s + k for s in seeds for k in range(K)))
     stream = [streams.index(s + k) for s in seeds for k in range(K)]  # per problem
     offsets = np.arange(0, P * n, n)[:, None]  # to each problem's own rows
-    for order in _epoch_orders(streams, n, config.epochs, {} if orders is None else orders):
+    for order in _epoch_orders(streams, n, config.epochs):
         idx = order[stream] + offsets
         for start in range(0, n, batch):
             rows = np.take(ZX, idx[:, start:start + batch], axis=0)  # (P, b, l + 1)
@@ -239,26 +244,11 @@ def _train_stacked(ZX, config: TrainConfig, seeds,
     return w_avg[..., :l], w_avg[..., l]
 
 
-def _stacked_solves(items, shape, n_classes: int):
-    """Yield items in groups of one (n, l) = shape(item), in order, each
-    cut to at most _STACK_BYTES of label-signed rows (one set at least).
-    """
-    groups: dict = {}
-    for item in items:
-        groups.setdefault(shape(item), []).append(item)
-    for (n, l), group in groups.items():
-        step = max(1, _STACK_BYTES // (8 * n_classes * n * (l + 1)))
-        for start in range(0, len(group), step):
-            yield group[start:start + step]
-
-
 def _check_labels(y, n_rows: int, n_classes: int) -> np.ndarray:
     """y as an int array, after checking it can train n_classes models."""
     y = _whole_labels(y)
     if y.shape != (n_rows,):
         raise DimensionMismatchError("y length does not match X rows")
-    if n_classes < 2:
-        raise DegenerateLabelsError("need at least two classes")
     if y.size and (y.min() < 0 or y.max() >= n_classes):
         raise DegenerateLabelsError("labels outside [0, n_classes)")
     counts = np.bincount(y, minlength=n_classes)
@@ -267,12 +257,6 @@ def _check_labels(y, n_rows: int, n_classes: int) -> np.ndarray:
             f"classes absent from training labels: {np.flatnonzero(counts == 0).tolist()}"
         )
     return y
-
-
-def _signed_rows(X, y, n_classes: int) -> np.ndarray:
-    """The (n_classes, n, l + 1) one-vs-all rows: +-(x_i, 1), + for class k."""
-    Z = np.where(y == np.arange(n_classes)[:, None], 1.0, -1.0)
-    return Z[:, :, None] * np.hstack([X, np.ones((X.shape[0], 1))])
 
 
 def train_ova(
@@ -288,28 +272,44 @@ def train_ova(
     Labels must be whole numbers, and every class id in [0, n_classes)
     must occur in y.
     """
-    return _train_ova_stacked([(X, y, active_features, config.seed)], n_classes, config, lam)[0]
+    X = _check_matrix(X)
+    (_, ms), = _train_sets([(X, y, None, range(X.shape[1]), config.seed)], n_classes, config, lam)
+    return ms if active_features is None else replace(ms, active_features=active_features)
 
 
-def _train_ova_stacked(problems, n_classes: int, config: TrainConfig,
-                       lam: float = DEFAULT_LAMBDA, orders=None) -> list[LinearModelSet]:
-    """train_ova(X, y, n_classes, config with seed, lam, active) per (X, y, active, seed).
+def _train_sets(jobs, n_classes: int, config: TrainConfig, lam: float = DEFAULT_LAMBDA):
+    """Yield (job index, LinearModelSet) per job (X, y, rows, cols, seed), in
+    solve order; rows None means every row of X.
 
-    Every X has one shape; they train in one stacked solve, so each
-    returned model set is bit-identical to its own train_ova call. An
-    active of None means all of X's columns; config.seed is not read.
-    ``orders`` is _train_stacked's memo of row-order streams.
+    Each set is train_ova(X[rows][:, cols], y[rows], n_classes, config with
+    seed, lam, active_features=cols), bit for bit; config.seed is not read.
+    Jobs of one (row count, len(cols)) train together, in stacked solves
+    of at most _STACK_BYTES of label-signed rows (one set at least). Each
+    job is sliced and checked just before its solve, straight into the
+    solve's (F, K, n, l + 1) rows.
     """
-    ZX, actives, seeds = [], [], []
-    for X, y, active, seed in problems:
-        X = _check_matrix(X)
-        ZX.append(_signed_rows(X, _check_labels(y, X.shape[0], n_classes), n_classes))
-        actives.append(range(X.shape[1]) if active is None else active)
-        seeds.append(seed)
-    # np.stack copies, which one training set does not need
-    W, b = _train_stacked(np.stack(ZX) if len(ZX) > 1 else ZX[0][None], config, seeds, orders)
-    return [LinearModelSet(W=W[f], b=b[f], lam=lam, active_features=active)
-            for f, active in enumerate(actives)]
+    if n_classes < 2:
+        raise DegenerateLabelsError("need at least two classes")
+    groups: dict = {}
+    for i, (X, _, rows, cols, _) in enumerate(jobs):
+        groups.setdefault((X.shape[0] if rows is None else len(rows), len(cols)), []).append(i)
+    classes = np.arange(n_classes)[:, None]
+    for (n, l), group in groups.items():
+        step = max(1, _STACK_BYTES // (8 * n_classes * max(n, 1) * (l + 1)))
+        for start in range(0, len(group), step):
+            solve = group[start:start + step]
+            ZX = np.empty((len(solve), n_classes, n, l + 1))
+            for f, i in enumerate(solve):
+                X, y, rows, cols, _ = jobs[i]
+                X = _check_matrix(X[:, cols] if rows is None else X[np.ix_(rows, cols)])
+                y = _check_labels(y if rows is None else y[rows], n, n_classes)
+                Z = np.where(y == classes, 1.0, -1.0)  # (K, n): +1 for class k
+                np.multiply(Z[:, :, None], X, out=ZX[f, :, :, :l])
+                ZX[f, :, :, l] = Z
+            W, b = _train_stacked(ZX, config, [jobs[i][4] for i in solve])
+            del ZX  # freed before the next solve allocates its own
+            for f, i in enumerate(solve):
+                yield i, LinearModelSet(W=W[f], b=b[f], lam=lam, active_features=jobs[i][3])
 
 
 def decision_matrix(ms: LinearModelSet, X) -> np.ndarray:
@@ -355,9 +355,9 @@ def model_set_to_json(ms: LinearModelSet) -> str:
 def model_set_from_json(text: str) -> LinearModelSet:
     """Read what model_set_to_json writes.
 
-    A document of any other shape, or with a non-finite weight or bias,
-    raises ConfigError; weight lists of different lengths raise
-    DimensionMismatchError.
+    A document of any other shape, or with a non-finite weight or bias
+    (LinearModelSet checks that), raises ConfigError; weight lists of
+    different lengths raise DimensionMismatchError.
     """
     try:
         data = json.loads(text)
@@ -386,8 +386,6 @@ def model_set_from_json(text: str) -> LinearModelSet:
         raise ConfigError(f"bad value in model JSON: {e}") from None
     if active != data["active_features"]:
         raise ConfigError("model JSON active_features must be whole numbers")
-    if not (np.isfinite(W).all() and np.isfinite(b).all()):
-        raise ConfigError("model JSON weights and biases must be finite")
     return LinearModelSet(W=W, b=b, lam=lam, active_features=active)
 
 

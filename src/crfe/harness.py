@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import TrainConfig, _stacked_solves, _train_ova_stacked, decision_matrix
+from .classifier import TrainConfig, _train_sets, decision_matrix
 from .conformal import calibrate, nonconformity_all_labels, p_value_matrix, prediction_mask
 from .consistency import SubsetFamily, jaccard_multi, kuncheva, weighted_consistency
 from .data import (
@@ -82,6 +82,8 @@ STOPPING_COLUMNS = (
 FREQUENCY_COLUMNS = ("dataset", "method", "feature_index", "feature_name", "count")
 
 SELECTORS = ("crfe", "rfe")
+
+_CV_FOLDS = 5  # folds of the baseline's cross-validated stop
 
 
 @dataclass(frozen=True)
@@ -357,38 +359,33 @@ def consistency_report(table: ResultsTable) -> list[dict]:
 # ---------------------------------------------------------------- stopping
 
 
-def _cv_accuracies(mats, n_classes, tcfg, folds: int = 5) -> list[float]:
+def _cv_accuracies(mats, n_classes, tcfg) -> list[float]:
     """Cross-validated accuracy of X[:, cols] with solver seed ``seed``,
     per (X, y, cols, seed) in ``mats``.
 
-    Each is the mean held-out argmax accuracy over contiguous folds, in
-    fold order. A fold that holds out no row, or whose training rows miss
-    a class, is skipped; -1.0 when every fold is skipped. Folds of one
-    (training size, len(cols)) train in stacked solves
-    (classifier._stacked_solves), each sliced just before its solve; all
-    solves share one memo of row-order streams.
+    Each is the mean held-out argmax accuracy over _CV_FOLDS contiguous
+    folds, in fold order. A fold that holds out no row, or whose training
+    rows miss a class, is skipped; -1.0 when every fold is skipped. Every
+    fold that trains is one job of classifier._train_sets, and each model
+    is scored as it is yielded.
     """
     folds_of: dict[int, list] = {}  # n -> (train_rows, hold) of each fold
-    jobs = []  # (matrix, fold, train_rows, hold) of every fold that trains
-    for i, (X, y, _, _) in enumerate(mats):
+    jobs, held = [], []  # per fold that trains: its job, and (matrix, fold, hold)
+    for i, (X, y, cols, seed) in enumerate(mats):
         n = X.shape[0]
         if n not in folds_of:
             folds_of[n] = [(np.setdiff1d(np.arange(n), hold), hold)
-                           for hold in np.array_split(np.arange(n), folds)]
-        jobs += [(i, f, train_rows, hold) for f, (train_rows, hold) in enumerate(folds_of[n])
-                 if hold.size and np.bincount(y[train_rows], minlength=n_classes).all()]
+                           for hold in np.array_split(np.arange(n), _CV_FOLDS)]
+        for f, (train_rows, hold) in enumerate(folds_of[n]):
+            if hold.size and np.bincount(y[train_rows], minlength=n_classes).all():
+                jobs.append((X, y, train_rows, cols, seed))
+                held.append((i, f, hold))
     accs: list[dict] = [{} for _ in mats]
-    orders: dict = {}  # _train_stacked's streams, kept for this call
-    for solve in _stacked_solves(jobs, lambda j: (j[2].size, len(mats[j[0]][2])), n_classes):
-        problems = []
-        for i, _, train_rows, _ in solve:
-            X, y, cols, seed = mats[i]
-            problems.append((X[np.ix_(train_rows, cols)], y[train_rows], None, seed))
-        trained = _train_ova_stacked(problems, n_classes, tcfg, orders=orders)
-        for (i, f, _, hold), ms in zip(solve, trained):
-            X, y, cols, _ = mats[i]
-            pred = point_predict(decision_matrix(ms, X[np.ix_(hold, cols)]))
-            accs[i][f] = float((pred == y[hold]).mean())
+    for j, ms in _train_sets(jobs, n_classes, tcfg):
+        i, f, hold = held[j]
+        X, y, cols, _ = mats[i]
+        pred = point_predict(decision_matrix(ms, X[np.ix_(hold, cols)]))
+        accs[i][f] = float((pred == y[hold]).mean())
     return [float(np.mean([a[f] for f in sorted(a)])) if a else -1.0 for a in accs]
 
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classifier import LinearModelSet, TrainConfig, _stacked_solves, _train_ova_stacked, train_ova
+from .classifier import LinearModelSet, TrainConfig, _train_sets, train_ova
 from .data import _whole_labels, write_csv
 from .exceptions import (
     DimensionMismatchError,
@@ -312,28 +312,24 @@ def _lockstep(runs, n_classes: int, config: TrainConfig, lam: float) -> list[Sel
 
     Every policy is checked before anything trains. A pass reuses its
     run's model of the set if it has one. Each round, the sets new to
-    their dict train by shape: a lone one through train_ova (config with
-    the run's seed), more in stacked solves (classifier._stacked_solves)
-    that share one memo of row-order streams.
+    their dict train: a lone one through train_ova (config with the run's
+    seed), more through classifier._train_sets.
     """
     gens = [_elimination(run.X_train, run.X_cal, run.y_cal, run.method, run.policy)
             for run in runs]
     wants = {i: next(g) for i, g in enumerate(gens)}  # the active set each live run waits for
     traces = [None] * len(gens)
-    orders: dict = {}  # _train_stacked's streams, kept for this call
     while wants:
-        new = {(id(runs[i].models), a): (runs[i], a)
-               for i, a in wants.items() if a not in runs[i].models}
-        for solve in _stacked_solves(list(new.values()),
-                                     lambda p: (p[0].X_train.shape[0], len(p[1])), n_classes):
-            if len(solve) == 1:
-                (run, a), = solve
-                run.models[a] = train_ova(run.X_train[:, a], run.y_train, n_classes,
-                                          replace(config, seed=run.seed), lam, active_features=a)
-                continue
-            problems = [(run.X_train[:, a], run.y_train, a, run.seed) for run, a in solve]
-            trained = _train_ova_stacked(problems, n_classes, config, lam, orders)
-            for (run, a), ms in zip(solve, trained):
+        new = list({(id(runs[i].models), a): (runs[i], a)
+                    for i, a in wants.items() if a not in runs[i].models}.values())
+        if len(new) == 1:
+            (run, a), = new
+            run.models[a] = train_ova(run.X_train[:, a], run.y_train, n_classes,
+                                      replace(config, seed=run.seed), lam, active_features=a)
+        elif new:
+            jobs = [(run.X_train, run.y_train, None, a, run.seed) for run, a in new]
+            for j, ms in _train_sets(jobs, n_classes, config, lam):
+                run, a = new[j]
                 run.models[a] = ms
         for i, active in list(wants.items()):
             try:

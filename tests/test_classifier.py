@@ -32,6 +32,12 @@ from oracles import (
 )
 
 
+def train_sets(jobs, n_classes, config):
+    """The model sets of classifier._train_sets, in job order."""
+    got = dict(classifier._train_sets(jobs, n_classes, config))
+    return [got[i] for i in range(len(jobs))]
+
+
 def separable_blobs(seed=0, n=40, gap=3.0):
     rng = np.random.default_rng(seed)
     X = np.vstack([
@@ -178,8 +184,7 @@ def test_fold_trainer_matches_train_ova_per_fold(problem):
         rest = [int(i) for i in perm if i not in firsts]
         folds.append(np.array(firsts + rest[:n_train - k]))
     with mock.patch.object(classifier, "_ORDER_BUFFER", buffer):
-        got = classifier._train_ova_stacked([(X[rows], y[rows], None, config.seed)
-                                             for rows in folds], k, config)
+        got = train_sets([(X, y, rows, range(l), config.seed) for rows in folds], k, config)
     assert len(got) == f
     for ms, rows in zip(got, folds):
         want = train_ova(X[rows], y[rows], k, config)
@@ -219,11 +224,11 @@ def test_stacked_sets_with_their_own_seeds_match_train_ova(problem):
     sets = []
     for seed in seeds:
         X = rng.standard_normal((n, l)) * rng.uniform(0.1, 10.0)
-        sets.append((X, rng.permutation(np.arange(n) % k), None, seed))
+        sets.append((X, rng.permutation(np.arange(n) % k), None, range(l), seed))
     with mock.patch.object(classifier, "_ORDER_BUFFER", buffer):
-        got = classifier._train_ova_stacked(sets, k, config)
+        got = train_sets(sets, k, config)
     assert len(got) == len(sets)
-    for ms, (X, y, _, seed) in zip(got, sets):
+    for ms, (X, y, _, _, seed) in zip(got, sets):
         want = train_ova(X, y, k, replace(config, seed=seed))
         assert np.array_equal(ms.W, want.W)
         assert np.array_equal(ms.b, want.b)
@@ -231,31 +236,37 @@ def test_stacked_sets_with_their_own_seeds_match_train_ova(problem):
 
 @pytest.mark.parametrize("buffer", [1 << 16, 100])  # streams of 120 entries kept, or not
 def test_solves_that_share_kept_orders_match_fresh_solves(buffer):
-    """Solves with one memo of streams train what fresh solves train."""
+    """Solves that read kept streams train what solves after cache_clear() train."""
     k, config = 3, TrainConfig(epochs=6, batch_size=8)
     rng = np.random.default_rng(8)
 
     def sets(n, seeds):
-        return [(rng.standard_normal((n, 4)), rng.permutation(np.arange(n) % k), None, seed)
-                for seed in seeds]
+        return [(rng.standard_normal((n, 4)), rng.permutation(np.arange(n) % k), None,
+                 range(4), seed) for seed in seeds]
 
     # stream seeds 0-3, then 1-4, of which the second solve reads three
     # kept ones, then 0-2 again at another row count, which it may not read
     groups = [sets(20, [0, 1]), sets(20, [1, 2, 2]), sets(21, [0])]
-    orders = {}
+    keys = [(seed, 20) for seed in range(5)] + [(seed, 21) for seed in range(3)]
+    kept = classifier._kept_stream
+    kept.cache_clear()
     with mock.patch.object(classifier, "_ORDER_BUFFER", buffer):
-        shared = [classifier._train_ova_stacked(group, k, config, orders=orders)
-                  for group in groups]
-        fresh = [classifier._train_ova_stacked(group, k, config) for group in groups]
+        shared = [train_sets(group, k, config) for group in groups]
+        n_kept = kept.cache_info().currsize
+        streams = {key: kept(*key, config.epochs) for key in keys}
+        drawn = kept.cache_info().currsize - n_kept  # the keys that were not kept
+        fresh = []
+        for group in groups:
+            kept.cache_clear()
+            fresh.append(train_sets(group, k, config))
     for got, want in zip(sum(shared, []), sum(fresh, [])):
         assert np.array_equal(got.W, want.W)
         assert np.array_equal(got.b, want.b)
     if buffer < 20 * config.epochs:
-        assert orders == {}
+        assert n_kept == 0
         return
-    assert sorted(orders) == sorted([(seed, 20, 6) for seed in range(5)]
-                                    + [(seed, 21, 6) for seed in range(3)])
-    for (seed, n, _), stream in orders.items():
+    assert n_kept == len(keys) and drawn == 0
+    for (seed, n), stream in streams.items():
         draws = np.random.default_rng(seed)
         assert np.array_equal(stream, [draws.permutation(n) for _ in range(config.epochs)])
         assert not stream.flags.writeable
@@ -269,7 +280,7 @@ def test_labels_must_be_whole_numbers():
     with pytest.raises(DegenerateLabelsError, match="whole numbers"):
         train_ova(X, [0, 1, 0, 1, 0, np.nan], 2)
     with pytest.raises(DegenerateLabelsError, match="whole numbers"):
-        classifier._train_ova_stacked([(X, np.array(fractional), None, 0)], 2, TrainConfig())
+        train_sets([(X, np.array(fractional), None, range(2), 0)], 2, TrainConfig())
     # whole-valued floats are the same labels as their ints
     whole = train_ova(X, [0.0, 1.0, 0.0, 1.0, 0.0, 1.0], 2)
     ints = train_ova(X, [0, 1, 0, 1, 0, 1], 2)
@@ -280,9 +291,8 @@ def test_fold_trainer_rejects_a_fold_missing_a_class():
     X = np.random.default_rng(2).standard_normal((8, 2))
     y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
     with pytest.raises(DegenerateLabelsError):
-        classifier._train_ova_stacked([(X[rows], y[rows], None, 0)
-                                       for rows in (np.arange(1, 5), np.arange(4))],
-                                      2, TrainConfig())
+        train_sets([(X, y, rows, range(2), 0) for rows in (np.arange(1, 5), np.arange(4))],
+                   2, TrainConfig())
 
 
 def test_ova_structure_and_accuracy():
@@ -297,6 +307,16 @@ def test_ova_structure_and_accuracy():
     D = decision_matrix(ms, X)
     assert D.shape == (90, 3)
     assert (D.argmax(axis=1) == y).mean() > 0.95
+
+
+def test_a_solve_that_diverges_is_rejected():
+    # a penalty of 1 / (c n) overflows to inf, and the weights to NaN
+    X, z = separable_blobs()
+    with pytest.raises(ConfigError, match="weights and biases must be finite"):
+        train_ova(X, (z > 0).astype(int), 2, TrainConfig(c=1e-320, epochs=3))
+    for W, b in (([[np.nan, 1.0], [1.0, 2.0]], [0.0, 0.0]), ([[1.0, 2.0]] * 2, [0.0, np.inf])):
+        with pytest.raises(ConfigError, match="finite"):
+            LinearModelSet(W=W, b=b, lam=0.5, active_features=(0, 1))
 
 
 def test_ova_missing_class_rejected():

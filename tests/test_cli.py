@@ -37,8 +37,8 @@ def no_training(monkeypatch):
         raise AssertionError("trained before the bad value was rejected")
 
     monkeypatch.setattr(selection, "train_ova", refuse)
-    monkeypatch.setattr(selection, "_train_ova_stacked", refuse)
-    monkeypatch.setattr(harness, "_train_ova_stacked", refuse)  # the CV folds
+    monkeypatch.setattr(selection, "_train_sets", refuse)
+    monkeypatch.setattr(harness, "_train_sets", refuse)  # the CV folds
 
 
 @pytest.fixture()
@@ -229,6 +229,16 @@ def test_bench_one_feature_or_unreadable_config_exits_2(tmp_path):
         assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert main(["synth", "--spec", str(cfg), "--out", str(tmp_path / "d.csv")]) == 2
     assert not (tmp_path / "o").exists()
+
+
+def test_bench_whose_solver_diverges_exits_2(tmp_path, capsys):
+    # c this small makes the penalty 1 / (c n) infinite and every weight NaN
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CFG, "train": {"c": 1e-320, "epochs": 5}}))
+    out = tmp_path / "o"
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error: weights and biases must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_consistency_subcommand(tmp_path):

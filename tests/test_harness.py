@@ -1,5 +1,6 @@
 import copy
 import csv
+import functools
 import json
 import math
 import os
@@ -350,19 +351,19 @@ def test_stopping_benchmark_on_ten_rows_warns_nothing():
 def test_run_all_trains_each_repeat_model_once(tmp_path, monkeypatch):
     """Both selectors and both benchmarks share each repeat's models."""
     trained = []
-    real, real_stacked = selection.train_ova, selection._train_ova_stacked
+    real, real_sets = selection.train_ova, selection._train_sets
 
     def recording(X, y, n_classes, config, lam, active_features=None):
         # a repeat's solver seed is train.seed + r, so it names the repeat
         trained.append((config.seed, tuple(active_features)))
         return real(X, y, n_classes, config, lam, active_features=active_features)
 
-    def recording_stacked(problems, n_classes, config, lam, orders):
-        trained.extend((seed, tuple(active)) for _, _, active, seed in problems)
-        return real_stacked(problems, n_classes, config, lam, orders)
+    def recording_sets(jobs, n_classes, config, lam):
+        trained.extend((seed, tuple(cols)) for _, _, _, cols, seed in jobs)
+        return real_sets(jobs, n_classes, config, lam)
 
     monkeypatch.setattr(selection, "train_ova", recording)
-    monkeypatch.setattr(selection, "_train_ova_stacked", recording_stacked)
+    monkeypatch.setattr(selection, "_train_sets", recording_sets)
     run_all(config_from_dict(BENCH_CFG), tmp_path)
     assert trained
     assert len(trained) == len(set(trained))
@@ -376,9 +377,9 @@ def _count_solves(monkeypatch) -> list:
     sets = []
     real = classifier._train_stacked
 
-    def counting(ZX, config, seeds, orders):
+    def counting(ZX, config, seeds):
         sets.append(ZX.shape[0])
-        return real(ZX, config, seeds, orders)
+        return real(ZX, config, seeds)
 
     monkeypatch.setattr(classifier, "_train_stacked", counting)
     return sets
@@ -399,18 +400,25 @@ def test_run_all_draws_each_row_order_stream_once_per_stage(tmp_path, monkeypatc
     # of both repeats read seeds 0-3 at 45 rows, and the 8 CV solves the same
     # seeds at 36 rows; drawn once per solve, they were 96 streams
     drawn, solves = [], []
-    real = classifier._epoch_orders
+    real_orders, real_stream = classifier._epoch_orders, classifier._kept_stream
 
-    def watching(seeds, n, epochs, kept):
-        before = set(kept)
-        yield from real(seeds, n, epochs, kept)
+    def watching(seeds, n, epochs):
+        yield from real_orders(seeds, n, epochs)
         solves.append(n)
-        drawn.extend(sorted(set(kept) - before))
+
+    @functools.lru_cache(maxsize=128)  # an empty cache of its own, whose misses are recorded
+    def drawing(seed, n, epochs):
+        drawn.append((seed, n, epochs))
+        return real_stream.__wrapped__(seed, n, epochs)
 
     monkeypatch.setattr(classifier, "_epoch_orders", watching)
+    monkeypatch.setattr(classifier, "_kept_stream", drawing)
     run_all(config_from_dict(BENCH_CFG), tmp_path)
     assert solves == [45] * 8 + [36] * 8
     assert drawn == [(s, 45, 40) for s in range(4)] + [(s, 36, 40) for s in range(4)]
+    # the streams stay kept, so a second run draws none
+    run_all(config_from_dict(BENCH_CFG), tmp_path / "again")
+    assert len(drawn) == 8
 
 
 def test_a_capped_solve_splits_its_group_without_changing_outputs(tmp_path, monkeypatch):

@@ -69,3 +69,40 @@ def test_no_private_definition_is_read_only_by_tests():
     package = ROOT / "src" / "crfe"
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))}
     assert unread_private_definitions(sources) == []
+
+
+def private_reads_of(module: str, sources: dict[str, str], allowed=()) -> list[str]:
+    """Private names of ``module`` outside ``allowed`` that another source
+    reads: imported from the module, or read as an attribute of its name."""
+    found = []
+    for name, source in sources.items():
+        if name == f"{module}.py":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+                names = [alias.name for alias in node.names]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == module):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{name}: {n}" for n in names
+                      if n.startswith("_") and not n.startswith("__") and n not in allowed]
+    return found
+
+
+def test_checker_sees_a_private_read_of_another_module():
+    assert private_reads_of("a", {
+        "a.py": "def _f(): pass\n_f()\n",
+        "b.py": "from .a import _f, g, _h\nfrom .c import _f\n",
+        "c.py": "from . import a\na._k()\nprint(a.public, a.__name__, x._f)\n",
+        "d.py": "from crfe.a import _f, _ok\n",
+    }, allowed=("_ok",)) == ["b.py: _f", "b.py: _h", "c.py: _k", "d.py: _f"]
+
+
+def test_only_the_training_entry_of_classifier_is_read_elsewhere():
+    # how training sets are grouped into solves, and the row-order streams
+    # they read, stay inside classifier.py
+    package = ROOT / "src" / "crfe"
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))}
+    assert private_reads_of("classifier", sources, allowed=("_train_sets",)) == []

@@ -6,10 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crfe import selection
+from crfe import classifier, selection
 from crfe.classifier import LinearModelSet, TrainConfig
 from crfe.conformal import nonconformity_all_labels
-from crfe.data import SyntheticSpec, apply_scaler, fit_scaler, generate_synthetic, split
+from crfe.data import (
+    SyntheticSpec,
+    apply_scaler,
+    fit_scaler,
+    generate_synthetic,
+    scaled_split,
+    split,
+)
 from crfe.exceptions import (
     DegenerateLabelsError,
     DimensionMismatchError,
@@ -308,6 +315,27 @@ def test_run_rfe_keeps_the_signal_column():
     assert tr.selected == (2,)
 
 
+def test_run_crfe_draws_each_row_order_stream_once(monkeypatch):
+    # each pass trains its set alone, with the same 4 stream seeds and 131
+    # rows; drawn once per pass, they were 132 streams over 33 passes
+    spec = SyntheticSpec(n_samples=350, n_features=35, n_informative=10, n_redundant=1,
+                         n_classes=4, class_sep=1.5, flip_y=0.05, seed=3)
+    d, _ = generate_synthetic(spec)
+    _, train, cal, _ = scaled_split(d, 7)
+    drawn = []
+    real = np.random.default_rng
+
+    def drawing(seed):
+        drawn.append(seed)
+        return real(seed)
+
+    classifier._kept_stream.cache_clear()
+    monkeypatch.setattr(np.random, "default_rng", drawing)
+    trace = run_crfe(*train, *cal, 4, BetaCriterion())
+    assert len(trace.steps) == 33
+    assert sorted(drawn) == [0, 1, 2, 3]
+
+
 def test_lockstep_runs_match_separate_runs(monkeypatch):
     args, _ = synth_problem(seed=3)
     cfg = TrainConfig(epochs=40, seed=1)
@@ -320,13 +348,13 @@ def test_lockstep_runs_match_separate_runs(monkeypatch):
         alone_models.update(models)
 
     stacked = []
-    real = selection._train_ova_stacked
+    real = selection._train_sets
 
-    def recording(problems, *rest):
-        stacked.append(len(problems))
-        return real(problems, *rest)
+    def recording(jobs, *rest):
+        stacked.append(len(jobs))
+        return real(jobs, *rest)
 
-    monkeypatch.setattr(selection, "_train_ova_stacked", recording)
+    monkeypatch.setattr(selection, "_train_sets", recording)
     shared = {}
     together = selection._run_eliminations(*args, runs, cfg, 0.5, shared)
     assert [trace_to_json(t) for t in together] == [trace_to_json(t) for t in alone]
@@ -342,7 +370,7 @@ def test_lockstep_runs_match_separate_runs(monkeypatch):
 
     # every round finds its sets in the dict, so nothing trains
     monkeypatch.setattr(selection, "train_ova", refuse)
-    monkeypatch.setattr(selection, "_train_ova_stacked", refuse)
+    monkeypatch.setattr(selection, "_train_sets", refuse)
     again = selection._run_eliminations(*args, runs, cfg, 0.5, shared)
     assert [trace_to_json(t) for t in again] == [trace_to_json(t) for t in alone]
 
@@ -352,7 +380,7 @@ def test_lockstep_checks_every_policy_before_training(monkeypatch):
         raise AssertionError("trained before a bad policy was rejected")
 
     monkeypatch.setattr(selection, "train_ova", refuse)
-    monkeypatch.setattr(selection, "_train_ova_stacked", refuse)
+    monkeypatch.setattr(selection, "_train_sets", refuse)
     args, _ = synth_problem()
     with pytest.raises(InvalidPolicyError):
         selection._run_eliminations(*args, [("crfe", FixedSize(3)), ("rfe", BetaCriterion())],
