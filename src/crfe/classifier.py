@@ -1,48 +1,24 @@
-"""Linear one-vs-all classifiers trained by averaged stochastic subgradient.
+"""Linear one-vs-all classifiers trained on the squared hinge.
 
-Each binary problem minimizes the L2-regularized hinge objective
+Each binary problem minimizes the L2-regularized squared-hinge objective
 
-    J(w, b) = mean_i max(0, 1 - z_i (w . x_i + b)) + (||w||^2 + b^2) / (2 C n)
+    J(w, b) = (||w||^2 + b^2) / 2 + (C / 2) sum_i max(0, 1 - z_i (w . x_i + b))^2
 
-with the bias folded into the weight vector as a constant input. Updates
-run over seeded mini-batch shuffles with learning rate
-eta0 / (1 + eta0 * t / (C n)), and the returned model averages the
-iterates of the second half of the run. Everything is deterministic for a
-fixed TrainConfig. A LinearModelSet holds the K one-vs-all models as one
+with the bias folded into the weight vector as a constant input. Its
+minimizer is found exactly, with no seed, by a finite Newton method
+(_train_stacked). A LinearModelSet holds the K one-vs-all models as one
 (K, l) weight matrix W and one (K,) bias vector b, the form in which the
 solver returns them and in which scoring and feature selection read them.
 
-train_ova solves its K one-vs-all problems in one stacked loop. Training
-sets of one shape go through the same loop together, F sets times K
-classes, each set with its own seed: _train_sets, the drivers' one
-entry, groups the active sets all repeats reach in one pass, and the
-cross-validation folds of one shape across repeats.
-Each step gathers one mini-batch per problem, shape (F * K, b, l + 1),
-and updates all F * K weight vectors with a handful of array calls, so
-the Python overhead of a step is paid once per step rather than once
-per problem. The result is bit-identical
-to training each problem on its own (tests/oracles.py keeps that
-per-problem loop):
-
-- the step counter t, and with it eta and the penalty, depends only on n,
-  so all problems share one schedule;
-- Generator.permuted along the epoch axis of a block of epochs draws from
-  a class's stream exactly what one Generator.permutation(n) call per
-  epoch draws, so every problem visits its rows in the seeded order of
-  its set and class (_train_stacked states the seed rule). A stream is
-  keyed by its integer seed s + k alone, and one of at most
-  _ORDER_BUFFER entries is drawn whole and kept, read-only, by
-  _kept_stream for every later solve of its seed and row count;
-- the margins come from the same matrix-vector product per problem, and
-  the update sums the masked batch rows in batch order, so the rows of
-  non-violators add exact zeros and every other sum keeps its order.
+_train_sets, the drivers' one entry, solves the K problems of every
+training set of one shape together, F sets times K classes in one
+stacked solve; each problem's model is the one a solve over it alone
+returns, bit for bit.
 """
 
 from __future__ import annotations
 
-import functools
 import json
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,6 +26,7 @@ import numpy as np
 from .data import _whole_labels
 from .exceptions import (
     ConfigError,
+    ConvergenceError,
     DegenerateLabelsError,
     DimensionMismatchError,
     NonFiniteInputError,
@@ -62,25 +39,24 @@ DEFAULT_LAMBDA = 0.5
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of the subgradient solver.
+    """Hyperparameters of the solver.
 
-    c is the inverse regularization strength (larger = weaker penalty).
+    c weighs the squared hinge against the penalty (larger = weaker
+    penalty). epochs and batch_size are inert: no solver reads them, and
+    they are kept, validated as before, because the benchmark tracer
+    still derives its SGD-step counts from them.
     """
 
-    c: float = 1.0
+    c: float = 0.1
     epochs: int = 200
     batch_size: int = 48
-    eta0: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         require_real("c", self.c)
-        require_real("eta0", self.eta0)
-        if self.c <= 0 or self.eta0 <= 0:
-            raise ConfigError("c and eta0 must be positive")
+        if self.c <= 0:
+            raise ConfigError("c must be positive")
         require_int("epochs", self.epochs, 1)
         require_int("batch_size", self.batch_size, 1)
-        require_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,93 +131,105 @@ def _check_matrix(X) -> np.ndarray:
     return X
 
 
-# entries of the longest row-order stream that is drawn whole and kept, and
-# int32 entries of the buffer that longer streams fill a block of epochs at a time
-_ORDER_BUFFER = 1 << 16
+# rows summed into the systems at a time, so only one block of rows is masked and copied
+_ROW_BLOCK = 128
 
-# bytes of label-signed rows in one stacked solve; larger groups take several
+# Newton iterations after which a solve is given up; each takes an exact step
+_NEWTON_CAP = 1000
+
+# rows whose margin is within this of 1 may change sides without forcing a step
+_TIE = 1e-9
+
+# bytes one stacked solve may hold: its label-signed rows, their masked copy and
+# about 32 values of solver state per row; larger groups take several solves
 _STACK_BYTES = 1 << 21
 
 
-# 128 streams hold the README default's largest working set, 53 stream seeds at
-# each of two CV fold sizes; at most _ORDER_BUFFER 2-byte entries each, 16 MiB
-@functools.lru_cache(maxsize=128)
-def _kept_stream(seed: int, n: int, epochs: int) -> np.ndarray:
-    """The (epochs, n) row orders default_rng(seed) draws, read-only, in the
-    smallest unsigned type that holds n - 1 (at most _ORDER_BUFFER entries)."""
-    rows = np.arange(n, dtype=np.min_scalar_type(n - 1))
-    stream = np.random.default_rng(seed).permuted(np.tile(rows, (epochs, 1)), axis=1)
-    stream.flags.writeable = False
-    return stream
+def _line_search(w, delta, r, dd, c):
+    """For each problem p, the t >= 0 minimizing f(w[p] + t delta[p])
+    exactly, shape (P, 1).
 
-
-def _epoch_orders(seeds, n: int, epochs: int):
-    """Yield each epoch's (R, n) row orders, row r from default_rng(seeds[r]).
-
-    Generator.permuted over a block of epochs draws exactly what one
-    Generator.permutation(n) call per epoch would, whatever the integer
-    type. Streams of at most _ORDER_BUFFER entries are drawn whole, once
-    per process, by _kept_stream. Larger ones are drawn a block of epochs
-    at a time into a buffer that the next block overwrites, and are not
-    kept.
+    r = 1 - A w and dd = A delta are the rows' residuals and their rates
+    of change, shape (P, n). f' along the line is continuous, increasing
+    and linear between the breakpoints r_i / dd_i where a row enters or
+    leaves the active set, so the breakpoints are sorted once and the
+    piece where f' crosses zero is read off cumulative sums of the rows'
+    slope terms.
     """
-    if n * epochs <= _ORDER_BUFFER:
-        yield from np.stack([_kept_stream(s, n, epochs) for s in seeds], axis=1)
-        return
-    R = len(seeds)
-    rngs = [np.random.default_rng(s) for s in seeds]
-    block = max(1, min(epochs, _ORDER_BUFFER // (R * n)))
-    order = np.tile(np.arange(n, dtype=np.int32), (block, 1))
-    idx = np.empty((R, block, n), dtype=np.int32)
-    for start in range(0, epochs, block):
-        m = min(block, epochs - start)
-        for r, rng in enumerate(rngs):
-            rng.permuted(order[:m], axis=1, out=idx[r, :m])
-        for e in range(m):
-            yield idx[:, e]
+    p = np.arange(len(r))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = r / dd
+    event = (dd != 0) & (cross > 0)  # a row enters (dd < 0) or leaves (dd > 0) at t > 0
+    on = (r > 0) | ((r == 0) & (dd < 0))  # active just after t = 0
+    times = np.where(event, cross, np.inf)
+    order = np.argsort(times, axis=1)
+    ends = np.concatenate([times[p[:, None], order], np.full((len(r), 1), np.inf)], axis=1)
+    # an active row adds c (dd^2 t - r dd) to f'(t) = alpha + beta t
+    terms = c * np.stack([-r * dd, dd * dd])
+    first = (terms * on).sum(axis=2) + [(w * delta).sum(axis=1), (delta * delta).sum(axis=1)]
+    moves = (terms * np.where(event, np.sign(-dd), 0.0))[:, p[:, None], order]
+    alpha, beta = np.concatenate([first[..., None], first[..., None] + np.cumsum(moves, axis=2)],
+                                 axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        piece = np.argmax(alpha + beta * ends >= 0, axis=1)  # where f' turns positive
+        t = -alpha[p, piece] / beta[p, piece]
+    return np.clip(t, np.where(piece > 0, ends[p, piece - 1], 0.0), ends[p, piece])[:, None]
 
 
-def _train_stacked(ZX, config: TrainConfig, seeds) -> tuple[np.ndarray, np.ndarray]:
+def _train_stacked(ZX, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     """Fit the F x K binary problems whose label-signed rows are ZX[f, k].
 
     ZX has shape (F, K, n, l + 1): F training sets of K one-vs-all
-    problems, row i of problem (f, k) being z_fki * (x_fi, 1) with z_fki
-    in {-1, +1}. Class k of set f visits its rows in the orders drawn
-    from default_rng(seeds[f] + k), so each set's models equal those of
-    a solve over it alone. Streams are keyed by that seed s + k alone:
-    problems of one stream seed read one draw, and _kept_stream keeps
-    the short ones for later solves. Returns the tail-averaged weights,
-    shape (F, K, l), and biases, shape (F, K).
+    problems, row a_i of problem (f, k) being z_fki * (x_fi, 1) with z_fki
+    in {-1, +1}. Each problem minimizes
+    1/2 ||w||^2 + c/2 sum_i max(0, 1 - a_i . w)^2 by the modified finite
+    Newton method of Keerthi and DeCoste (JMLR 2005): solve
+    (I + c A_I^T A_I) w' = c A_I^T 1 over the rows I with margin below 1,
+    stop when the rows below 1 at w' are I (up to rows within _TIE of
+    the margin), and otherwise take the exact line search step towards
+    w' and repeat. The returned w' depends on its active set alone, so a
+    problem's model does not depend on the problems solved with it.
+    Returns the weights, shape (F, K, l), and biases, shape (F, K).
     """
-    F, K, n, l = ZX.shape[0], ZX.shape[1], ZX.shape[2], ZX.shape[3] - 1
-    P = F * K
-    ZX = ZX.reshape(P * n, l + 1)
-    lam_reg = 1.0 / (config.c * n)
-    batch = min(config.batch_size, n)
-    tail_from = config.epochs * math.ceil(n / batch) // 2
-
-    w = np.zeros((P, l + 1))
-    w_col = w[:, :, None]  # view for the batched margins
-    w_sum = np.zeros((P, l + 1))
-    n_tail = 0
-    t = 0
-    streams = list(dict.fromkeys(s + k for s in seeds for k in range(K)))
-    stream = [streams.index(s + k) for s in seeds for k in range(K)]  # per problem
-    offsets = np.arange(0, P * n, n)[:, None]  # to each problem's own rows
-    for order in _epoch_orders(streams, n, config.epochs):
-        idx = order[stream] + offsets
-        for start in range(0, n, batch):
-            rows = np.take(ZX, idx[:, start:start + batch], axis=0)  # (P, b, l + 1)
-            eta = config.eta0 / (1.0 + config.eta0 * lam_reg * t)
-            viol = (np.matmul(rows, w_col) < 1.0).astype(float)  # (P, b, 1)
-            w *= 1.0 - eta * lam_reg
-            w += (eta / rows.shape[1]) * np.einsum("kbi,kbj->kj", viol, rows)
-            t += 1
-            if t > tail_from:
-                w_sum += w
-                n_tail += 1
-    w_avg = (w_sum / n_tail).reshape(F, K, l + 1)
-    return w_avg[..., :l], w_avg[..., l]
+    F, K, n, d = ZX.shape
+    A = ZX.reshape(F * K, n, d)
+    c = config.c
+    W = np.zeros((F * K, d))  # each problem's last system solution
+    w = np.zeros((F * K, d))  # each problem's line search point
+    r = np.ones((F * K, n))  # 1 - A w, every row active at w = 0
+    live = np.arange(F * K)
+    for _ in range(_NEWTON_CAP):
+        act = r[live] > 0
+        H = np.zeros((live.size, d, d))
+        g = np.zeros((live.size, 1, d))
+        for s in range(0, n, _ROW_BLOCK):  # masked rows one block at a time
+            rows = A[live, s:s + _ROW_BLOCK]
+            rows *= act[:, s:s + _ROW_BLOCK, None]
+            H += np.matmul(rows.transpose(0, 2, 1), rows)
+            g += np.matmul(np.ones((1, rows.shape[1])), rows)
+        with np.errstate(over="ignore"):  # a c that overflows is caught just below
+            H *= c
+            g *= c
+        H[:, range(d), range(d)] += 1.0
+        if not (np.isfinite(H).all() and np.isfinite(g).all()):
+            raise ConfigError("weights and biases must be finite")
+        W[live] = np.linalg.solve(H, g.transpose(0, 2, 1))[..., 0]
+        if not np.isfinite(W[live]).all():
+            raise ConfigError("weights and biases must be finite")
+        r_new = 1.0 - np.matmul(A, W[:, :, None])[live, :, 0]
+        moved = ((r_new > 0) != act) & (np.abs(r_new) > _TIE)
+        on = moved.any(axis=1)
+        live, r_new = live[on], r_new[on]
+        if not live.size:
+            return W[:, :-1].reshape(F, K, d - 1), W[:, -1].reshape(F, K)
+        delta = W[live] - w[live]
+        dd = r[live] - r_new  # A delta
+        t = _line_search(w[live], delta, r[live], dd, c)
+        w[live] += t * delta
+        r[live] -= t * dd
+    raise ConvergenceError(
+        f"finite-Newton solve of {live.size} of {F * K} problems of {n} rows and {d} columns"
+        f" did not converge in {_NEWTON_CAP} iterations")
 
 
 def _check_labels(y, n_rows: int, n_classes: int) -> np.ndarray:
@@ -273,40 +261,39 @@ def train_ova(
     must occur in y.
     """
     X = _check_matrix(X)
-    (_, ms), = _train_sets([(X, y, None, range(X.shape[1]), config.seed)], n_classes, config, lam)
+    (_, ms), = _train_sets([(X, y, None, range(X.shape[1]))], n_classes, config, lam)
     return ms if active_features is None else replace(ms, active_features=active_features)
 
 
 def _train_sets(jobs, n_classes: int, config: TrainConfig, lam: float = DEFAULT_LAMBDA):
-    """Yield (job index, LinearModelSet) per job (X, y, rows, cols, seed), in
+    """Yield (job index, LinearModelSet) per job (X, y, rows, cols), in
     solve order; rows None means every row of X.
 
-    Each set is train_ova(X[rows][:, cols], y[rows], n_classes, config with
-    seed, lam, active_features=cols), bit for bit; config.seed is not read.
-    Jobs of one (row count, len(cols)) train together, in stacked solves
-    of at most _STACK_BYTES of label-signed rows (one set at least). Each
-    job is sliced and checked just before its solve, straight into the
+    Each set is train_ova(X[rows][:, cols], y[rows], n_classes, config,
+    lam, active_features=cols), bit for bit. Jobs of one (row count,
+    len(cols)) train together, in stacked solves of at most _STACK_BYTES
+    (one set at least). Each job is sliced and checked just before its solve, straight into the
     solve's (F, K, n, l + 1) rows.
     """
     if n_classes < 2:
         raise DegenerateLabelsError("need at least two classes")
     groups: dict = {}
-    for i, (X, _, rows, cols, _) in enumerate(jobs):
+    for i, (X, _, rows, cols) in enumerate(jobs):
         groups.setdefault((X.shape[0] if rows is None else len(rows), len(cols)), []).append(i)
     classes = np.arange(n_classes)[:, None]
     for (n, l), group in groups.items():
-        step = max(1, _STACK_BYTES // (8 * n_classes * max(n, 1) * (l + 1)))
+        step = max(1, _STACK_BYTES // (8 * n_classes * max(n, 1) * (2 * (l + 1) + 32)))
         for start in range(0, len(group), step):
             solve = group[start:start + step]
             ZX = np.empty((len(solve), n_classes, n, l + 1))
             for f, i in enumerate(solve):
-                X, y, rows, cols, _ = jobs[i]
+                X, y, rows, cols = jobs[i]
                 X = _check_matrix(X[:, cols] if rows is None else X[np.ix_(rows, cols)])
                 y = _check_labels(y if rows is None else y[rows], n, n_classes)
                 Z = np.where(y == classes, 1.0, -1.0)  # (K, n): +1 for class k
                 np.multiply(Z[:, :, None], X, out=ZX[f, :, :, :l])
                 ZX[f, :, :, l] = Z
-            W, b = _train_stacked(ZX, config, [jobs[i][4] for i in solve])
+            W, b = _train_stacked(ZX, config)
             del ZX  # freed before the next solve allocates its own
             for f, i in enumerate(solve):
                 yield i, LinearModelSet(W=W[f], b=b[f], lam=lam, active_features=jobs[i][3])

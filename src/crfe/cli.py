@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .classifier import TrainConfig, save_model
+from .classifier import save_model
 from .conformal import calibrate, conformal_predict, write_prediction_csv
 from .data import (
     SyntheticSpec,
@@ -24,7 +24,7 @@ from .data import (
     scaled_split,
     write_csv,
 )
-from .exceptions import ConfigError, CrfeError
+from .exceptions import ConfigError, CrfeError, require_int
 from .harness import (
     CONSISTENCY_COLUMNS,
     config_from_json,
@@ -79,7 +79,7 @@ def _cmd_select(args) -> int:
     policy = _parse_stop(args.stop, args.sigma, args.psi)
     if args.method == "rfe" and isinstance(policy, BetaCriterion):
         raise ConfigError("the rfe baseline has no automatic stop; use --stop fixed:<t>")
-    tcfg = TrainConfig(seed=args.seed)
+    require_int("--seed", args.seed, 0)
     if not 0.0 <= args.epsilon <= 1.0:
         raise ConfigError("--epsilon must lie in [0, 1]")
     if not 0.0 <= args.lam <= 1.0:
@@ -90,8 +90,7 @@ def _cmd_select(args) -> int:
     sp, (X_tr, y_tr), (X_cal, y_cal), (X_te, _) = scaled_split(d, args.seed)
     runner = run_crfe if args.method == "crfe" else run_rfe
     models = {}  # the last pass trains on the selected subset, so its model is here
-    trace = runner(X_tr, y_tr, X_cal, y_cal, d.n_classes, policy, tcfg, args.lam,
-                   models=models)
+    trace = runner(X_tr, y_tr, X_cal, y_cal, d.n_classes, policy, lam=args.lam, models=models)
 
     os.makedirs(args.out, exist_ok=True)
     trace_to_csv(trace, os.path.join(args.out, "trace.csv"))

@@ -98,6 +98,10 @@ class DimensionMismatchError(CrfeError):
     """Vector/matrix shapes are incompatible."""
 
 
+class ConvergenceError(CrfeError):
+    """The finite-Newton solver hit its iteration cap."""
+
+
 # conformal
 
 class EmptyCalibrationError(CrfeError):

@@ -9,13 +9,12 @@ benchmark and all file outputs (CSV, trace JSON, SVG) hang off the same
 table so a whole run is a pure function of its config.
 
 A run loads its dataset once. Repeat r has one split (seed master_seed
-+ r), one solver seed (train.seed + r) and one model dict, keyed by
-active feature set and shared by all its eliminations, so each (repeat,
-active set) model is trained once. _run_block runs every repeat of a run
-in one lock-step: each pass trains the sets new to any repeat in one
-stacked solve per shape, and the baseline's cross-validated stop trains
-the folds of every stopping repeat in one solve per (fold training
-size, feature count).
++ r) and one model dict, keyed by active feature set and shared by all
+its eliminations, so each (repeat, active set) model is trained once.
+_run_block runs every repeat of a run in one lock-step: each pass trains
+the sets new to any repeat in one stacked solve per shape, and the
+baseline's cross-validated stop trains the folds of every stopping
+repeat in one solve per (fold training size, feature count).
 """
 
 from __future__ import annotations
@@ -360,8 +359,7 @@ def consistency_report(table: ResultsTable) -> list[dict]:
 
 
 def _cv_accuracies(mats, n_classes, tcfg) -> list[float]:
-    """Cross-validated accuracy of X[:, cols] with solver seed ``seed``,
-    per (X, y, cols, seed) in ``mats``.
+    """Cross-validated accuracy of X[:, cols] per (X, y, cols) in ``mats``.
 
     Each is the mean held-out argmax accuracy over _CV_FOLDS contiguous
     folds, in fold order. A fold that holds out no row, or whose training
@@ -371,19 +369,19 @@ def _cv_accuracies(mats, n_classes, tcfg) -> list[float]:
     """
     folds_of: dict[int, list] = {}  # n -> (train_rows, hold) of each fold
     jobs, held = [], []  # per fold that trains: its job, and (matrix, fold, hold)
-    for i, (X, y, cols, seed) in enumerate(mats):
+    for i, (X, y, cols) in enumerate(mats):
         n = X.shape[0]
         if n not in folds_of:
             folds_of[n] = [(np.setdiff1d(np.arange(n), hold), hold)
                            for hold in np.array_split(np.arange(n), _CV_FOLDS)]
         for f, (train_rows, hold) in enumerate(folds_of[n]):
             if hold.size and np.bincount(y[train_rows], minlength=n_classes).all():
-                jobs.append((X, y, train_rows, cols, seed))
+                jobs.append((X, y, train_rows, cols))
                 held.append((i, f, hold))
     accs: list[dict] = [{} for _ in mats]
     for j, ms in _train_sets(jobs, n_classes, tcfg):
         i, f, hold = held[j]
-        X, y, cols, _ = mats[i]
+        X, y, cols = mats[i]
         pred = point_predict(decision_matrix(ms, X[np.ix_(hold, cols)]))
         accs[i][f] = float((pred == y[hold]).mean())
     return [float(np.mean([a[f] for f in sorted(a)])) if a else -1.0 for a in accs]
@@ -405,21 +403,21 @@ def _run_block(d: Dataset, name: str, sizes, cfg: ExperimentConfig, repeats):
     m = d.n_classes
     reps, runs = [], []
     for r, compare, stop in repeats:
-        seed, solver_seed = cfg.master_seed + r, cfg.train.seed + r
+        seed = cfg.master_seed + r
         _, train, cal, test = scaled_split(d, seed)
         models: dict = {}  # shared by every elimination of this repeat
         plan = [(method, FixedSize(sizes[-1])) for method in cfg.selectors if compare]
         plan += [(method, cfg.stopping if method == "crfe" else FixedSize(1))
                  for method in cfg.selectors if stop]
-        runs += [_Run(*train, *cal, solver_seed, models, method, policy)
+        runs += [_Run(*train, *cal, models, method, policy)
                  for method, policy in plan]
-        reps.append((seed, solver_seed, train, cal + test, models, compare, stop))
+        reps.append((seed, train, cal + test, models, compare, stop))
     # one lock-step call; its traces are read below in the order of runs
     found = iter(_lockstep(runs, m, cfg.train, cfg.lam))
     del runs  # each repeat's models are dropped below once its traces are read
 
     rows, traces, done, cv = [], {}, [], []
-    for seed, solver_seed, (X_tr, y_tr), held_out, models, compare, stop in reps:
+    for seed, (X_tr, y_tr), held_out, models, compare, stop in reps:
 
         def path(trace):  # the model trained at each size of an elimination
             subsets = subsets_by_size(trace, d.n_features)
@@ -434,7 +432,7 @@ def _run_block(d: Dataset, name: str, sizes, cfg: ExperimentConfig, repeats):
         # every final subset was trained by a pass of its run: no refit
         stopped = [(method, models[next(found).selected] if method == "crfe" else path(next(found)))
                    for method in (cfg.selectors if stop else ())]
-        cv += [(X_tr, y_tr, ms.active_features, solver_seed)
+        cv += [(X_tr, y_tr, ms.active_features)
                for method, models_at in stopped if method == "rfe" for ms in models_at.values()]
         done.append((seed, held_out, stopped))
         models.clear()  # what the CV stage and the reports read is in rows and stopped

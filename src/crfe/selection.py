@@ -18,7 +18,7 @@ engine.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -295,13 +295,12 @@ def _elimination(X_train, X_cal, y_cal, method: str, policy):
 
 class _Run(NamedTuple):
     """One elimination of _lockstep. models maps tuple(active) to the model
-    trained on those features; runs that share it share X_train, y_train and seed."""
+    trained on those features; runs that share it share X_train and y_train."""
 
     X_train: np.ndarray
     y_train: np.ndarray
     X_cal: np.ndarray
     y_cal: np.ndarray
-    seed: int
     models: dict
     method: str
     policy: object
@@ -312,8 +311,8 @@ def _lockstep(runs, n_classes: int, config: TrainConfig, lam: float) -> list[Sel
 
     Every policy is checked before anything trains. A pass reuses its
     run's model of the set if it has one. Each round, the sets new to
-    their dict train: a lone one through train_ova (config with the run's
-    seed), more through classifier._train_sets.
+    their dict train: a lone one through train_ova, more through
+    classifier._train_sets.
     """
     gens = [_elimination(run.X_train, run.X_cal, run.y_cal, run.method, run.policy)
             for run in runs]
@@ -324,10 +323,10 @@ def _lockstep(runs, n_classes: int, config: TrainConfig, lam: float) -> list[Sel
                     for i, a in wants.items() if a not in runs[i].models}.values())
         if len(new) == 1:
             (run, a), = new
-            run.models[a] = train_ova(run.X_train[:, a], run.y_train, n_classes,
-                                      replace(config, seed=run.seed), lam, active_features=a)
+            run.models[a] = train_ova(run.X_train[:, a], run.y_train, n_classes, config, lam,
+                                      active_features=a)
         elif new:
-            jobs = [(run.X_train, run.y_train, None, a, run.seed) for run, a in new]
+            jobs = [(run.X_train, run.y_train, None, a) for run, a in new]
             for j, ms in _train_sets(jobs, n_classes, config, lam):
                 run, a = new[j]
                 run.models[a] = ms
@@ -343,11 +342,11 @@ def _lockstep(runs, n_classes: int, config: TrainConfig, lam: float) -> list[Sel
 def _run_eliminations(X_train, y_train, X_cal, y_cal, n_classes: int, runs,
                       config: TrainConfig, lam: float, models=None) -> list[SelectionTrace]:
     """_lockstep over every (method, policy) in ``runs``; all share the data,
-    config (seed included), lam and ``models``."""
+    config, lam and ``models``."""
     X_train = np.asarray(X_train, dtype=float)
     X_cal = np.asarray(X_cal, dtype=float)
     models = {} if models is None else models
-    return _lockstep([_Run(X_train, y_train, X_cal, y_cal, config.seed, models, method, policy)
+    return _lockstep([_Run(X_train, y_train, X_cal, y_cal, models, method, policy)
                       for method, policy in runs], n_classes, config, lam)
 
 

@@ -3,11 +3,12 @@
 The package computes non-conformity, p-values, prediction sets, decision
 values, feature scores, feature picks and pairwise agreement over whole
 arrays at once, trains all one-vs-all problems, and all
-cross-validation folds of one size, in one stacked loop, and imputes the
+cross-validation folds of one size, in one stacked solve, and imputes the
 rows of one missing pattern together. The forms here handle one sample,
 one model, one binary problem, one feature, one fold, one family or one
 imputed row at a time, straight from the definitions, so tests can
-check the array code entry by entry against them. The stop check here
+check the array code entry by entry against them; a trained binary model
+is checked against its objective and gradient. The stop check here
 keeps the second differences in a list of their own, as an engine that
 appends each pass's value would.
 """
@@ -18,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from crfe.classifier import LinearModelSet, TrainConfig, decision_matrix, train_ova
+from crfe.classifier import LinearModelSet, decision_matrix, train_ova
 from crfe.conformal import CalibrationRecord, nonconformity_all_labels
 from crfe.consistency import SubsetFamily, kuncheva
 from crfe.exceptions import (
@@ -117,54 +118,23 @@ def decision_value(w, b: float, X) -> np.ndarray:
     return X @ w + b
 
 
-def hinge_objective(w, b: float, X, z, c: float = 1.0) -> float:
-    """Regularized hinge objective the solver minimizes (bias penalized too)."""
+def squared_hinge_objective(w, b: float, X, z, c: float) -> float:
+    """Objective one binary problem minimizes (bias penalized too):
+    (||w||^2 + b^2) / 2 + (c / 2) sum_i max(0, 1 - z_i (w . x_i + b))^2."""
     w = np.asarray(w, dtype=float)
-    X = np.asarray(X, dtype=float)
-    z = np.asarray(z, dtype=float)
-    margins = z * decision_value(w, b, X)
-    hinge = np.maximum(0.0, 1.0 - margins).mean()
-    penalty = (w @ w + b * b) / (2.0 * c * X.shape[0])
-    return float(hinge + penalty)
+    slack = np.maximum(0.0, 1.0 - np.asarray(z, dtype=float) * decision_value(w, b, X))
+    return float((w @ w + b * b) / 2.0 + c / 2.0 * (slack @ slack))
 
 
-def train_binary(X, z, config: TrainConfig = TrainConfig()) -> tuple[np.ndarray, float]:
-    """Fit one hyperplane (w, b) to labels z in {-1, +1}, one mini-batch at a time.
-
-    The per-problem form of the solver behind train_ova: a fresh
-    permutation per epoch from default_rng(config.seed), and only the
-    margin violators summed into each update.
-    """
-    X = np.asarray(X, dtype=float)
-    z = np.asarray(z, dtype=float)
-    n, l = X.shape
-    ZX = np.hstack([X, np.ones((n, 1))]) * z[:, None]  # rows are z_i * (x_i, 1)
-    lam_reg = 1.0 / (config.c * n)
-    rng = np.random.default_rng(config.seed)
-    batch = min(config.batch_size, n)
-    total = config.epochs * math.ceil(n / batch)
-    tail_from = total // 2
-
-    w = np.zeros(l + 1)
-    w_sum = np.zeros(l + 1)
-    n_tail = 0
-    t = 0
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch):
-            idx = order[start:start + batch]
-            eta = config.eta0 / (1.0 + config.eta0 * lam_reg * t)
-            rows = ZX[idx]
-            viol = rows @ w < 1.0
-            w *= 1.0 - eta * lam_reg
-            if viol.any():
-                w += (eta / idx.size) * rows[viol].sum(axis=0)
-            t += 1
-            if t > tail_from:
-                w_sum += w
-                n_tail += 1
-    w_avg = w_sum / n_tail
-    return w_avg[:l], float(w_avg[l])
+def squared_hinge_gradient(w, b: float, X, z, c: float) -> tuple[np.ndarray, float]:
+    """Gradient of squared_hinge_objective in (w, b), one row at a time."""
+    gw, gb = np.array(w, dtype=float), float(b)
+    for x_i, z_i in zip(np.asarray(X, dtype=float), z):
+        slack = 1.0 - z_i * (x_i @ w + b)
+        if slack > 0:
+            gw -= c * slack * z_i * x_i
+            gb -= c * slack * z_i
+    return gw, gb
 
 
 def cv_accuracy(X, y, n_classes, tcfg, folds: int = 5) -> float:

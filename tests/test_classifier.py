@@ -1,4 +1,3 @@
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -19,6 +18,7 @@ from crfe.classifier import (
 )
 from crfe.exceptions import (
     ConfigError,
+    ConvergenceError,
     DegenerateLabelsError,
     DimensionMismatchError,
     NonFiniteInputError,
@@ -26,9 +26,9 @@ from crfe.exceptions import (
 from oracles import (
     UnknownPositionError,
     decision_value,
-    hinge_objective,
     restrict,
-    train_binary,
+    squared_hinge_gradient,
+    squared_hinge_objective,
 )
 
 
@@ -36,6 +36,12 @@ def train_sets(jobs, n_classes, config):
     """The model sets of classifier._train_sets, in job order."""
     got = dict(classifier._train_sets(jobs, n_classes, config))
     return [got[i] for i in range(len(jobs))]
+
+
+def train_binary(X, z, config=TrainConfig()):
+    """The (w, b) train_ova fits to labels z in {-1, +1}: its class-1 model."""
+    ms = train_ova(X, (np.asarray(z) > 0).astype(int), 2, config)
+    return ms.W[1], float(ms.b[1])
 
 
 def separable_blobs(seed=0, n=40, gap=3.0):
@@ -48,29 +54,51 @@ def separable_blobs(seed=0, n=40, gap=3.0):
     return X, z
 
 
+def random_problem(rng, n, l, k):
+    """n rows of l features, some informative, and labels using all k classes."""
+    X = rng.standard_normal((n, l)) * rng.uniform(0.1, 10.0)
+    y = rng.permutation(np.arange(n) % k)
+    X[:, :min(l, 2)] += y[:, None] * rng.uniform(0.0, 2.0)
+    return X, y
+
+
+# A zero gradient is met up to rounding, which grows with the size of its
+# terms: c times the rows' column sums times the residuals.
+GRADIENT_TOL = 1e-9
+
+
+def assert_optimal(X, z, w, b, c):
+    gw, gb = squared_hinge_gradient(w, b, X, z, c)
+    margins = np.abs(decision_value(w, b, X))
+    size = 1.0 + c * (np.abs(X).sum(axis=0).max(initial=0.0) + X.shape[0]) * (1.0 + margins.max())
+    assert max(np.abs(gw).max(initial=0.0), abs(gb)) <= GRADIENT_TOL * size
+
+
 def test_train_config_validation():
     TrainConfig()
-    for bad in (dict(c=0.0), dict(eta0=-1.0), dict(epochs=0), dict(batch_size=0),
-                dict(c=float("inf")), dict(eta0="0.5"), dict(epochs=2.5), dict(batch_size=4.5),
-                dict(epochs=True), dict(seed=-1), dict(seed=1.5), dict(seed=None)):
+    for bad in (dict(c=0.0), dict(c=-1.0), dict(epochs=0), dict(batch_size=0),
+                dict(c=float("inf")), dict(c="0.5"), dict(epochs=2.5), dict(batch_size=4.5),
+                dict(epochs=True)):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
+    for gone in ("eta0", "seed"):  # settings of the SGD solver this one replaced
+        with pytest.raises(TypeError, match=gone):
+            TrainConfig(**{gone: 1})
 
 
 def test_binary_separates_blobs():
     X, z = separable_blobs()
-    w, b = train_binary(X, z, TrainConfig(seed=1))
+    w, b = train_binary(X, z)
     pred = np.sign(decision_value(w, b, X))
     assert (pred == z).all()
 
 
-def test_binary_deterministic_and_seed_sensitive():
+def test_binary_deterministic_and_seed_free():
     X, z = separable_blobs(seed=2)
-    a_w, a_b = train_binary(X, z, TrainConfig(seed=7))
-    b_w, b_b = train_binary(X, z, TrainConfig(seed=7))
+    a_w, a_b = train_binary(X, z)
+    with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("drew")):
+        b_w, b_b = train_binary(X, z)
     assert np.array_equal(a_w, b_w) and a_b == b_b
-    c_w, _ = train_binary(X, z, TrainConfig(seed=8))
-    assert not np.array_equal(a_w, c_w)
 
 
 def test_binary_objective_beats_zero_model():
@@ -81,15 +109,22 @@ def test_binary_objective_beats_zero_model():
         z = np.where(X @ w_true + 0.3 * rng.standard_normal(60) > 0, 1.0, -1.0)
         if np.unique(z).size < 2:
             continue
-        w, b = train_binary(X, z, TrainConfig(seed=trial))
-        assert hinge_objective(w, b, X, z) < hinge_objective(np.zeros(5), 0.0, X, z)
+        w, b = train_binary(X, z)
+        assert squared_hinge_objective(w, b, X, z, 0.1) < squared_hinge_objective(
+            np.zeros(5), 0.0, X, z, 0.1)
 
 
-def test_binary_longer_training_reaches_lower_objective():
-    X, z = separable_blobs(seed=5, gap=1.0)
-    short = train_binary(X, z, TrainConfig(epochs=3, seed=0))
-    long = train_binary(X, z, TrainConfig(epochs=300, seed=0))
-    assert hinge_objective(*long, X, z) <= hinge_objective(*short, X, z) + 1e-6
+@pytest.mark.parametrize("c", [0.01, 0.1, 1.0, 10.0, 100.0])
+def test_random_perturbations_never_lower_the_objective(c):
+    rng = np.random.default_rng(int(c * 100))
+    for _ in range(5):
+        X, y = random_problem(rng, int(rng.integers(4, 60)), int(rng.integers(1, 12)), 2)
+        z = np.where(y == 1, 1.0, -1.0)
+        w, b = train_binary(X, z, TrainConfig(c=c))
+        best = squared_hinge_objective(w, b, X, z, c)
+        for scale in (1e-4, 1e-2, 1.0):
+            for u in rng.standard_normal((20, w.size + 1)) * scale:
+                assert squared_hinge_objective(w + u[:-1], b + u[-1], X, z, c) > best
 
 
 def test_ova_input_validation():
@@ -114,38 +149,67 @@ def ova_problems(draw):
     k = draw(st.integers(2, 6))
     n = draw(st.integers(k, 40))
     l = draw(st.integers(1, 12))
-    config = TrainConfig(
-        c=draw(st.floats(0.01, 100.0)),
-        epochs=draw(st.integers(1, 7)),
-        batch_size=draw(st.integers(1, n + 8)),
-        eta0=draw(st.floats(0.01, 5.0)),
-        seed=draw(st.integers(0, 2**32 - 1)),
-    )
-    # an order buffer below k * n * epochs draws the epochs in blocks
-    buffer = draw(st.integers(1, k * n * config.epochs + 1))
-    return n, l, k, config, buffer, draw(st.integers(0, 2**32 - 1))
+    return n, l, k, TrainConfig(c=draw(st.floats(0.01, 100.0))), draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=300, deadline=None)
 @given(ova_problems())
-@example((10, 3, 2, TrainConfig(batch_size=16, epochs=3), 1000, 0))  # n < batch
-@example((16, 3, 3, TrainConfig(batch_size=16, epochs=4), 1000, 1))  # n == batch
-@example((37, 5, 4, TrainConfig(batch_size=8, epochs=5), 1000, 2))   # partial last batch
-@example((30, 12, 6, TrainConfig(batch_size=7, epochs=2), 1000, 3))  # even epochs
-@example((12, 2, 3, TrainConfig(batch_size=5, epochs=7), 72, 4))     # blocks of 2 epochs
+@example((10, 3, 2, TrainConfig(), 0))
+@example((37, 5, 4, TrainConfig(c=100.0), 2))
 def test_stacked_solver_matches_per_class_oracle(problem):
-    """train_ova's stacked loop returns exactly the per-class oracle's models."""
-    n, l, k, config, buffer, data_seed = problem
-    rng = np.random.default_rng(data_seed)
-    X = rng.standard_normal((n, l)) * rng.uniform(0.1, 10.0)
-    y = rng.permutation(np.arange(n) % k)
-    with mock.patch.object(classifier, "_ORDER_BUFFER", buffer):
-        ms = train_ova(X, y, k, config)
+    """Each class's model of train_ova's stacked solve zeroes the per-class
+    oracle's gradient of its objective."""
+    n, l, k, config, data_seed = problem
+    X, y = random_problem(np.random.default_rng(data_seed), n, l, k)
+    ms = train_ova(X, y, k, config)
     for cls in range(k):
-        want_w, want_b = train_binary(X, np.where(y == cls, 1.0, -1.0),
-                                      replace(config, seed=config.seed + cls))
-        assert np.array_equal(ms.W[cls], want_w)
-        assert ms.b[cls] == want_b
+        assert_optimal(X, np.where(y == cls, 1.0, -1.0), ms.W[cls], ms.b[cls], config.c)
+
+
+def stack(rng, f, k, n, l):
+    """Label-signed rows of f random training sets, shape (f, k, n, l + 1)."""
+    ZX = np.empty((f, k, n, l + 1))
+    for i in range(f):
+        X, y = random_problem(rng, n, l, k)
+        Z = np.where(y == np.arange(k)[:, None], 1.0, -1.0)
+        ZX[i, :, :, :l] = Z[:, :, None] * X
+        ZX[i, :, :, l] = Z
+    return ZX
+
+
+@pytest.mark.parametrize("f,k,n,l", [(15, 4, 131, 35), (15, 3, 36, 8), (2, 3, 300, 60),
+                                     (3, 2, 5, 0)])
+@pytest.mark.parametrize("c", [0.1, 10.0])
+def test_stacked_solves_are_bit_identical_alone_or_in_chunks(f, k, n, l, c):
+    ZX = stack(np.random.default_rng(n + l), f, k, n, l).reshape(f * k, 1, n, l + 1)
+    config = TrainConfig(c=c)
+    W, b = classifier._train_stacked(ZX, config)
+    for size in (1, 7):
+        parts = [classifier._train_stacked(ZX[i:i + size], config)
+                 for i in range(0, f * k, size)]
+        assert np.array_equal(np.concatenate([w for w, _ in parts]), W)
+        assert np.array_equal(np.concatenate([b for _, b in parts]), b)
+
+
+def test_random_stacks_never_hit_the_iteration_cap():
+    # 300 random shapes at each c over four orders of magnitude, features
+    # scaled by 0.1 to 10; the cap is only a guard against a solve that
+    # never settles
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        k = int(rng.integers(2, 5))
+        ZX = stack(rng, int(rng.integers(1, 4)), k, int(rng.integers(k, 60)),
+                   int(rng.integers(0, 16)))
+        for c in (0.01, 0.1, 1.0, 10.0, 100.0):
+            W, b = classifier._train_stacked(ZX, TrainConfig(c=c))
+            assert np.isfinite(W).all() and np.isfinite(b).all()
+
+
+def test_a_solve_that_hits_the_cap_names_its_shape(monkeypatch):
+    X, y = random_problem(np.random.default_rng(3), 30, 4, 3)
+    monkeypatch.setattr(classifier, "_NEWTON_CAP", 1)
+    with pytest.raises(ConvergenceError, match="of 3 problems of 30 rows and 5 columns"):
+        train_ova(X, y, 3)
 
 
 @st.composite
@@ -155,24 +219,16 @@ def fold_problems(draw):
     n_train = draw(st.integers(k, 30))
     n = n_train + draw(st.integers(0, 10))
     l = draw(st.integers(1, 8))
-    config = TrainConfig(
-        c=draw(st.floats(0.01, 100.0)),
-        epochs=draw(st.integers(1, 7)),
-        batch_size=draw(st.integers(1, n_train + 8)),
-        eta0=draw(st.floats(0.01, 5.0)),
-        seed=draw(st.integers(0, 2**32 - 1)),
-    )
-    buffer = draw(st.integers(1, f * k * n_train * config.epochs + 1))
-    return f, k, n, n_train, l, config, buffer, draw(st.integers(0, 2**32 - 1))
+    config = TrainConfig(c=draw(st.floats(0.01, 100.0)))
+    return f, k, n, n_train, l, config, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=300, deadline=None)
 @given(fold_problems())
-@example((5, 3, 45, 36, 8, TrainConfig(epochs=5), 1 << 16, 0))   # the CV shape
-@example((2, 2, 12, 9, 2, TrainConfig(batch_size=4, epochs=5), 40, 1))  # blocks
+@example((5, 3, 45, 36, 8, TrainConfig(), 0))   # the CV shape
 def test_fold_trainer_matches_train_ova_per_fold(problem):
     """One stacked solve over F training sets equals a train_ova call per set."""
-    f, k, n, n_train, l, config, buffer, data_seed = problem
+    f, k, n, n_train, l, config, data_seed = problem
     rng = np.random.default_rng(data_seed)
     X = rng.standard_normal((n, l)) * rng.uniform(0.1, 10.0)
     y = rng.permutation(np.arange(n) % k)
@@ -183,8 +239,7 @@ def test_fold_trainer_matches_train_ova_per_fold(problem):
         firsts = [int(perm[y[perm] == c][0]) for c in range(k)]
         rest = [int(i) for i in perm if i not in firsts]
         folds.append(np.array(firsts + rest[:n_train - k]))
-    with mock.patch.object(classifier, "_ORDER_BUFFER", buffer):
-        got = train_sets([(X, y, rows, range(l), config.seed) for rows in folds], k, config)
+    got = train_sets([(X, y, rows, range(l)) for rows in folds], k, config)
     assert len(got) == f
     for ms, rows in zip(got, folds):
         want = train_ova(X[rows], y[rows], k, config)
@@ -193,83 +248,17 @@ def test_fold_trainer_matches_train_ova_per_fold(problem):
         assert ms.active_features == want.active_features
 
 
-@st.composite
-def seeded_sets(draw):
-    f = draw(st.integers(1, 6))
-    k = draw(st.integers(2, 4))
-    n = draw(st.integers(k, 24))
-    l = draw(st.integers(1, 6))
-    # a small pool, so that sets often share a seed and with it K streams
-    pool = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3))
-    seeds = draw(st.lists(st.sampled_from(pool), min_size=f, max_size=f))
-    config = TrainConfig(
-        c=draw(st.floats(0.01, 100.0)),
-        epochs=draw(st.integers(1, 6)),
-        batch_size=draw(st.integers(1, n + 4)),
-        eta0=draw(st.floats(0.01, 5.0)),
-        seed=draw(st.integers(0, 9)),
-    )
-    # below the orders of every stream and epoch, so they come in blocks
-    buffer = draw(st.integers(1, len(set(seeds)) * k * n * config.epochs + 1))
-    return k, n, l, seeds, config, buffer, draw(st.integers(0, 2**32 - 1))
-
-
-@settings(max_examples=200, deadline=None)
-@given(seeded_sets())
-@example((3, 36, 8, [5, 6, 5, 7, 6], TrainConfig(epochs=5), 1 << 16, 0))  # CV across repeats
-def test_stacked_sets_with_their_own_seeds_match_train_ova(problem):
-    """Each set of a stacked solve trains as train_ova with its own seed."""
-    k, n, l, seeds, config, buffer, data_seed = problem
-    rng = np.random.default_rng(data_seed)
-    sets = []
-    for seed in seeds:
-        X = rng.standard_normal((n, l)) * rng.uniform(0.1, 10.0)
-        sets.append((X, rng.permutation(np.arange(n) % k), None, range(l), seed))
-    with mock.patch.object(classifier, "_ORDER_BUFFER", buffer):
-        got = train_sets(sets, k, config)
+def test_stacked_sets_match_train_ova():
+    """Sets of one shape from different data train together as each alone."""
+    rng = np.random.default_rng(0)
+    sets = [(*random_problem(rng, 36, 8, 3), None, range(8)) for _ in range(5)]
+    with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("drew")):
+        got = train_sets(sets, 3, TrainConfig())
     assert len(got) == len(sets)
-    for ms, (X, y, _, _, seed) in zip(got, sets):
-        want = train_ova(X, y, k, replace(config, seed=seed))
+    for ms, (X, y, _, _) in zip(got, sets):
+        want = train_ova(X, y, 3)
         assert np.array_equal(ms.W, want.W)
         assert np.array_equal(ms.b, want.b)
-
-
-@pytest.mark.parametrize("buffer", [1 << 16, 100])  # streams of 120 entries kept, or not
-def test_solves_that_share_kept_orders_match_fresh_solves(buffer):
-    """Solves that read kept streams train what solves after cache_clear() train."""
-    k, config = 3, TrainConfig(epochs=6, batch_size=8)
-    rng = np.random.default_rng(8)
-
-    def sets(n, seeds):
-        return [(rng.standard_normal((n, 4)), rng.permutation(np.arange(n) % k), None,
-                 range(4), seed) for seed in seeds]
-
-    # stream seeds 0-3, then 1-4, of which the second solve reads three
-    # kept ones, then 0-2 again at another row count, which it may not read
-    groups = [sets(20, [0, 1]), sets(20, [1, 2, 2]), sets(21, [0])]
-    keys = [(seed, 20) for seed in range(5)] + [(seed, 21) for seed in range(3)]
-    kept = classifier._kept_stream
-    kept.cache_clear()
-    with mock.patch.object(classifier, "_ORDER_BUFFER", buffer):
-        shared = [train_sets(group, k, config) for group in groups]
-        n_kept = kept.cache_info().currsize
-        streams = {key: kept(*key, config.epochs) for key in keys}
-        drawn = kept.cache_info().currsize - n_kept  # the keys that were not kept
-        fresh = []
-        for group in groups:
-            kept.cache_clear()
-            fresh.append(train_sets(group, k, config))
-    for got, want in zip(sum(shared, []), sum(fresh, [])):
-        assert np.array_equal(got.W, want.W)
-        assert np.array_equal(got.b, want.b)
-    if buffer < 20 * config.epochs:
-        assert n_kept == 0
-        return
-    assert n_kept == len(keys) and drawn == 0
-    for (seed, n), stream in streams.items():
-        draws = np.random.default_rng(seed)
-        assert np.array_equal(stream, [draws.permutation(n) for _ in range(config.epochs)])
-        assert not stream.flags.writeable
 
 
 def test_labels_must_be_whole_numbers():
@@ -280,7 +269,7 @@ def test_labels_must_be_whole_numbers():
     with pytest.raises(DegenerateLabelsError, match="whole numbers"):
         train_ova(X, [0, 1, 0, 1, 0, np.nan], 2)
     with pytest.raises(DegenerateLabelsError, match="whole numbers"):
-        train_sets([(X, np.array(fractional), None, range(2), 0)], 2, TrainConfig())
+        train_sets([(X, np.array(fractional), None, range(2))], 2, TrainConfig())
     # whole-valued floats are the same labels as their ints
     whole = train_ova(X, [0.0, 1.0, 0.0, 1.0, 0.0, 1.0], 2)
     ints = train_ova(X, [0, 1, 0, 1, 0, 1], 2)
@@ -291,7 +280,7 @@ def test_fold_trainer_rejects_a_fold_missing_a_class():
     X = np.random.default_rng(2).standard_normal((8, 2))
     y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
     with pytest.raises(DegenerateLabelsError):
-        train_sets([(X, y, rows, range(2), 0) for rows in (np.arange(1, 5), np.arange(4))],
+        train_sets([(X, y, rows, range(2)) for rows in (np.arange(1, 5), np.arange(4))],
                    2, TrainConfig())
 
 
@@ -300,7 +289,7 @@ def test_ova_structure_and_accuracy():
     centers = np.array([[4.0, 0.0], [-4.0, 0.0], [0.0, 4.0]])
     y = np.arange(90) % 3
     X = centers[y] + rng.standard_normal((90, 2))
-    ms = train_ova(X, y, 3, TrainConfig(seed=2), lam=0.5)
+    ms = train_ova(X, y, 3, lam=0.5)
     assert ms.n_classes == 3
     assert ms.active_features == (0, 1)
     assert ms.lambda_prime == 0.25
@@ -310,10 +299,13 @@ def test_ova_structure_and_accuracy():
 
 
 def test_a_solve_that_diverges_is_rejected():
-    # a penalty of 1 / (c n) overflows to inf, and the weights to NaN
+    # c A^T A overflows to inf, and the system with it
     X, z = separable_blobs()
     with pytest.raises(ConfigError, match="weights and biases must be finite"):
-        train_ova(X, (z > 0).astype(int), 2, TrainConfig(c=1e-320, epochs=3))
+        train_ova(X, (z > 0).astype(int), 2, TrainConfig(c=1e308, epochs=3))
+    # a vanishing c leaves finite, vanishing weights
+    tiny = train_ova(X, (z > 0).astype(int), 2, TrainConfig(c=1e-320))
+    assert np.abs(tiny.W).max() < 1e-300 and np.abs(tiny.b).max() < 1e-300
     for W, b in (([[np.nan, 1.0], [1.0, 2.0]], [0.0, 0.0]), ([[1.0, 2.0]] * 2, [0.0, np.inf])):
         with pytest.raises(ConfigError, match="finite"):
             LinearModelSet(W=W, b=b, lam=0.5, active_features=(0, 1))

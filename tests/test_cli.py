@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from crfe import cli, harness, selection
+from crfe import classifier, cli, harness, selection
 from crfe.cli import main
 from crfe.data import (
     SyntheticSpec,
@@ -232,9 +232,9 @@ def test_bench_one_feature_or_unreadable_config_exits_2(tmp_path):
 
 
 def test_bench_whose_solver_diverges_exits_2(tmp_path, capsys):
-    # c this small makes the penalty 1 / (c n) infinite and every weight NaN
+    # c this large overflows the Newton systems c A^T A to infinity
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**CFG, "train": {"c": 1e-320, "epochs": 5}}))
+    cfg.write_text(json.dumps({**CFG, "train": {"c": 1e308, "epochs": 5}}))
     out = tmp_path / "o"
     assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 2
     assert "config error: weights and biases must be finite" in capsys.readouterr().err
@@ -277,6 +277,27 @@ def test_bad_config_value_exits_2_before_training(tmp_path, no_training, command
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["eta0", "seed"])
+def test_train_entry_with_an_sgd_setting_exits_2_naming_it(tmp_path, capsys, no_training, key):
+    # the exact solver has no step size and draws no stream
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CFG, "train": {**CFG["train"], key: 1}}))
+    out = tmp_path / "out"
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "bad train entry" in err and repr(key) in err
+    assert not out.exists()
+
+
+def test_select_whose_solve_hits_the_iteration_cap_exits_3(data_csv, tmp_path, capsys,
+                                                           monkeypatch):
+    monkeypatch.setattr(classifier, "_NEWTON_CAP", 1)
+    out = tmp_path / "sel"
+    assert main(["select", "--data", str(data_csv), "--label", "label", "--method", "crfe",
+                 "--stop", "fixed:3", "--out", str(out)]) == 3
+    assert "did not converge in 1 iterations" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", [

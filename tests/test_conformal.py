@@ -122,8 +122,7 @@ def fit_pipeline(seed=0, lam=0.5):
     d, _ = generate_synthetic(spec)
     sp = split(d, seed=seed)
     ds = apply_scaler(fit_scaler(d, sp.train_idx), d)
-    ms = train_ova(ds.X[sp.train_idx], ds.y[sp.train_idx], 3,
-                   TrainConfig(seed=seed), lam=lam)
+    ms = train_ova(ds.X[sp.train_idx], ds.y[sp.train_idx], 3, TrainConfig(), lam=lam)
     rec = calibrate(ms, ds.X[sp.calib_idx], ds.y[sp.calib_idx])
     return ds, sp, ms, rec
 

@@ -27,30 +27,30 @@ BENCH_CFG = {
 }
 
 BENCH_DIGESTS = {
-    "results.csv": "8dba1ebcd8b6cbedae619de6e89a645e02d609bbc547848e332ad627c0b11eb6",
-    "consistency.csv": "2639f2a2314355a5c241cfb4b8b1ad4c6e93d0f6e3f04c28fe88312dfbbbea3b",
-    "stopping.csv": "6ac89966f149485c717ab38478da128524c21c5bd05c6d12705360eb33a0a1ec",
-    "frequencies.csv": "85896d3cff2e5e223692d21d78e80adf30289266fc281137d55d0edaa62e824e",
+    "results.csv": "6a3b74ee13c41ab057608ddefa10eb226e7799a3af3fc5994fb2796907c6faaf",
+    "consistency.csv": "77ca29e6301951d398010e853b6fa40d7d8f48dce1b7e6c9594b3a1f36cdc77e",
+    "stopping.csv": "8f04740701bcbab3068759d2e9ffdd270f15656cba1d42937db063f3cbc9eb78",
+    "frequencies.csv": "c84688f55879b5e7381d22ee3298bd37433bd5755f820990664fce9a98db78ff",
 }
 
 SELECT_SPEC = SyntheticSpec(n_samples=150, n_features=12, n_informative=4,
                             n_redundant=1, n_classes=3, class_sep=1.5,
                             flip_y=0.02, seed=5)
 
-# the beta stop fires after 10 steps on this input, so the trace ends
+# the beta stop fires at step 6 on this input, so the trace ends
 # with the row of the step that fired
 SELECT_DIGESTS = {
     ("crfe", "beta"): {
-        "trace.csv": "acf343f478659ae67c105c914f057977c1110fc9327feb4577dc7e68f430128a",
-        "trace.json": "3a7169f5ccf6fbc5b8d7e417c99cc433d2fbeae8ddd6aafe5d7f70d4731254f4",
-        "model.json": "eedce15ab5045c24a0a1aa5c8386f717f36bcb8c617e477cb2b298b345a68b3e",
-        "predictions.csv": "becbb68415f6e1e199e58c6537b1c000c5cd2416fc38987afbe7d58294259a01",
+        "trace.csv": "d6e90663d2cca9e1fd1abec0af9d1594b0dff18d9134aeb397789b220c0d00f0",
+        "trace.json": "21936cc0f33072795ba3f4a4768cc79fd7b9d43276e750804b34883e25bf4043",
+        "model.json": "947030d68ba4afe2ebce1b7ced0e585b33769124c8a42d70135a46ab4aae4f51",
+        "predictions.csv": "0bed092208cc42f5237479a2b02f716f023fb74b57fc9cbbb5bb1cb38d0d3a5c",
     },
     ("rfe", "fixed:4"): {
-        "trace.csv": "c97d08937bd90007b835e335f1fc64e6954372752e0a5af75e14e76bd179a127",
-        "trace.json": "0b1029e9905531ec1ecfb305b3d5675fa54e08d0b0f1b4cd7ab57bfd77c9eff4",
-        "model.json": "291e0cf0f6a8cc61567d28fac456f4c853774dbcbcb85b66b673075d52d2d158",
-        "predictions.csv": "99954564d2efd0028b4a7f6b0fd6fac27983219be80a22bd4f1d98f6e37b193e",
+        "trace.csv": "a43cc4fcf82937ddd0f94d60d48fd259bc33d3f24e9eda8794a8bb7194cb8042",
+        "trace.json": "79b5e10180a78b1d29c48090d753b23cbd9d9b983c6cc6f719ed27b0802452fc",
+        "model.json": "47cae8beb3f03ff8037a00ba6820cd9ffe3590eb4a52f75e99fc34b0a3f4c282",
+        "predictions.csv": "2b01124e4470905d9d7ae5fa8373bf90459487e064f107672c080e7c325d62eb",
     },
 }
 

@@ -1,6 +1,5 @@
 import copy
 import csv
-import functools
 import json
 import math
 import os
@@ -132,7 +131,7 @@ def test_config_from_dict_returns_config_or_raises_config_error(place, value):
     # a config that comes back holds whole counts and seeds, never a
     # truncated float or a bool
     t, s = cfg.train, cfg.stopping
-    for got in (cfg.repeats, cfg.master_seed, t.epochs, t.batch_size, t.seed,
+    for got in (cfg.repeats, cfg.master_seed, t.epochs, t.batch_size,
                 s.psi, s.warmup, s.repeats):
         assert type(got) is int
 
@@ -292,7 +291,7 @@ def test_a_repeat_depends_only_on_data_config_and_index():
 
 
 def cv_of_all_columns(X, y, n_classes, tcfg):
-    return _cv_accuracies([(X, y, range(X.shape[1]), tcfg.seed)], n_classes, tcfg)[0]
+    return _cv_accuracies([(X, y, range(X.shape[1]))], n_classes, tcfg)[0]
 
 
 @pytest.mark.parametrize("n", [36, 37, 41, 43, 44])
@@ -302,13 +301,13 @@ def test_cv_accuracy_matches_per_fold_oracle(n):
     X = rng.standard_normal((n, 4))
     y = rng.permutation(np.arange(n) % 3)
     X[:, 0] += y
-    tcfg = TrainConfig(epochs=20, batch_size=8, seed=n)
+    tcfg = TrainConfig(epochs=20, batch_size=8)
     assert cv_of_all_columns(X, y, 3, tcfg) == cv_accuracy(X, y, 3, tcfg)
 
 
 def test_cv_accuracy_skips_degenerate_folds_like_oracle():
     rng = np.random.default_rng(5)
-    tcfg = TrainConfig(epochs=20, batch_size=8, seed=1)
+    tcfg = TrainConfig(epochs=20, batch_size=8)
     # sorted labels: class 0 lies inside the first held-out fold, so that
     # fold's training rows miss it and the fold is skipped
     y = np.repeat([0, 1, 2], [3, 20, 14])
@@ -329,7 +328,7 @@ def test_cv_accuracy_skips_folds_that_hold_out_nothing(n):
     rng = np.random.default_rng(n)
     y = np.arange(n) % 2
     X = rng.standard_normal((n, 2)) + y[:, None]
-    tcfg = TrainConfig(epochs=20, batch_size=8, seed=1)
+    tcfg = TrainConfig(epochs=20, batch_size=8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an empty mean warns
         got = cv_of_all_columns(X, y, 2, tcfg)
@@ -354,12 +353,12 @@ def test_run_all_trains_each_repeat_model_once(tmp_path, monkeypatch):
     real, real_sets = selection.train_ova, selection._train_sets
 
     def recording(X, y, n_classes, config, lam, active_features=None):
-        # a repeat's solver seed is train.seed + r, so it names the repeat
-        trained.append((config.seed, tuple(active_features)))
+        # a repeat's training labels name the repeat
+        trained.append((y.tobytes(), tuple(active_features)))
         return real(X, y, n_classes, config, lam, active_features=active_features)
 
     def recording_sets(jobs, n_classes, config, lam):
-        trained.extend((seed, tuple(cols)) for _, _, _, cols, seed in jobs)
+        trained.extend((y.tobytes(), tuple(cols)) for _, y, _, cols in jobs)
         return real_sets(jobs, n_classes, config, lam)
 
     monkeypatch.setattr(selection, "train_ova", recording)
@@ -368,8 +367,7 @@ def test_run_all_trains_each_repeat_model_once(tmp_path, monkeypatch):
     assert trained
     assert len(trained) == len(set(trained))
     # the first pass of each repeat, on all 8 features, is shared too
-    assert sorted(t for t in trained if len(t[1]) == 8) == [(0, tuple(range(8))),
-                                                            (1, tuple(range(8)))]
+    assert [cols for _, cols in trained if len(cols) == 8] == [tuple(range(8))] * 2
 
 
 def _count_solves(monkeypatch) -> list:
@@ -377,9 +375,9 @@ def _count_solves(monkeypatch) -> list:
     sets = []
     real = classifier._train_stacked
 
-    def counting(ZX, config, seeds):
+    def counting(ZX, config):
         sets.append(ZX.shape[0])
-        return real(ZX, config, seeds)
+        return real(ZX, config)
 
     monkeypatch.setattr(classifier, "_train_stacked", counting)
     return sets
@@ -388,46 +386,35 @@ def _count_solves(monkeypatch) -> list:
 def test_run_all_trains_all_repeats_in_lockstep(tmp_path, monkeypatch):
     # one solve per elimination pass of both repeats, and one per size of
     # the baseline's path for its CV folds of both stopping repeats; the
-    # parent of this design made 32 solves of the same 102 training sets
+    # parent of this design made 32 solves of the same training sets
     sets = _count_solves(monkeypatch)
     run_all(config_from_dict(BENCH_CFG), tmp_path)
     assert len(sets) == 16
-    assert sum(sets) == 102
+    assert sum(sets) == 104
 
 
-def test_run_all_draws_each_row_order_stream_once_per_stage(tmp_path, monkeypatch):
-    # class k of repeat r shuffles with stream seed r + k: the 8 path solves
-    # of both repeats read seeds 0-3 at 45 rows, and the 8 CV solves the same
-    # seeds at 36 rows; drawn once per solve, they were 96 streams
-    drawn, solves = [], []
-    real_orders, real_stream = classifier._epoch_orders, classifier._kept_stream
+def test_run_all_draws_only_the_split_streams(tmp_path, monkeypatch):
+    # the data's stream (spec seed 7) and one split per repeat (master seed
+    # 3 plus r); training draws nothing
+    drawn = []
+    real = np.random.default_rng
 
-    def watching(seeds, n, epochs):
-        yield from real_orders(seeds, n, epochs)
-        solves.append(n)
+    def drawing(seed):
+        drawn.append(seed)
+        return real(seed)
 
-    @functools.lru_cache(maxsize=128)  # an empty cache of its own, whose misses are recorded
-    def drawing(seed, n, epochs):
-        drawn.append((seed, n, epochs))
-        return real_stream.__wrapped__(seed, n, epochs)
-
-    monkeypatch.setattr(classifier, "_epoch_orders", watching)
-    monkeypatch.setattr(classifier, "_kept_stream", drawing)
+    monkeypatch.setattr(np.random, "default_rng", drawing)
     run_all(config_from_dict(BENCH_CFG), tmp_path)
-    assert solves == [45] * 8 + [36] * 8
-    assert drawn == [(s, 45, 40) for s in range(4)] + [(s, 36, 40) for s in range(4)]
-    # the streams stay kept, so a second run draws none
-    run_all(config_from_dict(BENCH_CFG), tmp_path / "again")
-    assert len(drawn) == 8
+    assert drawn == [7, 3, 4]
 
 
 def test_a_capped_solve_splits_its_group_without_changing_outputs(tmp_path, monkeypatch):
     cfg = config_from_dict(BENCH_CFG)
     run_all(cfg, tmp_path / "whole")
     sets = _count_solves(monkeypatch)
-    monkeypatch.setattr(classifier, "_STACK_BYTES", 1 << 14)  # 1 to 14 sets a solve
+    monkeypatch.setattr(classifier, "_STACK_BYTES", 1 << 14)  # one set a solve
     run_all(cfg, tmp_path / "split")
-    assert len(sets) > 16 and max(sets) < 10 and sum(sets) == 102
+    assert len(sets) > 16 and max(sets) < 10 and sum(sets) == 104
     for path in sorted((tmp_path / "whole").iterdir()):
         assert (tmp_path / "split" / path.name).read_bytes() == path.read_bytes()
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crfe import classifier, selection
+from crfe import selection
 from crfe.classifier import LinearModelSet, TrainConfig
 from crfe.conformal import nonconformity_all_labels
 from crfe.data import (
@@ -240,7 +240,7 @@ def synth_problem(seed=0, n=160, l=12, informative=4, m=3):
 
 def test_run_crfe_fixed_size_contract():
     args, info = synth_problem(seed=3)
-    tr = run_crfe(*args, FixedSize(4), TrainConfig(seed=1))
+    tr = run_crfe(*args, FixedSize(4), TrainConfig())
     assert tr.stop_reason is StopReason.REACHED_TARGET_SIZE
     assert tr.n_selected == 4
     assert list(tr.selected) == sorted(tr.selected)
@@ -255,8 +255,8 @@ def test_run_crfe_fixed_size_contract():
 
 def test_run_crfe_deterministic():
     args, _ = synth_problem(seed=5)
-    a = run_crfe(*args, FixedSize(3), TrainConfig(seed=2))
-    b = run_crfe(*args, FixedSize(3), TrainConfig(seed=2))
+    a = run_crfe(*args, FixedSize(3), TrainConfig())
+    b = run_crfe(*args, FixedSize(3), TrainConfig())
     assert trace_to_json(a) == trace_to_json(b)
 
 
@@ -268,7 +268,7 @@ def test_run_crfe_target_must_leave_room():
 
 def test_run_crfe_exhausts_when_criterion_stays_silent():
     args, _ = synth_problem(seed=7, n=60, l=5, informative=2)
-    tr = run_crfe(*args, BetaCriterion(sigma=1e9), TrainConfig(seed=0))
+    tr = run_crfe(*args, BetaCriterion(sigma=1e9), TrainConfig())
     assert tr.stop_reason is StopReason.EXHAUSTED_TO_ONE_FEATURE
     assert tr.n_selected == 1
     assert len(tr.steps) == 4
@@ -276,7 +276,7 @@ def test_run_crfe_exhausts_when_criterion_stays_silent():
 
 def test_run_crfe_beta_criterion_fire_recorded():
     # find a seed where the automatic stop fires, then check the trace shape
-    cfg = TrainConfig(seed=0)
+    cfg = TrainConfig()
     for seed in range(12):
         args, _ = synth_problem(seed=seed, n=240, l=24, informative=5, m=3)
         tr = run_crfe(*args, BetaCriterion(), cfg)
@@ -294,7 +294,7 @@ def test_run_crfe_beta_criterion_fire_recorded():
 
 def test_run_rfe_contract_and_policy_guard():
     args, _ = synth_problem(seed=9)
-    tr = run_rfe(*args, FixedSize(4), TrainConfig(seed=1))
+    tr = run_rfe(*args, FixedSize(4), TrainConfig())
     assert tr.stop_reason is StopReason.REACHED_TARGET_SIZE
     assert tr.n_selected == 4
     assert all(math.isnan(s.mean_beta) for s in tr.steps)
@@ -311,34 +311,24 @@ def test_run_rfe_keeps_the_signal_column():
     X = rng.standard_normal((n, 5))
     X[:, 2] = np.where(y == 0, -2.0, 2.0) + 0.1 * rng.standard_normal(n)
     tr = run_rfe(X[: n // 2], y[: n // 2], X[n // 2:], y[n // 2:], 2,
-                 FixedSize(1), TrainConfig(seed=3))
+                 FixedSize(1), TrainConfig())
     assert tr.selected == (2,)
 
 
-def test_run_crfe_draws_each_row_order_stream_once(monkeypatch):
-    # each pass trains its set alone, with the same 4 stream seeds and 131
-    # rows; drawn once per pass, they were 132 streams over 33 passes
+def test_run_crfe_draws_no_random_stream(monkeypatch):
+    # 30 passes of 4 classes at 131 rows train without a single draw
     spec = SyntheticSpec(n_samples=350, n_features=35, n_informative=10, n_redundant=1,
                          n_classes=4, class_sep=1.5, flip_y=0.05, seed=3)
     d, _ = generate_synthetic(spec)
     _, train, cal, _ = scaled_split(d, 7)
-    drawn = []
-    real = np.random.default_rng
-
-    def drawing(seed):
-        drawn.append(seed)
-        return real(seed)
-
-    classifier._kept_stream.cache_clear()
-    monkeypatch.setattr(np.random, "default_rng", drawing)
+    monkeypatch.setattr(np.random, "default_rng", pytest.fail)
     trace = run_crfe(*train, *cal, 4, BetaCriterion())
-    assert len(trace.steps) == 33
-    assert sorted(drawn) == [0, 1, 2, 3]
+    assert len(trace.steps) == 30
 
 
 def test_lockstep_runs_match_separate_runs(monkeypatch):
     args, _ = synth_problem(seed=3)
-    cfg = TrainConfig(epochs=40, seed=1)
+    cfg = TrainConfig(epochs=40)
     runs = [("crfe", FixedSize(1)), ("rfe", FixedSize(1)), ("crfe", BetaCriterion())]
     alone, alone_models = [], {}
     for method, policy in runs:
