@@ -89,15 +89,14 @@ def _cmd_select(args) -> int:
     d = impute_knn(d)
     sp, (X_tr, y_tr), (X_cal, y_cal), (X_te, _) = scaled_split(d, args.seed)
     runner = run_crfe if args.method == "crfe" else run_rfe
-    models = {}  # the last pass trains on the selected subset, so its model is here
-    trace = runner(X_tr, y_tr, X_cal, y_cal, d.n_classes, policy, lam=args.lam, models=models)
+    trace = runner(X_tr, y_tr, X_cal, y_cal, d.n_classes, policy, lam=args.lam)
 
     os.makedirs(args.out, exist_ok=True)
     trace_to_csv(trace, os.path.join(args.out, "trace.csv"))
     with open(os.path.join(args.out, "trace.json"), "w", encoding="utf-8") as fh:
         json.dump(trace_to_json(trace, d.feature_names), fh, indent=2)
         fh.write("\n")
-    ms = models[trace.selected]
+    ms = trace.models[-1]  # the last pass trained on the selected subset
     cols = list(trace.selected)
     save_model(ms, os.path.join(args.out, "model.json"))
     rec = calibrate(ms, X_cal[:, cols], y_cal)

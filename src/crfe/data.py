@@ -532,13 +532,17 @@ class _GramBounds:
 
 
 def fit_scaler(d: Dataset, rows) -> Scaler:
-    """Estimate per-feature mean and std (population) on the given rows."""
+    """Estimate per-feature mean and std (population) on the given rows; both must be finite."""
     rows = np.asarray(rows, dtype=int)
     if rows.size == 0:
         raise EmptyRowSetError("cannot fit a scaler on zero rows")
     sub = d.X[rows]
-    mean = sub.mean(axis=0)
-    std = sub.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        mean, std = sub.mean(axis=0), sub.std(axis=0)
+    finite = np.isfinite(mean) & np.isfinite(std)
+    if not finite.all():
+        raise NonFiniteInputError(f"feature {d.feature_names[int(finite.argmin())]!r}: its mean or"
+                                  " standard deviation over the training rows is not finite")
     std = np.where(std > 0, std, 1.0)
     return Scaler(mean=mean, std=std)
 

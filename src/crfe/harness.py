@@ -9,8 +9,8 @@ benchmark and all file outputs (CSV, trace JSON, SVG) hang off the same
 table so a whole run is a pure function of its config.
 
 A run loads its dataset once. Repeat r has one split (seed master_seed
-+ r) and one model dict, keyed by active feature set and shared by all
-its eliminations, so each (repeat, active set) model is trained once.
++ r) shared by all its eliminations, and they share the model of each
+active set, so each (repeat, active set) model is trained once.
 _run_block runs every repeat of a run in one lock-step: each pass trains
 the sets new to any repeat in one stacked solve per shape, and the
 baseline's cross-validated stop trains the folds of every stopping
@@ -46,7 +46,6 @@ from .selection import (
     FixedSize,
     SelectionTrace,
     _lockstep,
-    _Run,
     trace_to_json,
 )
 
@@ -401,28 +400,23 @@ def _run_block(d: Dataset, name: str, sizes, cfg: ExperimentConfig, repeats):
     SetMetricsReport).
     """
     m = d.n_classes
-    reps, runs = [], []
+    reps, groups = [], []
     for r, compare, stop in repeats:
         seed = cfg.master_seed + r
         _, train, cal, test = scaled_split(d, seed)
-        models: dict = {}  # shared by every elimination of this repeat
         plan = [(method, FixedSize(sizes[-1])) for method in cfg.selectors if compare]
         plan += [(method, cfg.stopping if method == "crfe" else FixedSize(1))
                  for method in cfg.selectors if stop]
-        runs += [_Run(*train, *cal, models, method, policy)
-                 for method, policy in plan]
-        reps.append((seed, train, cal + test, models, compare, stop))
-    # one lock-step call; its traces are read below in the order of runs
-    found = iter(_lockstep(runs, m, cfg.train, cfg.lam))
-    del runs  # each repeat's models are dropped below once its traces are read
+        groups.append((*train, *cal, plan))
+        reps.append((seed, train, cal + test, compare, stop))
+    # one lock-step call; its traces are read below in the order of groups
+    found = iter(_lockstep(groups, m, cfg.train, cfg.lam))
+
+    def path(trace):  # the model trained at each size of an elimination
+        return {ms.n_features: ms for ms in trace.models}
 
     rows, traces, done, cv = [], {}, [], []
-    for seed, (X_tr, y_tr), held_out, models, compare, stop in reps:
-
-        def path(trace):  # the model trained at each size of an elimination
-            subsets = subsets_by_size(trace, d.n_features)
-            return {size: models[tuple(sorted(s))] for size, s in subsets.items()}
-
+    for seed, (X_tr, y_tr), held_out, compare, stop in reps:
         for method in cfg.selectors if compare else ():
             traces[method, seed] = trace = next(found)
             models_at = path(trace)
@@ -430,13 +424,12 @@ def _run_block(d: Dataset, name: str, sizes, cfg: ExperimentConfig, repeats):
                                *_evaluate(models_at[s], *held_out, cfg.epsilon, m)) for s in sizes]
         # per selector, crfe's final model set or the baseline's whole path;
         # every final subset was trained by a pass of its run: no refit
-        stopped = [(method, models[next(found).selected] if method == "crfe" else path(next(found)))
+        stopped = [(method, next(found).models[-1] if method == "crfe" else path(next(found)))
                    for method in (cfg.selectors if stop else ())]
         cv += [(X_tr, y_tr, ms.active_features)
                for method, models_at in stopped if method == "rfe" for ms in models_at.values()]
         done.append((seed, held_out, stopped))
-        models.clear()  # what the CV stage and the reports read is in rows and stopped
-    del reps
+    del groups, reps, found  # what the CV stage and the reports read is in rows and stopped
 
     accs = iter(_cv_accuracies(cv, m, cfg.train))
     stops = []

@@ -105,18 +105,13 @@ def point_metrics(y_pred, y_true, n_classes: int) -> PointMetricsReport:
     n = y_true.shape[0]
     if n == 0:
         raise EmptyTestSetError("no test samples to score")
-    precision = np.zeros(n_classes)
-    recall = np.zeros(n_classes)
-    f1 = np.zeros(n_classes)
-    for k in range(n_classes):
-        tp = int(((y_pred == k) & (y_true == k)).sum())
-        pred_k = int((y_pred == k).sum())
-        true_k = int((y_true == k).sum())
-        p = tp / pred_k if pred_k else 0.0
-        r = tp / true_k if true_k else 0.0
-        precision[k] = p
-        recall[k] = r
-        f1[k] = 2 * p * r / (p + r) if p + r else 0.0
+    tp = np.bincount(y_true[y_pred == y_true], minlength=n_classes)
+    pred_k = np.bincount(y_pred, minlength=n_classes)
+    true_k = np.bincount(y_true, minlength=n_classes)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the 0/0 cases are set to 0
+        precision = np.where(pred_k > 0, tp / pred_k, 0.0)
+        recall = np.where(true_k > 0, tp / true_k, 0.0)
+        f1 = np.where(precision + recall > 0, 2 * precision * recall / (precision + recall), 0.0)
     return PointMetricsReport(
         accuracy=float((y_pred == y_true).mean()),
         precision=precision,

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass, fields
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -175,12 +174,14 @@ class SelectionStep:
 
 @dataclass(frozen=True, eq=False)
 class SelectionTrace:
-    """Full record of one elimination run."""
+    """Full record of one elimination run. models holds the LinearModelSet of
+    every pass, in pass order, so the last one is trained on ``selected``."""
 
     method: str
     steps: tuple[SelectionStep, ...]
     selected: tuple[int, ...]
     stop_reason: StopReason
+    models: tuple[LinearModelSet, ...] = ()
 
     @property
     def n_selected(self) -> int:
@@ -229,12 +230,13 @@ def _elimination(X_train, X_cal, y_cal, method: str, policy):
     """The backward loop shared by both selectors, as a generator.
 
     It yields each pass's active set as a tuple and is sent that set's
-    LinearModelSet; it returns the SelectionTrace. Its checks run at the
-    first next(), before anything trains. Each pass scores the active
-    features with the method's criterion (beta for crfe, squared weights
-    for rfe) and removes the one it picks. For crfe the criterion's mean
-    is the mean beta: its history and second difference are recorded
-    under either policy, and only BetaCriterion stops on them.
+    LinearModelSet; it returns the SelectionTrace, which keeps every model
+    it was sent. Its checks run at the first next(), before anything
+    trains. Each pass scores the active features with the method's
+    criterion (beta for crfe, squared weights for rfe) and removes the one
+    it picks. For crfe the criterion's mean is the mean beta: its history
+    and second difference are recorded under either policy, and only
+    BetaCriterion stops on them.
     """
     # built per run, so the scores go through this module's names at call time
     score, pick, beta = {
@@ -263,10 +265,12 @@ def _elimination(X_train, X_cal, y_cal, method: str, policy):
 
     active = list(range(X_train.shape[1]))
     steps: list[SelectionStep] = []
+    models: list[LinearModelSet] = []
     mean_hist: list[float] = []
     fired = False
     while not fired:
         ms = yield tuple(active)
+        models.append(ms)
         crit = score(ms, X_cal[:, active], y_cal)
         if beta:
             mean = float(crit.mean())
@@ -290,64 +294,49 @@ def _elimination(X_train, X_cal, y_cal, method: str, policy):
         steps=tuple(steps),
         selected=tuple(active),
         stop_reason=StopReason.BETA_CRITERION_FIRED if fired else floor_reason,
+        models=tuple(models),
     )
 
 
-class _Run(NamedTuple):
-    """One elimination of _lockstep. models maps tuple(active) to the model
-    trained on those features; runs that share it share X_train and y_train."""
+def _lockstep(groups, n_classes: int, config: TrainConfig, lam: float) -> list[SelectionTrace]:
+    """Every elimination of ``groups`` in lock-step; one trace each, in group and plan order.
 
-    X_train: np.ndarray
-    y_train: np.ndarray
-    X_cal: np.ndarray
-    y_cal: np.ndarray
-    models: dict
-    method: str
-    policy: object
-
-
-def _lockstep(runs, n_classes: int, config: TrainConfig, lam: float) -> list[SelectionTrace]:
-    """Run every _Run in ``runs`` in lock-step; one trace each.
-
-    Every policy is checked before anything trains. A pass reuses its
-    run's model of the set if it has one. Each round, the sets new to
-    their dict train: a lone one through train_ova, more through
-    classifier._train_sets.
+    A group is (X_train, y_train, X_cal, y_cal, plan), plan a list of
+    (method, policy); the runs of a group share the model of each active
+    set they train. Every policy is checked before anything trains. Each
+    round, the sets new to their group train: a lone one through
+    train_ova, more through classifier._train_sets.
     """
-    gens = [_elimination(run.X_train, run.X_cal, run.y_cal, run.method, run.policy)
-            for run in runs]
-    wants = {i: next(g) for i, g in enumerate(gens)}  # the active set each live run waits for
-    traces = [None] * len(gens)
+    models = [{} for _ in groups]  # per group, tuple(active) -> the model trained on it
+    data, runs = [], []  # per group (X_train, y_train); per run (group, generator)
+    for X_train, y_train, X_cal, y_cal, plan in groups:
+        X_train, X_cal = np.asarray(X_train, dtype=float), np.asarray(X_cal, dtype=float)
+        runs += [(len(data), _elimination(X_train, X_cal, y_cal, method, policy))
+                 for method, policy in plan]
+        data.append((X_train, y_train))
+    wants = {i: next(gen) for i, (_, gen) in enumerate(runs)}  # each live run's active set
+    traces = [None] * len(runs)
     while wants:
-        new = list({(id(runs[i].models), a): (runs[i], a)
-                    for i, a in wants.items() if a not in runs[i].models}.values())
+        new = list(dict.fromkeys((runs[i][0], a) for i, a in wants.items()
+                                 if a not in models[runs[i][0]]))
         if len(new) == 1:
-            (run, a), = new
-            run.models[a] = train_ova(run.X_train[:, a], run.y_train, n_classes, config, lam,
-                                      active_features=a)
+            (g, a), = new
+            X_train, y_train = data[g]
+            models[g][a] = train_ova(X_train[:, a], y_train, n_classes, config, lam,
+                                     active_features=a)
         elif new:
-            jobs = [(run.X_train, run.y_train, None, a) for run, a in new]
+            jobs = [(*data[g], None, a) for g, a in new]
             for j, ms in _train_sets(jobs, n_classes, config, lam):
-                run, a = new[j]
-                run.models[a] = ms
+                g, a = new[j]
+                models[g][a] = ms
         for i, active in list(wants.items()):
+            g, gen = runs[i]
             try:
-                wants[i] = gens[i].send(runs[i].models[active])
+                wants[i] = gen.send(models[g][active])
             except StopIteration as done:
                 traces[i] = done.value
                 del wants[i]
     return traces
-
-
-def _run_eliminations(X_train, y_train, X_cal, y_cal, n_classes: int, runs,
-                      config: TrainConfig, lam: float, models=None) -> list[SelectionTrace]:
-    """_lockstep over every (method, policy) in ``runs``; all share the data,
-    config, lam and ``models``."""
-    X_train = np.asarray(X_train, dtype=float)
-    X_cal = np.asarray(X_cal, dtype=float)
-    models = {} if models is None else models
-    return _lockstep([_Run(X_train, y_train, X_cal, y_cal, models, method, policy)
-                      for method, policy in runs], n_classes, config, lam)
 
 
 def run_crfe(
@@ -359,19 +348,15 @@ def run_crfe(
     policy,
     config: TrainConfig = TrainConfig(),
     lam: float = 0.5,
-    models=None,
 ) -> SelectionTrace:
     """Conformal elimination: retrain, score with beta, drop the largest.
 
     policy is FixedSize or BetaCriterion. The calibration split feeds the
-    beta scores and is never used for weight fitting. ``models`` is an
-    optional dict from tuple(active) to the LinearModelSet trained on
-    those features: passes whose set is in it reuse that model, and newly
-    trained ones are added. Pass the same dict only to runs with the same
-    X_train, y_train, config and lam.
+    beta scores and is never used for weight fitting. The trace's models
+    end with the one trained on the selected features.
     """
-    return _run_eliminations(X_train, y_train, X_cal, y_cal, n_classes, [("crfe", policy)],
-                             config, lam, models)[0]
+    return _lockstep([(X_train, y_train, X_cal, y_cal, [("crfe", policy)])],
+                     n_classes, config, lam)[0]
 
 
 def run_rfe(
@@ -383,15 +368,12 @@ def run_rfe(
     policy,
     config: TrainConfig = TrainConfig(),
     lam: float = 0.5,
-    models=None,
 ) -> SelectionTrace:
     """Weight-norm elimination baseline; drops the smallest squared weight.
 
     Accepts the calibration split so callers can swap methods freely, but
     the criterion itself only reads the trained weights. Only FixedSize
-    stopping applies. ``models`` works as in run_crfe; both selectors
-    may share one ``models`` dict, since a model depends only on the
-    training data, config, lam and active set.
+    stopping applies.
     """
-    return _run_eliminations(X_train, y_train, X_cal, y_cal, n_classes, [("rfe", policy)],
-                             config, lam, models)[0]
+    return _lockstep([(X_train, y_train, X_cal, y_cal, [("rfe", policy)])],
+                     n_classes, config, lam)[0]

@@ -128,6 +128,20 @@ def test_select_non_finite_cell_exits_3_before_training(data_csv, tmp_path, caps
         assert f"line {row + 2}, column 3" in capsys.readouterr().err
 
 
+def test_select_on_a_column_whose_spread_overflows_exits_3(tmp_path, capsys, no_training):
+    # +-1e155 is finite and so is its mean, but its square is not: the
+    # scaler must refuse the column, not divide it by an infinite std to zeros
+    data = tmp_path / "data.csv"
+    rows = [f"{(-1) ** i * 1e155},{i % 5},{'xy'[i % 2]}" for i in range(40)]
+    data.write_text("a,b,label\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "o"
+    assert main(["select", "--data", str(data), "--label", "label", "--method", "crfe",
+                 "--stop", "fixed:1", "--out", str(out)]) == 3
+    assert ("crfe: data error: feature 'a': its mean or standard deviation over the training"
+            " rows is not finite") in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("body, reason", [
     (b"1,2,x\n\xff\xfe,4,y\n", ": not UTF-8 text"),
     (b"1,2,x\n3,4,y\n" + b"9" * 131_073 + b",4,y\n", ", line 4: field larger than field limit"),

@@ -521,6 +521,13 @@ def test_scaler_empty_rows_rejected():
         fit_scaler(d, [])
 
 
+def test_scaler_rejects_a_feature_whose_spread_overflows():
+    # every value is finite, but the variance of column f1 is not
+    d = make_dataset([[1.0, 1e308], [2.0, -1e308], [3.0, 1e308]], [0, 1, 0])
+    with pytest.raises(NonFiniteInputError, match="feature 'f1': its mean or standard deviation"):
+        fit_scaler(d, [0, 1, 2])
+
+
 def test_scaler_train_rows_standardized():
     rng = np.random.default_rng(11)
     for trial in range(10):

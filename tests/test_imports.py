@@ -106,3 +106,10 @@ def test_only_the_training_entry_of_classifier_is_read_elsewhere():
     package = ROOT / "src" / "crfe"
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))}
     assert private_reads_of("classifier", sources, allowed=("_train_sets",)) == []
+
+
+def test_only_the_lockstep_entry_of_selection_is_read_elsewhere():
+    # how eliminations share their models stays inside selection.py
+    package = ROOT / "src" / "crfe"
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))}
+    assert private_reads_of("selection", sources, allowed=("_lockstep",)) == []

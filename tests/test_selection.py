@@ -326,16 +326,32 @@ def test_run_crfe_draws_no_random_stream(monkeypatch):
     assert len(trace.steps) == 30
 
 
+@pytest.mark.parametrize("method, problem, policy, reason", [
+    ("crfe", dict(seed=0, n=240, l=24, informative=5), BetaCriterion(),
+     StopReason.BETA_CRITERION_FIRED),
+    ("rfe", dict(seed=3, l=12), FixedSize(4), StopReason.REACHED_TARGET_SIZE),
+    ("crfe", dict(seed=7, n=60, l=5, informative=2), BetaCriterion(sigma=1e9),
+     StopReason.EXHAUSTED_TO_ONE_FEATURE),
+], ids=["beta-fired", "target-reached", "exhausted"])
+def test_a_trace_keeps_the_model_of_every_pass(method, problem, policy, reason):
+    args, _ = synth_problem(**problem)
+    runner = run_crfe if method == "crfe" else run_rfe
+    tr = runner(*args, policy)
+    assert tr.stop_reason is reason
+    assert tr.models[-1].active_features == tr.selected
+    # a pass that ends at the floor trains and scores but records no step
+    assert len(tr.models) == len(tr.steps) + (reason is not StopReason.BETA_CRITERION_FIRED)
+    sizes = [ms.n_features for ms in tr.models]
+    assert sizes[0] == problem["l"]
+    assert all(a > b for a, b in zip(sizes, sizes[1:]))
+
+
 def test_lockstep_runs_match_separate_runs(monkeypatch):
     args, _ = synth_problem(seed=3)
     cfg = TrainConfig(epochs=40)
     runs = [("crfe", FixedSize(1)), ("rfe", FixedSize(1)), ("crfe", BetaCriterion())]
-    alone, alone_models = [], {}
-    for method, policy in runs:
-        models = {}
-        runner = run_crfe if method == "crfe" else run_rfe
-        alone.append(runner(*args, policy, cfg, models=models))
-        alone_models.update(models)
+    alone = [(run_crfe if method == "crfe" else run_rfe)(*args, policy, cfg)
+             for method, policy in runs]
 
     stacked = []
     real = selection._train_sets
@@ -345,24 +361,18 @@ def test_lockstep_runs_match_separate_runs(monkeypatch):
         return real(jobs, *rest)
 
     monkeypatch.setattr(selection, "_train_sets", recording)
-    shared = {}
-    together = selection._run_eliminations(*args, runs, cfg, 0.5, shared)
+    X_tr, y_tr, X_cal, y_cal, m = args
+    together = selection._lockstep([(X_tr, y_tr, X_cal, y_cal, runs)], m, cfg, 0.5)
     assert [trace_to_json(t) for t in together] == [trace_to_json(t) for t in alone]
     assert stacked and set(stacked) == {2}  # crfe's and rfe's new set of each pass
-    assert shared.keys() == alone_models.keys()
-    for key, ms in shared.items():
-        assert np.array_equal(ms.W, alone_models[key].W)
-        assert np.array_equal(ms.b, alone_models[key].b)
-        assert ms.active_features == key
-
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("trained a set the shared dict holds")
-
-    # every round finds its sets in the dict, so nothing trains
-    monkeypatch.setattr(selection, "train_ova", refuse)
-    monkeypatch.setattr(selection, "_train_sets", refuse)
-    again = selection._run_eliminations(*args, runs, cfg, 0.5, shared)
-    assert [trace_to_json(t) for t in again] == [trace_to_json(t) for t in alone]
+    for t, a in zip(together, alone):
+        assert len(t.models) == len(a.models)
+        for ms, ms_alone in zip(t.models, a.models):
+            assert ms.active_features == ms_alone.active_features
+            assert np.array_equal(ms.W, ms_alone.W)
+            assert np.array_equal(ms.b, ms_alone.b)
+    # the runs of one group train their common first set once
+    assert together[0].models[0] is together[1].models[0] is together[2].models[0]
 
 
 def test_lockstep_checks_every_policy_before_training(monkeypatch):
@@ -371,10 +381,10 @@ def test_lockstep_checks_every_policy_before_training(monkeypatch):
 
     monkeypatch.setattr(selection, "train_ova", refuse)
     monkeypatch.setattr(selection, "_train_sets", refuse)
-    args, _ = synth_problem()
+    (X_tr, y_tr, X_cal, y_cal, m), _ = synth_problem()
+    plan = [("crfe", FixedSize(3)), ("rfe", BetaCriterion())]
     with pytest.raises(InvalidPolicyError):
-        selection._run_eliminations(*args, [("crfe", FixedSize(3)), ("rfe", BetaCriterion())],
-                                    TrainConfig(), 0.5)
+        selection._lockstep([(X_tr, y_tr, X_cal, y_cal, plan)], m, TrainConfig(), 0.5)
 
 
 # ------------------------------------------------------------------- traces

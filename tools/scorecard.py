@@ -49,7 +49,6 @@ from crfe import (  # noqa: E402
     run_crfe,
     run_rfe,
     set_metrics,
-    train_ova,
 )
 from crfe.data import scaled_split  # noqa: E402
 
@@ -76,9 +75,9 @@ def standardized_split(spec: dict, seed: int):
     return parts, {int(j) for j in informative}
 
 
-def set_scores(train, cal, test, n_classes, cols, config, epsilon):
-    """Set metrics of the model trained on ``cols``, at epsilon."""
-    ms = train_ova(train[0][:, cols], train[1], n_classes, config, active_features=cols)
+def set_scores(ms, cal, test, epsilon):
+    """Set metrics of the model set ``ms`` on its active features, at epsilon."""
+    cols = list(ms.active_features)
     rec = calibrate(ms, cal[0][:, cols], cal[1])
     _, mask = conformal_predict(ms, rec, test[0][:, cols], epsilon)
     return set_metrics(mask, test[1])
@@ -101,11 +100,11 @@ def family_scores(spec: dict, config, stop_seeds=STOP_SEEDS,
         (train, cal, test), _ = standardized_split(spec, seed)
         tr = run_crfe(*train, *cal, m, BetaCriterion(), config)
         fired += tr.stop_reason is StopReason.BETA_CRITERION_FIRED
-        sel = list(tr.selected)
-        sizes.append(len(sel))
-        full = set_scores(train, cal, test, m, list(range(spec["n_features"])), config, 0.1)
+        sizes.append(tr.n_selected)
+        # the first pass trained on every feature, the last on the selected ones
+        full = set_scores(tr.models[0], cal, test, 0.1)
         for eps in coverage:
-            chosen = set_scores(train, cal, test, m, sel, config, eps)
+            chosen = set_scores(tr.models[-1], cal, test, eps)
             coverage[eps].append(chosen.coverage)
             if eps == 0.1:
                 ratios.append(chosen.inefficiency / full.inefficiency)
