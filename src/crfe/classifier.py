@@ -30,7 +30,6 @@ from .exceptions import (
     DegenerateLabelsError,
     DimensionMismatchError,
     NonFiniteInputError,
-    require_int,
     require_real,
 )
 
@@ -42,21 +41,16 @@ class TrainConfig:
     """Hyperparameters of the solver.
 
     c weighs the squared hinge against the penalty (larger = weaker
-    penalty). epochs and batch_size are inert: no solver reads them, and
-    they are kept, validated as before, because the benchmark tracer
-    still derives its SGD-step counts from them.
+    penalty). It is the only one: the Newton solve is exact and draws no
+    random numbers, so it has no step size, seed or epoch count.
     """
 
     c: float = 0.1
-    epochs: int = 200
-    batch_size: int = 48
 
     def __post_init__(self):
         require_real("c", self.c)
         if self.c <= 0:
             raise ConfigError("c must be positive")
-        require_int("epochs", self.epochs, 1)
-        require_int("batch_size", self.batch_size, 1)
 
 
 @dataclass(frozen=True, eq=False)

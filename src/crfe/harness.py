@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -395,9 +395,9 @@ def _run_block(d: Dataset, name: str, sizes, cfg: ExperimentConfig, repeats):
 
     A repeat depends only on d, cfg and r. Every elimination runs in one
     _lockstep and every CV fold in one _cv_accuracies. Returns the
-    comparison's ResultRows, its {(method, seed): trace}, and per stopping
-    run of each selector its (method, seed, final active features,
-    SetMetricsReport).
+    comparison's ResultRows, its {(method, seed): trace} without models,
+    and per stopping run of each selector its (method, seed, final active
+    features, SetMetricsReport).
     """
     m = d.n_classes
     reps, groups = [], []
@@ -418,8 +418,9 @@ def _run_block(d: Dataset, name: str, sizes, cfg: ExperimentConfig, repeats):
     rows, traces, done, cv = [], {}, [], []
     for seed, (X_tr, y_tr), held_out, compare, stop in reps:
         for method in cfg.selectors if compare else ():
-            traces[method, seed] = trace = next(found)
+            trace = next(found)
             models_at = path(trace)
+            traces[method, seed] = replace(trace, models=())  # the reports read only the steps
             rows += [ResultRow(name, method, s, seed,
                                *_evaluate(models_at[s], *held_out, cfg.epsilon, m)) for s in sizes]
         # per selector, crfe's final model set or the baseline's whole path;

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .classifier import LinearModelSet, TrainConfig, _train_sets, train_ova
+from .classifier import LinearModelSet, TrainConfig, _train_sets
 from .data import _whole_labels, write_csv
 from .exceptions import (
     DimensionMismatchError,
@@ -304,8 +304,8 @@ def _lockstep(groups, n_classes: int, config: TrainConfig, lam: float) -> list[S
     A group is (X_train, y_train, X_cal, y_cal, plan), plan a list of
     (method, policy); the runs of a group share the model of each active
     set they train. Every policy is checked before anything trains. Each
-    round, the sets new to their group train: a lone one through
-    train_ova, more through classifier._train_sets.
+    round, the sets new to their group train in one
+    classifier._train_sets call.
     """
     models = [{} for _ in groups]  # per group, tuple(active) -> the model trained on it
     data, runs = [], []  # per group (X_train, y_train); per run (group, generator)
@@ -319,16 +319,10 @@ def _lockstep(groups, n_classes: int, config: TrainConfig, lam: float) -> list[S
     while wants:
         new = list(dict.fromkeys((runs[i][0], a) for i, a in wants.items()
                                  if a not in models[runs[i][0]]))
-        if len(new) == 1:
-            (g, a), = new
-            X_train, y_train = data[g]
-            models[g][a] = train_ova(X_train[:, a], y_train, n_classes, config, lam,
-                                     active_features=a)
-        elif new:
-            jobs = [(*data[g], None, a) for g, a in new]
-            for j, ms in _train_sets(jobs, n_classes, config, lam):
-                g, a = new[j]
-                models[g][a] = ms
+        jobs = [(*data[g], None, a) for g, a in new]
+        for j, ms in _train_sets(jobs, n_classes, config, lam):
+            g, a = new[j]
+            models[g][a] = ms
         for i, active in list(wants.items()):
             g, gen = runs[i]
             try:

@@ -284,7 +284,6 @@ def test_bench_is_byte_deterministic(tmp_path):
                                   "flip_y": 0.02, "seed": 7}},
         "repeats": 2,
         "master_seed": 3,
-        "train": {"epochs": 40, "batch_size": 16},
         "stopping": {"repeats": 2},
     }
     cfg_path = tmp_path / "cfg.json"

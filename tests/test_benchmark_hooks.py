@@ -69,10 +69,12 @@ def test_benchmark_callers_resolve():
 
 
 def test_engine_calls_traced_functions_through_its_module(monkeypatch):
-    calls = Counter()
-    for name in ("train_ova", "beta_measures", "rfe_criterion", "beta_stop_check"):
+    calls, jobs = Counter(), []
+    for name in ("_train_sets", "beta_measures", "rfe_criterion", "beta_stop_check"):
         def counted(*args, _fn=getattr(selection, name), _name=name, **kwargs):
             calls[_name] += 1
+            if _name == "_train_sets":
+                jobs.append(len(args[0]))
             return _fn(*args, **kwargs)
         monkeypatch.setattr(selection, name, counted)
     rng = np.random.default_rng(0)
@@ -80,10 +82,11 @@ def test_engine_calls_traced_functions_through_its_module(monkeypatch):
     args = (X[:20], y[:20], X[20:], y[20:], 3)
 
     selection.run_crfe(*args, selection.FixedSize(2))
-    assert calls == {"train_ova": 4, "beta_measures": 4, "beta_stop_check": 4}
+    assert calls == {"_train_sets": 4, "beta_measures": 4, "beta_stop_check": 4}
     calls.clear()
     selection.run_rfe(*args, selection.FixedSize(2))
-    assert calls == {"train_ova": 4, "rfe_criterion": 4}
+    assert calls == {"_train_sets": 4, "rfe_criterion": 4}
+    assert jobs == [1] * 8  # one new set per pass
     calls.clear()
     with pytest.raises(InvalidPolicyError):
         selection.run_rfe(*args, selection.BetaCriterion())

@@ -76,12 +76,11 @@ def assert_optimal(X, z, w, b, c):
 
 def test_train_config_validation():
     TrainConfig()
-    for bad in (dict(c=0.0), dict(c=-1.0), dict(epochs=0), dict(batch_size=0),
-                dict(c=float("inf")), dict(c="0.5"), dict(epochs=2.5), dict(batch_size=4.5),
-                dict(epochs=True)):
+    for bad in (dict(c=0.0), dict(c=-1.0), dict(c=float("inf")), dict(c="0.5")):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
-    for gone in ("eta0", "seed"):  # settings of the SGD solver this one replaced
+    # settings of the SGD solver this one replaced
+    for gone in ("eta0", "seed", "epochs", "batch_size"):
         with pytest.raises(TypeError, match=gone):
             TrainConfig(**{gone: 1})
 
@@ -302,7 +301,7 @@ def test_a_solve_that_diverges_is_rejected():
     # c A^T A overflows to inf, and the system with it
     X, z = separable_blobs()
     with pytest.raises(ConfigError, match="weights and biases must be finite"):
-        train_ova(X, (z > 0).astype(int), 2, TrainConfig(c=1e308, epochs=3))
+        train_ova(X, (z > 0).astype(int), 2, TrainConfig(c=1e308))
     # a vanishing c leaves finite, vanishing weights
     tiny = train_ova(X, (z > 0).astype(int), 2, TrainConfig(c=1e-320))
     assert np.abs(tiny.W).max() < 1e-300 and np.abs(tiny.b).max() < 1e-300

@@ -26,7 +26,7 @@ SPEC = {"n_samples": 120, "n_features": 8, "n_informative": 3, "n_redundant": 2,
         "n_classes": 3, "class_sep": 1.5, "flip_y": 0.02, "seed": 7}
 
 CFG = {"dataset": {"synthetic": SPEC}, "repeats": 2, "master_seed": 3,
-       "train": {"epochs": 40, "batch_size": 16}, "stopping": {"repeats": 2}}
+       "stopping": {"repeats": 2}}
 
 
 @pytest.fixture()
@@ -36,7 +36,6 @@ def no_training(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("trained before the bad value was rejected")
 
-    monkeypatch.setattr(selection, "train_ova", refuse)
     monkeypatch.setattr(selection, "_train_sets", refuse)
     monkeypatch.setattr(harness, "_train_sets", refuse)  # the CV folds
 
@@ -248,7 +247,7 @@ def test_bench_one_feature_or_unreadable_config_exits_2(tmp_path):
 def test_bench_whose_solver_diverges_exits_2(tmp_path, capsys):
     # c this large overflows the Newton systems c A^T A to infinity
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**CFG, "train": {"c": 1e308, "epochs": 5}}))
+    cfg.write_text(json.dumps({**CFG, "train": {"c": 1e308}}))
     out = tmp_path / "o"
     assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 2
     assert "config error: weights and biases must be finite" in capsys.readouterr().err
@@ -285,7 +284,7 @@ BAD_CONFIG_VALUES = [
 @pytest.mark.parametrize("command", ["bench", "consistency"])
 @pytest.mark.parametrize("bad", BAD_CONFIG_VALUES, ids=json.dumps)
 def test_bad_config_value_exits_2_before_training(tmp_path, no_training, command, bad):
-    doc = {k: {**CFG[k], **v} if isinstance(v, dict) else v for k, v in bad.items()}
+    doc = {k: {**CFG.get(k, {}), **v} if isinstance(v, dict) else v for k, v in bad.items()}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**CFG, **doc}))
     out = tmp_path / "out"
@@ -293,11 +292,11 @@ def test_bad_config_value_exits_2_before_training(tmp_path, no_training, command
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["eta0", "seed"])
+@pytest.mark.parametrize("key", ["eta0", "seed", "epochs", "batch_size"])
 def test_train_entry_with_an_sgd_setting_exits_2_naming_it(tmp_path, capsys, no_training, key):
-    # the exact solver has no step size and draws no stream
+    # the exact solver has no step size, draws no stream and makes no passes
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**CFG, "train": {**CFG["train"], key: 1}}))
+    cfg.write_text(json.dumps({**CFG, "train": {key: 1}}))
     out = tmp_path / "out"
     assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err

@@ -22,7 +22,6 @@ BENCH_CFG = {
                               "flip_y": 0.02, "seed": 7}},
     "repeats": 2,
     "master_seed": 3,
-    "train": {"epochs": 40, "batch_size": 16},
     "stopping": {"repeats": 2},
 }
 

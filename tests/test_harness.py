@@ -34,12 +34,10 @@ from test_digests import BENCH_CFG
 
 TINY = SyntheticSpec(n_samples=120, n_features=8, n_informative=3, n_redundant=2,
                      n_classes=3, class_sep=1.5, flip_y=0.02, seed=7)
-FAST_TRAIN = TrainConfig(epochs=40, batch_size=16)
 
 
 def tiny_config(**over):
-    base = dict(synthetic=TINY, repeats=2, master_seed=3, train=FAST_TRAIN,
-                stopping=StoppingParams(repeats=2))
+    base = dict(synthetic=TINY, repeats=2, master_seed=3, stopping=StoppingParams(repeats=2))
     base.update(over)
     return ExperimentConfig(**base)
 
@@ -86,7 +84,7 @@ def test_config_from_dict_wire_names():
                                   "flip_y": 0.02, "seed": 7}},
         "epsilon": 0.2,
         "lambda": 0.7,
-        "train": {"epochs": 40, "batch_size": 16},
+        "train": {},
         "repeats": 4,
         "master_seed": 9,
         "selectors": ["crfe"],
@@ -94,7 +92,7 @@ def test_config_from_dict_wire_names():
         "stopping": {"sigma": 4.0, "repeats": 6},
     })
     assert cfg.epsilon == 0.2 and cfg.lam == 0.7
-    assert cfg.train.epochs == 40 and cfg.repeats == 4
+    assert cfg.train == TrainConfig() and cfg.repeats == 4
     assert cfg.selectors == ("crfe",) and cfg.sizes == (5, 3, 1)
     assert cfg.stopping.sigma == 4.0 and cfg.stopping.repeats == 6
     assert config_from_dict({"dataset": {"csv": "a.csv"}}).label_column == "label"
@@ -130,9 +128,8 @@ def test_config_from_dict_returns_config_or_raises_config_error(place, value):
         return
     # a config that comes back holds whole counts and seeds, never a
     # truncated float or a bool
-    t, s = cfg.train, cfg.stopping
-    for got in (cfg.repeats, cfg.master_seed, t.epochs, t.batch_size,
-                s.psi, s.warmup, s.repeats):
+    s = cfg.stopping
+    for got in (cfg.repeats, cfg.master_seed, s.psi, s.warmup, s.repeats):
         assert type(got) is int
 
 
@@ -301,13 +298,13 @@ def test_cv_accuracy_matches_per_fold_oracle(n):
     X = rng.standard_normal((n, 4))
     y = rng.permutation(np.arange(n) % 3)
     X[:, 0] += y
-    tcfg = TrainConfig(epochs=20, batch_size=8)
+    tcfg = TrainConfig()
     assert cv_of_all_columns(X, y, 3, tcfg) == cv_accuracy(X, y, 3, tcfg)
 
 
 def test_cv_accuracy_skips_degenerate_folds_like_oracle():
     rng = np.random.default_rng(5)
-    tcfg = TrainConfig(epochs=20, batch_size=8)
+    tcfg = TrainConfig()
     # sorted labels: class 0 lies inside the first held-out fold, so that
     # fold's training rows miss it and the fold is skipped
     y = np.repeat([0, 1, 2], [3, 20, 14])
@@ -328,7 +325,7 @@ def test_cv_accuracy_skips_folds_that_hold_out_nothing(n):
     rng = np.random.default_rng(n)
     y = np.arange(n) % 2
     X = rng.standard_normal((n, 2)) + y[:, None]
-    tcfg = TrainConfig(epochs=20, batch_size=8)
+    tcfg = TrainConfig()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an empty mean warns
         got = cv_of_all_columns(X, y, 2, tcfg)
@@ -350,19 +347,14 @@ def test_stopping_benchmark_on_ten_rows_warns_nothing():
 def test_run_all_trains_each_repeat_model_once(tmp_path, monkeypatch):
     """Both selectors and both benchmarks share each repeat's models."""
     trained = []
-    real, real_sets = selection.train_ova, selection._train_sets
+    real = selection._train_sets
 
-    def recording(X, y, n_classes, config, lam, active_features=None):
+    def recording(jobs, n_classes, config, lam):
         # a repeat's training labels name the repeat
-        trained.append((y.tobytes(), tuple(active_features)))
-        return real(X, y, n_classes, config, lam, active_features=active_features)
-
-    def recording_sets(jobs, n_classes, config, lam):
         trained.extend((y.tobytes(), tuple(cols)) for _, y, _, cols in jobs)
-        return real_sets(jobs, n_classes, config, lam)
+        return real(jobs, n_classes, config, lam)
 
-    monkeypatch.setattr(selection, "train_ova", recording)
-    monkeypatch.setattr(selection, "_train_sets", recording_sets)
+    monkeypatch.setattr(selection, "_train_sets", recording)
     run_all(config_from_dict(BENCH_CFG), tmp_path)
     assert trained
     assert len(trained) == len(set(trained))

@@ -108,6 +108,26 @@ def test_only_the_training_entry_of_classifier_is_read_elsewhere():
     assert private_reads_of("classifier", sources, allowed=("_train_sets",)) == []
 
 
+def callers_of(fn: str, sources: dict[str, str]) -> list[str]:
+    """The sources that call ``fn``, by its bare name or as an attribute."""
+    return [name for name, source in sources.items()
+            if any(isinstance(node, ast.Call)
+                   and fn in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                   for node in ast.walk(ast.parse(source)))]
+
+
+def test_only_classifier_calls_train_ova():
+    # the drivers train through _train_sets alone; train_ova is its
+    # one-job form for callers outside the package
+    assert callers_of("f", {
+        "a.py": "f(1)\n", "b.py": "import m\nm.f()\n", "c.py": "from m import f\ng(f)\n",
+    }) == ["a.py", "b.py"]
+    package = ROOT / "src" / "crfe"
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))
+               if p.name != "classifier.py"}
+    assert callers_of("train_ova", sources) == []
+
+
 def test_only_the_lockstep_entry_of_selection_is_read_elsewhere():
     # how eliminations share their models stays inside selection.py
     package = ROOT / "src" / "crfe"

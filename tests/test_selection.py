@@ -348,7 +348,7 @@ def test_a_trace_keeps_the_model_of_every_pass(method, problem, policy, reason):
 
 def test_lockstep_runs_match_separate_runs(monkeypatch):
     args, _ = synth_problem(seed=3)
-    cfg = TrainConfig(epochs=40)
+    cfg = TrainConfig()
     runs = [("crfe", FixedSize(1)), ("rfe", FixedSize(1)), ("crfe", BetaCriterion())]
     alone = [(run_crfe if method == "crfe" else run_rfe)(*args, policy, cfg)
              for method, policy in runs]
@@ -357,14 +357,18 @@ def test_lockstep_runs_match_separate_runs(monkeypatch):
     real = selection._train_sets
 
     def recording(jobs, *rest):
-        stacked.append(len(jobs))
+        stacked.append([cols for *_, cols in jobs])
         return real(jobs, *rest)
 
     monkeypatch.setattr(selection, "_train_sets", recording)
     X_tr, y_tr, X_cal, y_cal, m = args
     together = selection._lockstep([(X_tr, y_tr, X_cal, y_cal, runs)], m, cfg, 0.5)
     assert [trace_to_json(t) for t in together] == [trace_to_json(t) for t in alone]
-    assert stacked and set(stacked) == {2}  # crfe's and rfe's new set of each pass
+    # each pass trains the distinct sets its live runs want, in one call;
+    # the runs' common first set is one job
+    want = [list(dict.fromkeys(a.models[i].active_features for a in alone if i < len(a.models)))
+            for i in range(max(len(a.models) for a in alone))]
+    assert stacked == want and len(stacked[0]) == 1 and max(map(len, stacked)) == 2
     for t, a in zip(together, alone):
         assert len(t.models) == len(a.models)
         for ms, ms_alone in zip(t.models, a.models):
@@ -379,7 +383,6 @@ def test_lockstep_checks_every_policy_before_training(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("trained before a bad policy was rejected")
 
-    monkeypatch.setattr(selection, "train_ova", refuse)
     monkeypatch.setattr(selection, "_train_sets", refuse)
     (X_tr, y_tr, X_cal, y_cal, m), _ = synth_problem()
     plan = [("crfe", FixedSize(3)), ("rfe", BetaCriterion())]
