@@ -12,8 +12,9 @@ solver returns them and in which scoring and feature selection read them.
 
 _train_sets, the drivers' one entry, solves the K problems of every
 training set of one shape together, F sets times K classes in one
-stacked solve; each problem's model is the one a solve over it alone
-returns, bit for bit.
+stacked solve, each from zero or from a given start. Each problem's
+model is the one a solve over it alone returns, bit for bit, and the one
+a solve from zero returns unless a row lies within _TIE of its margin.
 """
 
 from __future__ import annotations
@@ -150,47 +151,57 @@ def _line_search(w, delta, r, dd, c):
     piece where f' crosses zero is read off cumulative sums of the rows'
     slope terms.
     """
-    p = np.arange(len(r))
+    p = np.arange(len(r))[:, None]  # with order, picks each problem's breakpoints in time order
     with np.errstate(divide="ignore", invalid="ignore"):
         cross = r / dd
     event = (dd != 0) & (cross > 0)  # a row enters (dd < 0) or leaves (dd > 0) at t > 0
     on = (r > 0) | ((r == 0) & (dd < 0))  # active just after t = 0
     times = np.where(event, cross, np.inf)
     order = np.argsort(times, axis=1)
-    ends = np.concatenate([times[p[:, None], order], np.full((len(r), 1), np.inf)], axis=1)
+    ends = np.concatenate([times[p, order], np.full((len(r), 1), np.inf)], axis=1)
+    sign = np.where(event, np.sign(-dd), 0.0)[p, order]
+
+    def slope(term, base):  # one coefficient of f' on every piece, from its term per active row
+        term = c * term
+        first = ((term * on).sum(axis=1) + base)[:, None]
+        return np.concatenate([first, first + np.cumsum(term[p, order] * sign, axis=1)], axis=1)
+
     # an active row adds c (dd^2 t - r dd) to f'(t) = alpha + beta t
-    terms = c * np.stack([-r * dd, dd * dd])
-    first = (terms * on).sum(axis=2) + [(w * delta).sum(axis=1), (delta * delta).sum(axis=1)]
-    moves = (terms * np.where(event, np.sign(-dd), 0.0))[:, p[:, None], order]
-    alpha, beta = np.concatenate([first[..., None], first[..., None] + np.cumsum(moves, axis=2)],
-                                 axis=2)
+    alpha = slope(-r * dd, (w * delta).sum(axis=1))
+    beta = slope(dd * dd, (delta * delta).sum(axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        piece = np.argmax(alpha + beta * ends >= 0, axis=1)  # where f' turns positive
+        piece = np.argmax(alpha + beta * ends >= 0, axis=1)[:, None]  # where f' turns positive
         t = -alpha[p, piece] / beta[p, piece]
-    return np.clip(t, np.where(piece > 0, ends[p, piece - 1], 0.0), ends[p, piece])[:, None]
+    return np.clip(t, np.where(piece > 0, ends[p, piece - 1], 0.0), ends[p, piece])
 
 
-def _train_stacked(ZX, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+def _train_stacked(ZX, config: TrainConfig, w0=None) -> tuple[np.ndarray, np.ndarray]:
     """Fit the F x K binary problems whose label-signed rows are ZX[f, k].
 
     ZX has shape (F, K, n, l + 1): F training sets of K one-vs-all
     problems, row a_i of problem (f, k) being z_fki * (x_fi, 1) with z_fki
     in {-1, +1}. Each problem minimizes
     1/2 ||w||^2 + c/2 sum_i max(0, 1 - a_i . w)^2 by the modified finite
-    Newton method of Keerthi and DeCoste (JMLR 2005): solve
+    Newton method of Keerthi and DeCoste (JMLR 2005): starting from
+    w0[f, k] = [W | b], shape (F, K, l + 1), or from zero, solve
     (I + c A_I^T A_I) w' = c A_I^T 1 over the rows I with margin below 1,
     stop when the rows below 1 at w' are I (up to rows within _TIE of
     the margin), and otherwise take the exact line search step towards
-    w' and repeat. The returned w' depends on its active set alone, so a
-    problem's model does not depend on the problems solved with it.
+    w' and repeat. The returned w' depends on its final active set alone,
+    so a problem's model does not depend on the problems solved with it.
+    Nor does it depend on where its solve starts, except through a row
+    within _TIE of the margin at the optimum: such a row never counts as
+    moved, so it keeps the side the path gave it, and a warm and a cold
+    solve may then return equal optima that differ in their last bits.
     Returns the weights, shape (F, K, l), and biases, shape (F, K).
     """
     F, K, n, d = ZX.shape
     A = ZX.reshape(F * K, n, d)
     c = config.c
     W = np.zeros((F * K, d))  # each problem's last system solution
-    w = np.zeros((F * K, d))  # each problem's line search point
-    r = np.ones((F * K, n))  # 1 - A w, every row active at w = 0
+    # each problem's line search point, and its rows' residuals 1 - A w
+    w = np.zeros((F * K, d)) if w0 is None else np.array(w0, dtype=float).reshape(F * K, d)
+    r = 1.0 - np.matmul(A, w[:, :, None])[..., 0]
     live = np.arange(F * K)
     for _ in range(_NEWTON_CAP):
         act = r[live] > 0
@@ -204,13 +215,14 @@ def _train_stacked(ZX, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(over="ignore"):  # a c that overflows is caught just below
             H *= c
             g *= c
-        H[:, range(d), range(d)] += 1.0
+        H.reshape(live.size, d * d)[:, ::d + 1] += 1.0  # the diagonal, through a strided view
         if not (np.isfinite(H).all() and np.isfinite(g).all()):
             raise ConfigError("weights and biases must be finite")
-        W[live] = np.linalg.solve(H, g.transpose(0, 2, 1))[..., 0]
-        if not np.isfinite(W[live]).all():
+        Wl = np.linalg.solve(H, g.transpose(0, 2, 1))
+        if not np.isfinite(Wl).all():
             raise ConfigError("weights and biases must be finite")
-        r_new = 1.0 - np.matmul(A, W[:, :, None])[live, :, 0]
+        W[live] = Wl[..., 0]
+        r_new = 1.0 - np.matmul(A[live], Wl)[..., 0]
         moved = ((r_new > 0) != act) & (np.abs(r_new) > _TIE)
         on = moved.any(axis=1)
         live, r_new = live[on], r_new[on]
@@ -255,39 +267,58 @@ def train_ova(
     must occur in y.
     """
     X = _check_matrix(X)
-    (_, ms), = _train_sets([(X, y, None, range(X.shape[1]))], n_classes, config, lam)
+    (_, ms), = _train_sets([(X, y, None, range(X.shape[1]), None)], n_classes, config, lam)
     return ms if active_features is None else replace(ms, active_features=active_features)
 
 
 def _train_sets(jobs, n_classes: int, config: TrainConfig, lam: float = DEFAULT_LAMBDA):
-    """Yield (job index, LinearModelSet) per job (X, y, rows, cols), in
-    solve order; rows None means every row of X.
+    """Yield (job index, LinearModelSet) per job (X, y, rows, cols, start),
+    in solve order; rows is an index array, or None for every row of X,
+    and start is None for a solve from zero, or a LinearModelSet whose
+    active features include cols, whose weights on cols and biases the
+    solve starts from.
 
     Each set is train_ova(X[rows][:, cols], y[rows], n_classes, config,
-    lam, active_features=cols), bit for bit. Jobs of one (row count,
-    len(cols)) train together, in stacked solves of at most _STACK_BYTES
-    (one set at least). Each job is sliced and checked just before its solve, straight into the
-    solve's (F, K, n, l + 1) rows.
+    lam, active_features=cols), whatever its start up to rows tied
+    within _TIE of the margin (see _train_stacked). Jobs of one
+    (row count, len(cols)) train together, in stacked solves of at most
+    _STACK_BYTES (one set at least). Each distinct X is checked once per
+    call, and each distinct (y, rows) once, with its +-1 label matrix,
+    when the first solve that reads it is filled; so of several bad jobs
+    the first in solve order raises.
     """
     if n_classes < 2:
         raise DegenerateLabelsError("need at least two classes")
     groups: dict = {}
-    for i, (X, _, rows, cols) in enumerate(jobs):
+    for i, (X, _, rows, cols, _) in enumerate(jobs):
         groups.setdefault((X.shape[0] if rows is None else len(rows), len(cols)), []).append(i)
     classes = np.arange(n_classes)[:, None]
+    matrices: dict = {}  # id(X) -> X as a checked float matrix
+    signs: dict = {}  # (id(y), id(rows)) -> the (K, n) label signs, +1 for class k
     for (n, l), group in groups.items():
         step = max(1, _STACK_BYTES // (8 * n_classes * max(n, 1) * (2 * (l + 1) + 32)))
-        for start in range(0, len(group), step):
-            solve = group[start:start + step]
+        for first in range(0, len(group), step):
+            solve = group[first:first + step]
             ZX = np.empty((len(solve), n_classes, n, l + 1))
+            w0 = np.zeros((len(solve), n_classes, l + 1))
             for f, i in enumerate(solve):
-                X, y, rows, cols = jobs[i]
-                X = _check_matrix(X[:, cols] if rows is None else X[np.ix_(rows, cols)])
-                y = _check_labels(y if rows is None else y[rows], n, n_classes)
-                Z = np.where(y == classes, 1.0, -1.0)  # (K, n): +1 for class k
+                X, y, rows, cols, start = jobs[i]
+                if id(X) not in matrices:
+                    matrices[id(X)] = _check_matrix(X)
+                X = matrices[id(X)]
+                # rows[:, None] with cols picks what np.ix_(rows, cols) does, without its set-up
+                X = X[:, cols] if rows is None else X[rows[:, None], cols]
+                key = (id(y), id(rows))
+                if key not in signs:
+                    y = _check_labels(y if rows is None else y[rows], n, n_classes)
+                    signs[key] = np.where(y == classes, 1.0, -1.0)
+                Z = signs[key]
                 np.multiply(Z[:, :, None], X, out=ZX[f, :, :, :l])
                 ZX[f, :, :, l] = Z
-            W, b = _train_stacked(ZX, config)
+                if start is not None:  # its active features ascend, so each of cols is found
+                    w0[f, :, :l] = start.W[:, np.searchsorted(start.active_features, cols)]
+                    w0[f, :, l] = start.b
+            W, b = _train_stacked(ZX, config, w0)
             del ZX  # freed before the next solve allocates its own
             for f, i in enumerate(solve):
                 yield i, LinearModelSet(W=W[f], b=b[f], lam=lam, active_features=jobs[i][3])

@@ -45,10 +45,18 @@ def nonconformity_all_labels(D, lam: float) -> np.ndarray:
         raise DimensionMismatchError("D must be (n_samples, n_classes>=2)")
     if not 0.0 <= lam <= 1.0:
         raise ConfigError("lam must lie in [0, 1]")
-    m = D.shape[1]
-    lam_prime = (1.0 - lam) / (m - 1)
-    row_sum = D.sum(axis=1, keepdims=True)
-    return -lam * D + lam_prime * (row_sum - D)
+    return _nonconformity(D, lam)
+
+
+def _nonconformity(D, lam) -> np.ndarray:
+    """nonconformity_all_labels of each (n, m) matrix of a stack D of shape
+    (..., n, m), with lam a float or an array that broadcasts against D.
+
+    Each entry takes the operations of one matrix scored alone, so its
+    bits do not depend on the stack.
+    """
+    lam_prime = (1.0 - lam) / (D.shape[-1] - 1)
+    return -lam * D + lam_prime * (D.sum(axis=-1, keepdims=True) - D)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,16 +78,28 @@ class CalibrationRecord:
 
 def calibrate(ms: LinearModelSet, X_cal, y_cal) -> CalibrationRecord:
     """Score calibration samples at their true labels (whole numbers)."""
+    return _calibrations([ms], [X_cal], y_cal)[0]
+
+
+def _calibrations(models, X_cals, y_cal) -> list[CalibrationRecord]:
+    """calibrate(ms, X, y_cal) per ms, X of ``models`` and ``X_cals``,
+    models of one class count whose X hold the same rows.
+
+    The labels are checked once, and non-conformity is computed over the
+    stacked decision matrices, each entry with the operations of one
+    model scored alone.
+    """
     y_cal = _whole_labels(y_cal)
     if y_cal.size == 0:
         raise EmptyCalibrationError("calibration set is empty")
-    if y_cal.min() < 0 or y_cal.max() >= ms.n_classes:
+    if y_cal.min() < 0 or y_cal.max() >= models[0].n_classes:
         raise ConfigError("calibration labels outside model's class range")
-    D = decision_matrix(ms, X_cal)
-    if D.shape[0] != y_cal.shape[0]:
+    D = np.stack([decision_matrix(ms, X) for ms, X in zip(models, X_cals)])
+    if D.shape[1] != y_cal.shape[0]:
         raise DimensionMismatchError("X_cal rows do not match y_cal length")
-    A = nonconformity_all_labels(D, ms.lam)
-    return CalibrationRecord(alphas=A[np.arange(y_cal.size), y_cal])
+    lam = np.array([ms.lam for ms in models])[:, None, None]
+    alphas = _nonconformity(D, lam)[:, np.arange(y_cal.size), y_cal]
+    return [CalibrationRecord(alphas=a) for a in alphas]
 
 
 def p_value_matrix(record: CalibrationRecord, A) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .classifier import TrainConfig, _train_sets, decision_matrix
-from .conformal import calibrate, nonconformity_all_labels, p_value_matrix, prediction_mask
+from .conformal import _calibrations, _nonconformity, p_value_matrix, prediction_mask
 from .consistency import SubsetFamily, jaccard_multi, kuncheva, weighted_consistency
 from .data import (
     Dataset,
@@ -39,7 +39,13 @@ from .data import (
     write_csv,
 )
 from .exceptions import ConfigError, require_int, require_real
-from .metrics import PointMetricsReport, SetMetricsReport, point_metrics, point_predict, set_metrics
+from .metrics import (
+    PointMetricsReport,
+    SetMetricsReport,
+    _point_reports,
+    _set_reports,
+    point_predict,
+)
 from .plots import save_plot
 from .selection import (
     BetaCriterion,
@@ -245,16 +251,22 @@ class ResultsTable:
 
     def aggregates(self) -> list[dict]:
         """One entry per (method, size): exact mean/std of its seed rows."""
+        groups: dict = {}
+        for r in self.rows:
+            groups.setdefault((r.method, r.subset_size), []).append(
+                [r.metric(c) for c in METRIC_COLUMNS])
         out = []
         for method in self.methods:
             for size in self.sizes:
-                group = [r for r in self.rows
-                         if r.method == method and r.subset_size == size]
-                entry = {"method": method, "subset_size": size, "n": len(group)}
-                for col in METRIC_COLUMNS:
-                    vals = np.array([r.metric(col) for r in group])
-                    entry[col] = float(vals.mean())
-                    entry[col + "_std"] = float(vals.std())
+                # (metric, seed), each metric's seed values along one contiguous
+                # row, so its mean and std have the bits of the 1-D forms
+                vals = np.array(groups.get((method, size), []), dtype=float)
+                vals = np.ascontiguousarray(vals.reshape(-1, len(METRIC_COLUMNS)).T)
+                entry = {"method": method, "subset_size": size, "n": vals.shape[1]}
+                for col, mean, std in zip(METRIC_COLUMNS, vals.mean(axis=1).tolist(),
+                                          vals.std(axis=1).tolist()):
+                    entry[col] = mean
+                    entry[col + "_std"] = std
                 out.append(entry)
         return out
 
@@ -276,16 +288,26 @@ class ResultsTable:
         return aggs
 
 
-def _evaluate(ms, X_cal, y_cal, X_test, y_test, epsilon, n_classes):
-    cols = list(ms.active_features)
-    rec = calibrate(ms, X_cal[:, cols], y_cal)
-    # one decision matrix serves the prediction sets and the point labels
-    D = decision_matrix(ms, X_test[:, cols])
-    P = p_value_matrix(rec, nonconformity_all_labels(D, ms.lam))
-    return (
-        set_metrics(prediction_mask(P, epsilon), y_test),
-        point_metrics(point_predict(D), y_test, n_classes),
-    )
+def _evaluate(models, X_cal, y_cal, X_test, y_test, epsilon, n_classes):
+    """(SetMetricsReport, PointMetricsReport) per model of ``models``, all
+    scored on one split: bit for bit what calibrate, conformal_predict,
+    set_metrics and point_metrics give per model, whose stacked cores it
+    calls.
+
+    Each label vector is checked once per core. The decision matrices of
+    all models are stacked, and non-conformity and metrics are computed
+    over the stack, each model's along its own rows; p-values stay per
+    model. No temporary is larger than (models x rows x classes).
+    """
+    if not models:
+        return []
+    cols = [list(ms.active_features) for ms in models]
+    records = _calibrations(models, [X_cal[:, c] for c in cols], y_cal)
+    D = np.stack([decision_matrix(ms, X_test[:, c]) for ms, c in zip(models, cols)])
+    lam = np.array([ms.lam for ms in models])[:, None, None]
+    P = np.stack([p_value_matrix(rec, A) for rec, A in zip(records, _nonconformity(D, lam))])
+    return list(zip(_set_reports(prediction_mask(P, epsilon), y_test),
+                    _point_reports(D.argmax(axis=2), y_test, n_classes)))
 
 
 # -------------------------------------------------------------- consistency
@@ -358,31 +380,42 @@ def consistency_report(table: ResultsTable) -> list[dict]:
 
 
 def _cv_accuracies(mats, n_classes, tcfg) -> list[float]:
-    """Cross-validated accuracy of X[:, cols] per (X, y, cols) in ``mats``.
+    """Cross-validated accuracy of X[:, ms.active_features] per (X, y, ms)
+    in ``mats``, ms a model trained on those columns of every row of X.
 
     Each is the mean held-out argmax accuracy over _CV_FOLDS contiguous
     folds, in fold order. A fold that holds out no row, or whose training
     rows miss a class, is skipped; -1.0 when every fold is skipped. Every
-    fold that trains is one job of classifier._train_sets, and each model
-    is scored as it is yielded.
+    fold that trains is one job of classifier._train_sets, started from
+    ms. Each model is scored as it is yielded, on its (X, y, fold)
+    held-out block, which is sliced once for all column sets.
     """
     folds_of: dict[int, list] = {}  # n -> (train_rows, hold) of each fold
-    jobs, held = [], []  # per fold that trains: its job, and (matrix, fold, hold)
-    for i, (X, y, cols) in enumerate(mats):
+    trains: dict = {}  # (y, n) -> whether each fold holds out a row and trains every class
+    jobs, held = [], []  # per fold that trains: its job, and (matrix, fold)
+    for i, (X, y, ms) in enumerate(mats):
         n = X.shape[0]
         if n not in folds_of:
             folds_of[n] = [(np.setdiff1d(np.arange(n), hold), hold)
                            for hold in np.array_split(np.arange(n), _CV_FOLDS)]
+        if (id(y), n) not in trains:
+            trains[id(y), n] = [hold.size and np.bincount(y[rows], minlength=n_classes).all()
+                                for rows, hold in folds_of[n]]
         for f, (train_rows, hold) in enumerate(folds_of[n]):
-            if hold.size and np.bincount(y[train_rows], minlength=n_classes).all():
-                jobs.append((X, y, train_rows, cols))
-                held.append((i, f, hold))
+            if trains[id(y), n][f]:
+                jobs.append((X, y, train_rows, ms.active_features, ms))
+                held.append((i, f))
+    blocks: dict = {}  # (X, y, fold) -> its held-out rows and labels
     accs: list[dict] = [{} for _ in mats]
     for j, ms in _train_sets(jobs, n_classes, tcfg):
-        i, f, hold = held[j]
-        X, y, cols = mats[i]
-        pred = point_predict(decision_matrix(ms, X[np.ix_(hold, cols)]))
-        accs[i][f] = float((pred == y[hold]).mean())
+        i, f = held[j]
+        X, y, _ = mats[i]
+        if (id(X), id(y), f) not in blocks:
+            hold = folds_of[X.shape[0]][f][1]
+            blocks[id(X), id(y), f] = X[hold], y[hold]
+        X_hold, y_hold = blocks[id(X), id(y), f]
+        pred = point_predict(decision_matrix(ms, X_hold[:, list(ms.active_features)]))
+        accs[i][f] = np.count_nonzero(pred == y_hold) / y_hold.size  # the bits of the mean
     return [float(np.mean([a[f] for f in sorted(a)])) if a else -1.0 for a in accs]
 
 
@@ -417,17 +450,20 @@ def _run_block(d: Dataset, name: str, sizes, cfg: ExperimentConfig, repeats):
 
     rows, traces, done, cv = [], {}, [], []
     for seed, (X_tr, y_tr), held_out, compare, stop in reps:
+        scored = []  # (method, size, model) of every size of each comparison path
         for method in cfg.selectors if compare else ():
             trace = next(found)
             models_at = path(trace)
             traces[method, seed] = replace(trace, models=())  # the reports read only the steps
-            rows += [ResultRow(name, method, s, seed,
-                               *_evaluate(models_at[s], *held_out, cfg.epsilon, m)) for s in sizes]
+            scored += [(method, s, models_at[s]) for s in sizes]
+        scores = _evaluate([ms for *_, ms in scored], *held_out, cfg.epsilon, m)
+        rows += [ResultRow(name, method, s, seed, *score)
+                 for (method, s, _), score in zip(scored, scores)]
         # per selector, crfe's final model set or the baseline's whole path;
         # every final subset was trained by a pass of its run: no refit
         stopped = [(method, next(found).models[-1] if method == "crfe" else path(next(found)))
                    for method in (cfg.selectors if stop else ())]
-        cv += [(X_tr, y_tr, ms.active_features)
+        cv += [(X_tr, y_tr, ms)
                for method, models_at in stopped if method == "rfe" for ms in models_at.values()]
         done.append((seed, held_out, stopped))
     del groups, reps, found  # what the CV stage and the reports read is in rows and stopped
@@ -435,12 +471,15 @@ def _run_block(d: Dataset, name: str, sizes, cfg: ExperimentConfig, repeats):
     accs = iter(_cv_accuracies(cv, m, cfg.train))
     stops = []
     for seed, held_out, stopped in done:
+        finals = []
         for method, final in stopped:
             if method == "rfe":
                 acc = {size: next(accs) for size in final}
                 final = final[max(acc, key=lambda s: (acc[s], s))]  # ties: larger size
-            stops.append((method, seed, final.active_features,
-                          _evaluate(final, *held_out, cfg.epsilon, m)[0]))
+            finals.append((method, final))
+        scores = _evaluate([final for _, final in finals], *held_out, cfg.epsilon, m)
+        stops += [(method, seed, final.active_features, sets)
+                  for (method, final), (sets, _) in zip(finals, scores)]
     return rows, traces, stops
 
 

@@ -305,7 +305,9 @@ def _lockstep(groups, n_classes: int, config: TrainConfig, lam: float) -> list[S
     (method, policy); the runs of a group share the model of each active
     set they train. Every policy is checked before anything trains. Each
     round, the sets new to their group train in one
-    classifier._train_sets call.
+    classifier._train_sets call, each started from the model its run was
+    last sent, on the columns the run keeps. A set that several runs want
+    starts from the first of them in run order.
     """
     models = [{} for _ in groups]  # per group, tuple(active) -> the model trained on it
     data, runs = [], []  # per group (X_train, y_train); per run (group, generator)
@@ -315,18 +317,23 @@ def _lockstep(groups, n_classes: int, config: TrainConfig, lam: float) -> list[S
                  for method, policy in plan]
         data.append((X_train, y_train))
     wants = {i: next(gen) for i, (_, gen) in enumerate(runs)}  # each live run's active set
+    last: dict = {}  # each run's model of its last pass
     traces = [None] * len(runs)
     while wants:
-        new = list(dict.fromkeys((runs[i][0], a) for i, a in wants.items()
-                                 if a not in models[runs[i][0]]))
-        jobs = [(*data[g], None, a) for g, a in new]
+        new: dict = {}  # (group, active set) -> the run that starts it
+        for i, a in wants.items():
+            if a not in models[runs[i][0]]:
+                new.setdefault((runs[i][0], a), i)
+        keys = list(new)
+        jobs = [(*data[g], None, a, last.get(i)) for (g, a), i in new.items()]
         for j, ms in _train_sets(jobs, n_classes, config, lam):
-            g, a = new[j]
+            g, a = keys[j]
             models[g][a] = ms
         for i, active in list(wants.items()):
             g, gen = runs[i]
+            last[i] = models[g][active]
             try:
-                wants[i] = gen.send(models[g][active])
+                wants[i] = gen.send(last[i])
             except StopIteration as done:
                 traces[i] = done.value
                 del wants[i]

@@ -190,6 +190,69 @@ def test_stacked_solves_are_bit_identical_alone_or_in_chunks(f, k, n, l, c):
         assert np.array_equal(np.concatenate([b for _, b in parts]), b)
 
 
+def tied_stack(rng, f, k, n, l):
+    """A stack whose training sets repeat each row; with k = 2, the two
+    problems of a set are mirror images (their rows negated)."""
+    ZX = stack(rng, f, k, n, l)
+    return np.concatenate([ZX, ZX[:, :, ::-1]], axis=2)
+
+
+@pytest.mark.parametrize("make", [stack, tied_stack])
+@pytest.mark.parametrize("f,k,n,l", [(4, 2, 30, 3), (3, 3, 36, 8), (2, 4, 131, 35), (5, 2, 5, 0),
+                                     (2, 3, 200, 12)])
+@pytest.mark.parametrize("c", [0.01, 0.1, 10.0])
+def test_warm_starts_give_the_cold_model_bit_for_bit(make, f, k, n, l, c):
+    rng = np.random.default_rng(f * 1000 + n + l)
+    ZX = make(rng, f, k, n, l)
+    config = TrainConfig(c=c)
+    W, b = classifier._train_stacked(ZX, config)
+    optimum = np.concatenate([W, b[..., None]], axis=2)
+    starts = [np.zeros_like(optimum), optimum + 1e-3 * rng.standard_normal(optimum.shape),
+              optimum * rng.uniform(0.0, 2.0, optimum.shape), 10.0 * rng.standard_normal(optimum.shape)]
+    for w0 in starts:
+        W0, b0 = classifier._train_stacked(ZX, config, w0)
+        assert np.array_equal(W0, W) and np.array_equal(b0, b)
+
+
+def test_a_start_at_the_optimum_takes_one_solve_and_no_line_search(monkeypatch):
+    rng = np.random.default_rng(5)
+    ZX = stack(rng, 3, 3, 40, 6)
+    W, b = classifier._train_stacked(ZX, TrainConfig())
+    solves, searches = [], []
+    real_solve, real_search = np.linalg.solve, classifier._line_search
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or real_solve(*a))
+    monkeypatch.setattr(classifier, "_line_search", lambda *a: searches.append(1) or real_search(*a))
+    W0, b0 = classifier._train_stacked(ZX, TrainConfig(), np.concatenate([W, b[..., None]], axis=2))
+    assert np.array_equal(W0, W) and np.array_equal(b0, b)
+    assert len(solves) == 1 and not searches
+
+
+def test_jobs_with_starts_train_as_without(monkeypatch):
+    rng = np.random.default_rng(7)
+    X, y = random_problem(rng, 50, 6, 3)
+    folds = [np.arange(i, 50, 2) for i in range(2)]
+    # a start's columns are found among its active features: every one, or a subset
+    full = LinearModelSet(W=rng.standard_normal((3, 6)), b=rng.standard_normal(3),
+                          active_features=range(6))
+    part = LinearModelSet(W=rng.standard_normal((3, 4)), b=rng.standard_normal(3),
+                          active_features=(0, 2, 3, 5))
+    plan = [((0, 1, 2, 3, 4, 5), full), ((0, 2, 3, 5), full), ((0, 3, 5), part), ((0, 2, 3, 5), part)]
+    cold = [(X, y, rows, c, None) for rows in folds for c, _ in plan]
+    warm = [(X, y, rows, c, start) for rows in folds for c, start in plan]
+    starts, real = [], classifier._train_stacked
+    monkeypatch.setattr(classifier, "_train_stacked",
+                        lambda ZX, config, w0=None: starts.extend(w0) or real(ZX, config, w0))
+    order = [i for i, _ in classifier._train_sets(warm, 3, TrainConfig())]
+    # each solve starts from its jobs' start models on the jobs' columns, in solve order
+    for w0, i in zip(starts, order, strict=True):
+        _, _, _, cols, start = warm[i]
+        keep = [start.active_features.index(f) for f in cols]
+        assert np.array_equal(w0, np.column_stack([start.W[:, keep], start.b]))
+    for got, want in zip(train_sets(warm, 3, TrainConfig()), train_sets(cold, 3, TrainConfig())):
+        assert np.array_equal(got.W, want.W) and np.array_equal(got.b, want.b)
+        assert got.active_features == want.active_features
+
+
 def test_random_stacks_never_hit_the_iteration_cap():
     # 300 random shapes at each c over four orders of magnitude, features
     # scaled by 0.1 to 10; the cap is only a guard against a solve that
@@ -238,7 +301,7 @@ def test_fold_trainer_matches_train_ova_per_fold(problem):
         firsts = [int(perm[y[perm] == c][0]) for c in range(k)]
         rest = [int(i) for i in perm if i not in firsts]
         folds.append(np.array(firsts + rest[:n_train - k]))
-    got = train_sets([(X, y, rows, range(l)) for rows in folds], k, config)
+    got = train_sets([(X, y, rows, range(l), None) for rows in folds], k, config)
     assert len(got) == f
     for ms, rows in zip(got, folds):
         want = train_ova(X[rows], y[rows], k, config)
@@ -250,11 +313,11 @@ def test_fold_trainer_matches_train_ova_per_fold(problem):
 def test_stacked_sets_match_train_ova():
     """Sets of one shape from different data train together as each alone."""
     rng = np.random.default_rng(0)
-    sets = [(*random_problem(rng, 36, 8, 3), None, range(8)) for _ in range(5)]
+    sets = [(*random_problem(rng, 36, 8, 3), None, range(8), None) for _ in range(5)]
     with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("drew")):
         got = train_sets(sets, 3, TrainConfig())
     assert len(got) == len(sets)
-    for ms, (X, y, _, _) in zip(got, sets):
+    for ms, (X, y, *_) in zip(got, sets):
         want = train_ova(X, y, 3)
         assert np.array_equal(ms.W, want.W)
         assert np.array_equal(ms.b, want.b)
@@ -268,7 +331,7 @@ def test_labels_must_be_whole_numbers():
     with pytest.raises(DegenerateLabelsError, match="whole numbers"):
         train_ova(X, [0, 1, 0, 1, 0, np.nan], 2)
     with pytest.raises(DegenerateLabelsError, match="whole numbers"):
-        train_sets([(X, np.array(fractional), None, range(2))], 2, TrainConfig())
+        train_sets([(X, np.array(fractional), None, range(2), None)], 2, TrainConfig())
     # whole-valued floats are the same labels as their ints
     whole = train_ova(X, [0.0, 1.0, 0.0, 1.0, 0.0, 1.0], 2)
     ints = train_ova(X, [0, 1, 0, 1, 0, 1], 2)
@@ -278,9 +341,22 @@ def test_labels_must_be_whole_numbers():
 def test_fold_trainer_rejects_a_fold_missing_a_class():
     X = np.random.default_rng(2).standard_normal((8, 2))
     y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
+    good, bad = np.arange(1, 5), np.arange(4)
     with pytest.raises(DegenerateLabelsError):
-        train_sets([(X, y, rows, range(2)) for rows in (np.arange(1, 5), np.arange(4))],
-                   2, TrainConfig())
+        train_sets([(X, y, rows, range(2), None) for rows in (good, bad)], 2, TrainConfig())
+    # the labels of (y, good) are checked once for both its jobs; (y, bad) still raises
+    with pytest.raises(DegenerateLabelsError):
+        train_sets([(X, y, good, range(2), None), (X, y, good, (1,), None),
+                    (X, y, bad, (1,), None)], 2, TrainConfig())
+
+
+def test_a_bad_cell_in_a_jobs_matrix_raises():
+    rng = np.random.default_rng(4)
+    X, y = random_problem(rng, 40, 6, 2)
+    X[3, 2] = np.nan
+    # the matrix is checked whole, so the job raises though it reads neither row 3 nor column 2
+    with pytest.raises(NonFiniteInputError, match="NaN or infinite"):
+        train_sets([(X, y, np.arange(10, 30), (0, 1), None)], 2, TrainConfig())
 
 
 def test_ova_structure_and_accuracy():

@@ -12,15 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crfe import classifier, harness, selection
-from crfe.classifier import TrainConfig
+from crfe.classifier import LinearModelSet, TrainConfig, decision_matrix, train_ova
+from crfe.conformal import calibrate, conformal_predict
 from crfe.consistency import SubsetFamily
 from crfe.data import SyntheticSpec
-from crfe.exceptions import ConfigError
+from crfe.exceptions import ConfigError, EmptyCalibrationError
 from crfe.harness import (
     METRIC_COLUMNS,
     ExperimentConfig,
     StoppingParams,
     _cv_accuracies,
+    _evaluate,
     config_from_dict,
     consistency_report,
     emit_outputs,
@@ -29,6 +31,7 @@ from crfe.harness import (
     run_stopping_benchmark,
     subsets_by_size,
 )
+from crfe.metrics import point_metrics, point_predict, set_metrics
 from oracles import cv_accuracy, kuncheva_family
 from test_digests import BENCH_CFG
 
@@ -287,8 +290,50 @@ def test_a_repeat_depends_only_on_data_config_and_index():
     ] == [p for p in per_run if p["seed"] == seed]
 
 
+def score_one(ms, X_cal, y_cal, X_test, y_test, epsilon, n_classes):
+    """What _evaluate gives one model, from the public per-model calls."""
+    cols = list(ms.active_features)
+    _, mask = conformal_predict(ms, calibrate(ms, X_cal[:, cols], y_cal), X_test[:, cols], epsilon)
+    D = decision_matrix(ms, X_test[:, cols])
+    return set_metrics(mask, y_test), point_metrics(point_predict(D), y_test, n_classes)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_evaluate_scores_a_path_like_each_model_alone(seed):
+    rng = np.random.default_rng(seed)
+    k, l = int(rng.integers(2, 6)), int(rng.integers(2, 12))
+    n_cal, n_test = int(rng.integers(1, 40)), int(rng.integers(1, 60))
+    X_cal = rng.standard_normal((n_cal, l))
+    y_cal = rng.integers(0, k, n_cal)
+    # test rows that repeat calibration rows score exactly as they do, so
+    # their non-conformity ties with the calibration scores
+    X_test = np.concatenate([X_cal[rng.integers(0, n_cal, n_test // 2)],
+                             rng.standard_normal((n_test - n_test // 2, l))])
+    y_test = rng.integers(0, k, n_test)
+    models = []
+    for size in range(l, 0, -1):
+        active = tuple(sorted(rng.choice(l, size, replace=False).tolist()))
+        W = rng.standard_normal((k, size)) * rng.choice([0.0, 1e-3, 1.0, 10.0])
+        models.append(LinearModelSet(W=W, b=rng.standard_normal(k), active_features=active,
+                                     lam=float(rng.choice([0.0, 0.5, rng.uniform(), 1.0]))))
+    for epsilon in (0.05, 0.1, 0.5):
+        got = _evaluate(models, X_cal, y_cal, X_test, y_test, epsilon, k)
+        assert len(got) == len(models)
+        for ms, (sets, points) in zip(models, got):
+            want_sets, want_points = score_one(ms, X_cal, y_cal, X_test, y_test, epsilon, k)
+            assert sets == want_sets
+            for name in ("accuracy", "macro_precision", "macro_recall", "macro_f1", "n"):
+                assert getattr(points, name) == getattr(want_points, name)
+            for name in ("precision", "recall", "f1"):
+                assert np.array_equal(getattr(points, name), getattr(want_points, name))
+    with pytest.raises(EmptyCalibrationError):
+        _evaluate(models, X_cal[:0], y_cal[:0], X_test, y_test, 0.1, k)
+    with pytest.raises(EmptyCalibrationError):
+        score_one(models[0], X_cal[:0], y_cal[:0], X_test, y_test, 0.1, k)
+
+
 def cv_of_all_columns(X, y, n_classes, tcfg):
-    return _cv_accuracies([(X, y, range(X.shape[1]))], n_classes, tcfg)[0]
+    return _cv_accuracies([(X, y, train_ova(X, y, n_classes, tcfg))], n_classes, tcfg)[0]
 
 
 @pytest.mark.parametrize("n", [36, 37, 41, 43, 44])
@@ -351,7 +396,7 @@ def test_run_all_trains_each_repeat_model_once(tmp_path, monkeypatch):
 
     def recording(jobs, n_classes, config, lam):
         # a repeat's training labels name the repeat
-        trained.extend((y.tobytes(), tuple(cols)) for _, y, _, cols in jobs)
+        trained.extend((y.tobytes(), tuple(cols)) for _, y, _, cols, _ in jobs)
         return real(jobs, n_classes, config, lam)
 
     monkeypatch.setattr(selection, "_train_sets", recording)
@@ -367,9 +412,9 @@ def _count_solves(monkeypatch) -> list:
     sets = []
     real = classifier._train_stacked
 
-    def counting(ZX, config):
+    def counting(ZX, config, w0=None):
         sets.append(ZX.shape[0])
-        return real(ZX, config)
+        return real(ZX, config, w0)
 
     monkeypatch.setattr(classifier, "_train_stacked", counting)
     return sets

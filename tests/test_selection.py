@@ -357,7 +357,7 @@ def test_lockstep_runs_match_separate_runs(monkeypatch):
     real = selection._train_sets
 
     def recording(jobs, *rest):
-        stacked.append([cols for *_, cols in jobs])
+        stacked.append([cols for _, _, _, cols, _ in jobs])
         return real(jobs, *rest)
 
     monkeypatch.setattr(selection, "_train_sets", recording)
@@ -377,6 +377,33 @@ def test_lockstep_runs_match_separate_runs(monkeypatch):
             assert np.array_equal(ms.b, ms_alone.b)
     # the runs of one group train their common first set once
     assert together[0].models[0] is together[1].models[0] is together[2].models[0]
+
+
+@pytest.mark.parametrize("order", [("crfe", "rfe"), ("rfe", "crfe")])
+def test_lockstep_starts_each_set_from_its_first_run_parent(monkeypatch, order):
+    args, _ = synth_problem(seed=3)
+    X_tr, y_tr, X_cal, y_cal, m = args
+    rounds = []
+    real = selection._train_sets
+
+    def recording(jobs, *rest):
+        rounds.append([(cols, start) for _, _, _, cols, start in jobs])
+        return real(jobs, *rest)
+
+    monkeypatch.setattr(selection, "_train_sets", recording)
+    plan = [(method, FixedSize(1)) for method in order]
+    traces = selection._lockstep([(X_tr, y_tr, X_cal, y_cal, plan)], m, TrainConfig(), 0.5)
+    assert rounds[0] == [(tuple(range(12)), None)]  # the first pass starts from zero
+    shared = 0
+    for t, jobs in enumerate(rounds[1:], start=1):
+        for cols, start in jobs:
+            # the runs that want this set at pass t, in run order, and the model each was last sent
+            parents = [tr.models[t - 1] for tr in traces
+                       if len(tr.models) > t and tr.models[t].active_features == cols]
+            assert start is parents[0]
+            shared += len({p.active_features for p in parents}) > 1
+    # some set is wanted by both runs from different parents, so the order matters
+    assert shared
 
 
 def test_lockstep_checks_every_policy_before_training(monkeypatch):
