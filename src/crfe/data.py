@@ -345,15 +345,15 @@ def write_csv(path, columns, rows) -> None:
             writer.writerow(map(csv_cell, row))
 
 
-# missing cells per block of the shortlist stage: each (cells, rows)
-# array of a block holds about this many entries
-_IMPUTE_BLOCK_CELLS = 1 << 15
+# entries per (cells, rows) bound array of a block of rows and per (pairs,
+# features) square array of the exact pass; about the pairs scored together
+_IMPUTE_BLOCK = 1 << 16
 
-# the shortlist margin _MARGIN_C (l + 8) (u (|x_i|^2 + |x_r|^2) + eta), with
-# u the unit roundoff and eta the underflow bound; see impute_knn
-_MARGIN_C = 16
+# the shortlist margin _MARGIN_C (l + 2) (u (|x_i|^2 + |x_r|^2) + eta); see impute_knn
+_MARGIN_C = 32
 _UNIT_ROUNDOFF = 2.0 ** -53
 _UNDERFLOW = 2.0 ** -1022
+_DBL_MAX = np.finfo(float).max
 
 
 def impute_knn(d: Dataset, k: int = DEFAULT_IMPUTE_NEIGHBORS) -> Dataset:
@@ -371,27 +371,30 @@ def impute_knn(d: Dataset, k: int = DEFAULT_IMPUTE_NEIGHBORS) -> Dataset:
     row-by-row pass computes it (subtract, zero the unshared terms,
     square, sum in the (rows, features) layout, divide, root), so the
     fills are bit-identical to that pass. Only a shortlist of donors is
-    scored so. It comes from the Gram form of each shared sum of squares,
-    sum x_i^2 + sum x_r^2 - 2 x_i . x_r over the shared features, taken
-    by matrix products for a block of missing cells at a time. By the
-    dot-product error bound (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, sec. 3.1), the Gram form and the exact pass
-    together are off the true sum by at most
-    (6 l + 14) (u (|x_i|^2 + |x_r|^2) + eta), where l is the number of
-    features, |x|^2 the sum of squares of a row's observed cells,
-    u = 2**-53 the unit roundoff and eta = 2**-1022 the most a product
-    can lose to underflow, flushed to zero or not. Each form gets the
-    margin
-
-        16 (l + 8) (u (|x_i|^2 + |x_r|^2) + eta),
-
-    more than twice that, before both bounds are divided by the shared
-    count. A cell's shortlist holds every donor whose lower bound is at
-    most the k-th smallest upper bound among the donors of its column,
-    and every donor whose form is not finite. Division and square root
-    keep order, so no donor the exact pass would pick is left out. A
-    cell whose shortlist holds fewer than k donors at a finite distance
-    has all its donors scored before any error is raised.
+    scored so, in one pass and one lexsort per _IMPUTE_BLOCK pairs or so.
+    It is bounded by the Gram form of each shared sum of squares, taken
+    per row with a gap against all rows: one dot product of length
+    m = l + 2 g + 2 <= 3 l + 2 (g the columns with a gap) whose terms sum
+    in magnitude to at most 3 S, S = |x_i|^2 + |x_r|^2 and |x|^2 the sum
+    of squares of a row's observed cells (see _shortlists). By the
+    dot-product error bound (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, sec. 3.1), to first order in u = 2**-53, its rounding is
+    off by 3 m u S, its rounded norms and squares by (l + 1) u S and the
+    exact pass by 2 (l + 2) u S; each of at most 8 l + 2 products can lose
+    eta = 2**-1022 to underflow, flushed to zero or not. So the form is
+    off the exact pass by at most (12 l + 16) (u S + eta). The product
+    carries the margin 32 (l + 2) (u S + eta), more than twice that, in
+    its norm terms, or NaN for a row whose |x|^2 passes an eighth of the
+    largest double, where a partial sum could overflow. Over the shared
+    count it bounds the donor's mean square from above; the count being at
+    least 1, that bound less twice the margin bounds it from below, and
+    the roundings stay within the other half of the margin. A cell's
+    shortlist holds every donor whose lower bound is at most the k-th
+    smallest minimum of its column's donors' upper bounds over chunks of
+    rows (each a distinct donor's), and every pair with NaN bounds. Square
+    root keeps order, so no donor the exact pass would pick is left out. A
+    cell whose shortlist holds fewer than k donors at a finite distance has
+    all its donors scored before any error is raised.
 
     Raises
     ------
@@ -406,129 +409,123 @@ def impute_knn(d: Dataset, k: int = DEFAULT_IMPUTE_NEIGHBORS) -> Dataset:
     require_int("k", k, 1)
     if not d.has_missing():
         return d
-
-    X = d.X
-    mask = d.missing_mask
-    present = ~mask
+    X, mask = d.X, d.missing_mask
     if not (np.isfinite(X) | mask).all():
         raise NonFiniteInputError("observed cells must be finite to impute")
-    n, l = X.shape
+    fills, shorts = [], []  # per batch: (rows, columns, fills), or its first short cell
+    for i, j, c, r in _shortlists(X, mask, k):
+        for _ in range(2):
+            dist = _distances(X, mask, i[c], r)
+            dist[mask[r, j[c]]] = np.inf  # no donor, shortlisted by a NaN bound
+            counts = np.bincount(c[dist < np.inf], minlength=i.size)
+            short = np.flatnonzero(counts < k)
+            if not short.size:
+                break
+            # score all donors of a cell short of k: its count is a full pass's
+            s, every = np.divmod(np.flatnonzero(~mask[:, j[short]].T), X.shape[0])
+            keep = counts[c] >= k
+            c, r = np.concatenate([c[keep], short[s]]), np.concatenate([r[keep], every])
+        else:
+            shorts.append(min(zip(j[short], i[short], counts[short])))
+            continue
+        # per cell, its donors by distance (inf last), ties to the lower row; the first k
+        order = np.lexsort((r, dist, c))
+        size = np.bincount(c, minlength=i.size)
+        picks = r[order[(np.cumsum(size) - size)[:, None] + np.arange(k)]]
+        fills.append((i, j, X[picks, j[:, None]].mean(axis=1)))
+    if shorts:
+        j, _, count = min(shorts)  # (column, row, donors)
+        raise NotEnoughDonorsError(f"column {d.feature_names[j]!r}: {count} donors < k={k}")
     filled = X.copy()
-    gram = _GramBounds(X, mask)
-    kth = min(k, n) - 1
-    block = max(1, _IMPUTE_BLOCK_CELLS // n)
-
-    for j in np.flatnonzero(mask.any(axis=0)):
-        donor = present[:, j]
-        missing = np.flatnonzero(mask[:, j])
-        for start in range(0, missing.size, block):
-            cells = missing[start:start + block]
-            lo, up = gram.bounds(cells)
-            up[:, ~donor] = np.inf
-            bound = np.partition(up, kth, axis=1)[:, kth]
-            shortlist = donor & (lo <= bound[:, None])
-            for _ in range(2):
-                # the exact distance of each (cell, donor) pair: every
-                # term outside the shared features, NaN from a missing cell
-                # included, is zeroed before squaring, and the (pairs, l)
-                # layout keeps numpy's summation order of a row-by-row pass
-                c, r = np.nonzero(shortlist)
-                unshared = mask[cells[c]] | mask[r]
-                n_shared = l - unshared.sum(axis=1)
-                with np.errstate(over="ignore", invalid="ignore"):  # inf is no donor
-                    sq = X[r] - X[cells[c]]
-                    np.copyto(sq, 0.0, where=unshared)
-                    np.multiply(sq, sq, out=sq)
-                    dist = np.sqrt(sq.sum(axis=1) / np.maximum(n_shared, 1))
-                ok = np.isfinite(dist) & (n_shared > 0)
-                counts = np.bincount(c[ok], minlength=cells.size)
-                short = counts < k
-                if not short.any():
-                    break
-                # score every donor of a cell short of k before counting,
-                # so the count is the one a full pass would find
-                shortlist[short] = donor
-            else:
-                raise NotEnoughDonorsError(
-                    f"column {d.feature_names[j]!r}: {counts[short][0]} donors < k={k}"
-                )
-            # per cell, its donors by distance, ties in row order (the
-            # order nonzero lists them in), and the first k of them
-            c, r, dist = c[ok], r[ok], dist[ok]
-            order = np.lexsort((dist, c))
-            first = np.cumsum(counts) - counts
-            picks = r[order[first[:, None] + np.arange(k)]]
-            filled[cells, j] = X[picks, j].mean(axis=1)
-
-    return Dataset(
-        X=filled,
-        y=d.y,
-        feature_names=d.feature_names,
-        class_names=d.class_names,
-        missing_mask=None,
-    )
+    for i, j, fill in fills:
+        filled[i, j] = fill
+    return Dataset(X=filled, y=d.y, feature_names=d.feature_names,
+                   class_names=d.class_names, missing_mask=None)
 
 
-class _GramBounds:
-    """Bounds on shared-feature mean squares from the Gram form.
+def _distances(X, mask, a, r):
+    """Per p the distance of rows a[p] and r[p] (inf: no donor), as a row-by-row
+    pass gets it: unshared terms zeroed, summed in the (pairs, l) layout."""
+    l = X.shape[1]
+    dist = np.empty(a.size)
+    step = max(1, _IMPUTE_BLOCK // l)
+    for s in range(0, a.size, step):
+        ai, ri = a[s:s + step], r[s:s + step]
+        unshared = mask[ai] | mask[ri]
+        n_shared = l - unshared.sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf is no donor
+            sq = X[ri] - X[ai]
+            np.copyto(sq, 0.0, where=unshared)
+            np.multiply(sq, sq, out=sq)
+            dist[s:s + step] = np.sqrt(sq.sum(axis=1) / np.maximum(n_shared, 1))
+        dist[s:s + step][n_shared == 0] = np.inf
+    return dist
 
-    The shared sum of squares of rows i and r is
-    |x_i|^2 + |x_r|^2 - 2 x_i . x_r, less the squares of each row's
-    observed cells that the other row misses. With missing cells set to
-    0 the dot product runs over the shared features by itself, and only
-    the columns with a gap can hold an unshared square.
+
+def _shortlists(X, mask, k):
+    """Batches (i, j, c, r): missing cells (i, j), and the cell c[p] and
+    donor r[p] of each shortlisted pair p; see impute_knn.
+
+    With gaps set to 0 and sq, gap the squares and gap flags of the columns
+    with a gap, the shared sum of squares of rows i and r is the product
+    [-2 x_i, 1, gap_i, |x_i|^2, -sq_i] . [x_r, |x_r|^2, -sq_r, 1, gap_r];
+    each |x|^2 carries its row's half of the margin, or NaN where the row's
+    margin is infinite. Their shared count, with h = observed - l/2, is the
+    product [h_i, gap_i, 1] . [1, gap_r, h_r] of small whole numbers, which
+    is exact.
     """
+    n, l = X.shape
+    gaps = np.flatnonzero(mask.any(axis=0))
+    g = gaps.size
+    X0 = np.where(mask, 0.0, X)
+    with np.errstate(over="ignore"):
+        norms = np.einsum("ij,ij->i", X0, X0)
+        half = _MARGIN_C * (l + 2) * (_UNIT_ROUNDOFF * norms + _UNDERFLOW / 2)
+        F = np.column_stack([X0, np.where(norms > _DBL_MAX / 8, np.nan, norms + half),
+                             -X0[:, gaps] ** 2, np.ones(n), mask[:, gaps],
+                             l / 2 - mask.sum(axis=1)])
+    del X0
+    w = l + 2 * g + 2
+    side = np.r_[:l, l + g + 1:w, l:l + g + 1, w, l + g + 2:w, l + g + 1]  # F -> row i's side
+    no_donor = np.where(mask[:, gaps].T, np.inf, -np.inf)  # per gap column
+    kth, q = min(k, n) - 1, max(1, n // (16 * k))  # q rows per chunk minimum, ~16 per k
 
-    def __init__(self, X, mask):
-        l = X.shape[1]
-        gaps = np.flatnonzero(mask.any(axis=0))
-        gap = mask[:, gaps].astype(float)
-        self.X0 = np.where(mask, 0.0, X)
-        with np.errstate(over="ignore"):
-            sq = self.X0[:, gaps] ** 2
-            norms = np.einsum("ij,ij->i", self.X0, self.X0)
-        self.gap = gap
-        # unshared squares of (i, r): [sq_i, gap_i] . [gap_r, sq_r]
-        self.sq_gap = np.hstack([sq, gap])
-        self.gap_sq = np.hstack([gap, sq])
-        self.norms = norms
-        self.observed = l - mask.sum(axis=1)
-        self.l = l
-        # margin of (i, r) is part[i] + part[r] + floor
-        scale = _MARGIN_C * (l + 8)
-        self.part = scale * _UNIT_ROUNDOFF * norms
-        self.floor = scale * _UNDERFLOW
-
-    def bounds(self, rows):
-        """Lower and upper bounds of the (rows, all rows) mean squares.
-
-        Where the form is not finite they are -inf and inf; for a pair
-        that shares no feature both are inf.
-        """
-        # shared = observed by i + observed by r - l + missing in both,
-        # small whole numbers that the products hold exactly
-        n_shared = self.gap[rows] @ self.gap.T
-        n_shared += (self.observed[rows] - self.l)[:, None]
-        n_shared += self.observed
-        with np.errstate(over="ignore", invalid="ignore"):
-            form = self.X0[rows] @ self.X0.T
-            form *= -2.0
-            form -= self.sq_gap[rows] @ self.gap_sq.T
-            form += self.norms[rows, None]
-            form += self.norms
-            margin = (self.part[rows] + self.floor)[:, None] + self.part
-            lo = form - margin
-            up = form + margin
-        none = n_shared == 0
-        np.maximum(n_shared, 1.0, out=n_shared)
-        lo /= n_shared
-        up /= n_shared
-        unbounded = ~np.isfinite(form)
-        lo[unbounded] = -np.inf
-        up[unbounded] = np.inf
-        lo[none] = np.inf
-        up[none] = np.inf
-        return lo, up
+    # blocks of about _IMPUTE_BLOCK // n cells: rows with one gap in one column, or more
+    gap_count = mask.sum(axis=1)
+    key = np.where(gap_count == 1, mask.argmax(axis=1), np.where(gap_count > 0, l, l + 1))
+    holed = np.argsort(key, kind="stable")[:np.count_nonzero(gap_count)]
+    block = max(1, _IMPUTE_BLOCK // n)
+    before = np.cumsum(gap_count[holed]) - gap_count[holed]
+    cut = np.flatnonzero(np.diff(before // block) | np.diff(key[holed])) + 1
+    buf = np.empty((2, min(block - 1 + gap_count.max(), np.count_nonzero(mask)), n))
+    batch, cells, pairs = [], 0, 0
+    for rows in np.split(holed, cut):
+        left = F[rows[:, None], side]
+        # cells by column, then row; a row with more gaps than one is copied per cell
+        cg, cr = np.nonzero(mask[rows][:, gaps].T)
+        with np.errstate(all="ignore"):  # inf and NaN are meant below
+            left[:, :l] *= -2.0
+            up = np.matmul(left[:, :w], F[:, :w].T, out=buf[0, :rows.size])
+            up /= np.matmul(left[:, w:], F[:, l + g + 1:].T, out=buf[1, :rows.size])
+            if cr.size > rows.size:  # (clip: unbuffered; cr is in range)
+                up = np.take(up, cr, axis=0, out=buf[1, :cr.size], mode="clip")
+            starts = np.flatnonzero(np.diff(cg, prepend=-1))
+            for s, e in zip(starts, [*starts[1:], cg.size]):  # inf where no donor
+                np.maximum(up[s:e], no_donor[cg[s]], out=up[s:e])
+            mins = np.concatenate([up[:, n % q:].reshape(-1, q, n // q).min(axis=1),
+                                   up[:, :n % q]], axis=1)
+            bound = np.fmin(np.partition(mins, kth, axis=1)[:, kth], _DBL_MAX)  # NaN last
+            up -= 2 * half  # up less twice the margin is below the mean square
+            low = np.flatnonzero(~(up > (bound + 2 * half[rows[cr]])[:, None]))  # or NaN
+        c, r = np.divmod(low, n)
+        batch.append((rows[cr], gaps[cg], c + cells, r))
+        cells, pairs = cells + cr.size, pairs + c.size
+        if pairs >= _IMPUTE_BLOCK:
+            yield tuple(map(np.concatenate, zip(*batch)))
+            batch, cells, pairs = [], 0, 0
+    del F, buf, up  # free the bounds before the last batch is scored
+    if batch:
+        yield tuple(map(np.concatenate, zip(*batch)))
 
 
 def fit_scaler(d: Dataset, rows) -> Scaler:

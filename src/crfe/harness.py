@@ -456,30 +456,33 @@ def _run_block(d: Dataset, name: str, sizes, cfg: ExperimentConfig, repeats):
             models_at = path(trace)
             traces[method, seed] = replace(trace, models=())  # the reports read only the steps
             scored += [(method, s, models_at[s]) for s in sizes]
-        scores = _evaluate([ms for *_, ms in scored], *held_out, cfg.epsilon, m)
-        rows += [ResultRow(name, method, s, seed, *score)
-                 for (method, s, _), score in zip(scored, scores)]
+        # each model once by id, the paths share the models of shared sets
+        unique = list({id(ms): ms for *_, ms in scored}.values())
+        known = dict(zip(map(id, unique), _evaluate(unique, *held_out, cfg.epsilon, m)))
+        rows += [ResultRow(name, method, s, seed, *known[id(ms)]) for method, s, ms in scored]
         # per selector, crfe's final model set or the baseline's whole path;
         # every final subset was trained by a pass of its run: no refit
         stopped = [(method, next(found).models[-1] if method == "crfe" else path(next(found)))
                    for method in (cfg.selectors if stop else ())]
         cv += [(X_tr, y_tr, ms)
                for method, models_at in stopped if method == "rfe" for ms in models_at.values()]
-        done.append((seed, held_out, stopped))
+        # a stop model alive when known was made is known by its own id
+        done.append((seed, held_out, stopped, known))
     del groups, reps, found  # what the CV stage and the reports read is in rows and stopped
 
     accs = iter(_cv_accuracies(cv, m, cfg.train))
     stops = []
-    for seed, held_out, stopped in done:
+    for seed, held_out, stopped, known in done:
         finals = []
         for method, final in stopped:
             if method == "rfe":
                 acc = {size: next(accs) for size in final}
                 final = final[max(acc, key=lambda s: (acc[s], s))]  # ties: larger size
             finals.append((method, final))
-        scores = _evaluate([final for _, final in finals], *held_out, cfg.epsilon, m)
-        stops += [(method, seed, final.active_features, sets)
-                  for (method, final), (sets, _) in zip(finals, scores)]
+        fresh = list({id(f): f for _, f in finals if id(f) not in known}.values())
+        known.update(zip(map(id, fresh), _evaluate(fresh, *held_out, cfg.epsilon, m)))
+        stops += [(method, seed, final.active_features, known[id(final)][0])
+                  for method, final in finals]
     return rows, traces, stops
 
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from crfe import data
 from crfe.data import (
     Dataset,
     SyntheticSpec,
@@ -489,6 +490,79 @@ def test_impute_knn_gram_overflow_stays_silent():
     d = Dataset(X=X, y=np.arange(5) % 2, feature_names=("a", "b"),
                 class_names=("n", "p"), missing_mask=np.isnan(X))
     assert impute_knn(d, 2).X[0, 1] == 1.5
+
+
+@pytest.mark.parametrize("block", [None, 1])
+def test_impute_knn_names_the_first_short_cell_in_column_order(monkeypatch, block):
+    """k = 5 and every missing cell is short of donors.
+
+    Row order would name cell (0, b) with 3 donors. Column order names
+    cell (3, a): row 3 observes only b, which rows 0 and 1 miss, so 2 of
+    the 4 rows that observe a donate to it, against 4 for cell (4, a).
+    Row 3 has three gaps and row 4 one, so the blocks see (4, a) first.
+    """
+    if block is not None:  # one row per block, and a batch per block
+        monkeypatch.setattr(data, "_IMPUTE_BLOCK", block)
+    nan = np.nan
+    X = np.array([[1.0, nan, 5.0, 6.0],
+                  [2.0, nan, 7.0, 8.0],
+                  [3.0, 4.0, 1.0, 2.0],
+                  [nan, 5.0, nan, nan],
+                  [nan, 6.0, 3.0, 4.0],
+                  [4.0, 7.0, 2.0, 3.0]])
+    d = Dataset(X=X, y=np.arange(6) % 2, feature_names=tuple("abcd"),
+                class_names=("n", "p"), missing_mask=np.isnan(X))
+    with pytest.raises(NotEnoughDonorsError, match=r"^column 'a': 2 donors < k=5$"):
+        impute_knn(d, k=5)
+    with pytest.raises(NotEnoughDonorsError, match=r"^column 'b': 3 donors < k=5$"):
+        per_row_impute_knn(d, 5)
+
+
+@pytest.mark.parametrize("block", [None, 1, 1 << 40])
+@pytest.mark.parametrize("seed", range(4))
+def test_impute_knn_edge_cases_match_per_row_oracle(monkeypatch, block, seed):
+    """Rows missing 2-4 columns, a column with exactly k donors, ties from
+    rounding, and blocks of one row or of all rows of a kind; 203 rows
+    leave 3 rows outside the chunk minima."""
+    if block is not None:
+        monkeypatch.setattr(data, "_IMPUTE_BLOCK", block)
+    rng = np.random.default_rng(seed)
+    n, l, k = 203, 9, 3
+    X = np.round(rng.standard_normal((n, l)), 1)
+    mask = np.zeros((n, l), dtype=bool)
+    rows = rng.permutation(n)
+    mask[rows[k:], l - 1] = True  # the last column has exactly k donors
+    mask[rows[:k], rng.integers(0, l - 1, k)] = True  # which miss one other column
+    for i in rows[k:40]:
+        mask[i, rng.choice(l - 1, rng.integers(2, 5), replace=False)] = True
+    mask[rows[40:100], rng.integers(0, l - 1, 60)] = True
+    d = Dataset(X=np.where(mask, np.nan, X), y=np.arange(n) % 2,
+                feature_names=tuple(f"f{j}" for j in range(l)),
+                class_names=("n", "p"), missing_mask=mask)
+    assert impute_knn(d, k).X.tobytes() == per_row_impute_knn(d, k).tobytes()
+
+
+def test_impute_knn_memory_is_a_few_matrices():
+    """An ingest-shaped input: 2000 x 60 with 10% missing in 8 columns.
+
+    The peak holds the bound factors, one block's bounds and one chunk of
+    the exact pass: about 3.1 matrices.
+    """
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((2000, 60))
+    mask = np.zeros(X.shape, dtype=bool)
+    for j in rng.choice(60, 8, replace=False):
+        mask[rng.choice(2000, 200, replace=False), j] = True
+    d = Dataset(X=np.where(mask, np.nan, X), y=np.arange(2000) % 3,
+                feature_names=tuple(f"f{j}" for j in range(60)),
+                class_names=("a", "b", "c"), missing_mask=mask)
+    tracemalloc.start()
+    try:
+        impute_knn(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * X.nbytes
 
 
 def test_impute_noop_when_complete():

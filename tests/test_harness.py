@@ -407,6 +407,25 @@ def test_run_all_trains_each_repeat_model_once(tmp_path, monkeypatch):
     assert [cols for _, cols in trained if len(cols) == 8] == [tuple(range(8))] * 2
 
 
+def test_run_all_scores_each_model_once_per_split(tmp_path, monkeypatch):
+    # a stopping repeat that shares its split with a comparison repeat
+    # reuses the comparison's scores of the path models it stops on
+    scored = []  # (model, calibration matrix) per model scored, both kept alive
+    real = harness._evaluate
+
+    def recording(models, X_cal, *rest):
+        scored.extend((ms, X_cal) for ms in models)
+        return real(models, X_cal, *rest)
+
+    monkeypatch.setattr(harness, "_evaluate", recording)
+    run_all(config_from_dict({**BENCH_CFG, "stopping": {"repeats": 3}}), tmp_path)
+    keys = [(id(ms), id(X_cal)) for ms, X_cal in scored]
+    assert len(keys) == len(set(keys))
+    # fewer than 2 comparison repeats x 2 methods x 7 sizes plus 3 stopping
+    # repeats x 2 methods: the paths share sets, the stops reuse scores
+    assert len(keys) < 2 * 2 * 7 + 3 * 2
+
+
 def _count_solves(monkeypatch) -> list:
     """The number of training sets of every _train_stacked call, as it is made."""
     sets = []
