@@ -605,10 +605,9 @@ def scaled_split(d: Dataset, seed: int):
     calibration and test rows.
     """
     sp = split_with_all_classes(d, seed)
-    s = fit_scaler(d, sp.train_idx)
-    X = (d.X - s.mean) / s.std
+    ds = apply_scaler(fit_scaler(d, sp.train_idx), d)
     parts = (sp.train_idx, sp.calib_idx, sp.test_idx)
-    return (sp, *((X[idx], d.y[idx]) for idx in parts))
+    return (sp, *((ds.X[idx], ds.y[idx]) for idx in parts))
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:

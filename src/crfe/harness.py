@@ -10,7 +10,8 @@ table so a whole run is a pure function of its config.
 
 A run loads its dataset once. Repeat r has one split (seed master_seed
 + r) shared by all its eliminations, and they share the model of each
-active set, so each (repeat, active set) model is trained once.
+active set, so each (repeat, active set) model is trained once; a run
+that the comparison and the stop both want runs once.
 _run_block runs every repeat of a run in one lock-step: each pass trains
 the sets new to any repeat in one stacked solve per shape, and the
 baseline's cross-validated stop trains the folds of every stopping
@@ -379,44 +380,36 @@ def consistency_report(table: ResultsTable) -> list[dict]:
 # ---------------------------------------------------------------- stopping
 
 
-def _cv_accuracies(mats, n_classes, tcfg) -> list[float]:
-    """Cross-validated accuracy of X[:, ms.active_features] per (X, y, ms)
-    in ``mats``, ms a model trained on those columns of every row of X.
+def _cv_accuracies(paths, n_classes, tcfg) -> list[list[float]]:
+    """Per (X, y, models) in ``paths``, the cross-validated accuracy of
+    X[:, ms.active_features] per ms in models, each ms a model trained on
+    those columns of every row of X.
 
     Each is the mean held-out argmax accuracy over _CV_FOLDS contiguous
     folds, in fold order. A fold that holds out no row, or whose training
     rows miss a class, is skipped; -1.0 when every fold is skipped. Every
     fold that trains is one job of classifier._train_sets, started from
-    ms. Each model is scored as it is yielded, on its (X, y, fold)
-    held-out block, which is sliced once for all column sets.
+    ms. A path's folds, their training rows and held-out blocks are built
+    once for all its models.
     """
-    folds_of: dict[int, list] = {}  # n -> (train_rows, hold) of each fold
-    trains: dict = {}  # (y, n) -> whether each fold holds out a row and trains every class
-    jobs, held = [], []  # per fold that trains: its job, and (matrix, fold)
-    for i, (X, y, ms) in enumerate(mats):
+    jobs, held, blocks, accs = [], [], [], []  # held: (path, model, fold) of each job
+    for p, (X, y, models) in enumerate(paths):
         n = X.shape[0]
-        if n not in folds_of:
-            folds_of[n] = [(np.setdiff1d(np.arange(n), hold), hold)
-                           for hold in np.array_split(np.arange(n), _CV_FOLDS)]
-        if (id(y), n) not in trains:
-            trains[id(y), n] = [hold.size and np.bincount(y[rows], minlength=n_classes).all()
-                                for rows, hold in folds_of[n]]
-        for f, (train_rows, hold) in enumerate(folds_of[n]):
-            if trains[id(y), n][f]:
-                jobs.append((X, y, train_rows, ms.active_features, ms))
-                held.append((i, f))
-    blocks: dict = {}  # (X, y, fold) -> its held-out rows and labels
-    accs: list[dict] = [{} for _ in mats]
+        folds = []  # (training rows, held-out rows, their labels) of each fold that trains
+        for hold in np.array_split(np.arange(n), _CV_FOLDS):
+            rows = np.setdiff1d(np.arange(n), hold)
+            if hold.size and np.bincount(y[rows], minlength=n_classes).all():
+                folds.append((rows, X[hold], y[hold]))
+        jobs += [(X, y, rows, ms.active_features, ms) for ms in models for rows, *_ in folds]
+        held += [(p, k, f) for k in range(len(models)) for f in range(len(folds))]
+        blocks.append(folds)
+        accs.append(np.empty((len(models), len(folds))))
     for j, ms in _train_sets(jobs, n_classes, tcfg):
-        i, f = held[j]
-        X, y, _ = mats[i]
-        if (id(X), id(y), f) not in blocks:
-            hold = folds_of[X.shape[0]][f][1]
-            blocks[id(X), id(y), f] = X[hold], y[hold]
-        X_hold, y_hold = blocks[id(X), id(y), f]
+        p, k, f = held[j]
+        _, X_hold, y_hold = blocks[p][f]
         pred = point_predict(decision_matrix(ms, X_hold[:, list(ms.active_features)]))
-        accs[i][f] = np.count_nonzero(pred == y_hold) / y_hold.size  # the bits of the mean
-    return [float(np.mean([a[f] for f in sorted(a)])) if a else -1.0 for a in accs]
+        accs[p][k, f] = np.count_nonzero(pred == y_hold) / y_hold.size
+    return [a.mean(axis=1).tolist() if a.shape[1] else [-1.0] * len(a) for a in accs]
 
 
 # ----------------------------------------------------------------- repeats
@@ -426,63 +419,55 @@ def _run_block(d: Dataset, name: str, sizes, cfg: ExperimentConfig, repeats):
     """Repeat r of the comparison (if compare) and of the stopping run (if
     stop), per (r, compare, stop) in ``repeats``, in that order.
 
-    A repeat depends only on d, cfg and r. Every elimination runs in one
-    _lockstep and every CV fold in one _cv_accuracies. Returns the
-    comparison's ResultRows, its {(method, seed): trace} without models,
-    and per stopping run of each selector its (method, seed, final active
-    features, SetMetricsReport).
+    A repeat depends only on d, cfg and r. Its plan holds each distinct
+    (method, policy) once, so a run that the comparison and the stop both
+    want runs once. Every elimination runs in one _lockstep, every CV fold
+    in one _cv_accuracies, and each split's distinct models are scored in
+    one _evaluate. Returns the comparison's ResultRows, its
+    {(method, seed): trace} without models, and per stopping run of each
+    selector its (method, seed, final active features, SetMetricsReport).
     """
     m = d.n_classes
     reps, groups = [], []
     for r, compare, stop in repeats:
         seed = cfg.master_seed + r
         _, train, cal, test = scaled_split(d, seed)
-        plan = [(method, FixedSize(sizes[-1])) for method in cfg.selectors if compare]
-        plan += [(method, cfg.stopping if method == "crfe" else FixedSize(1))
-                 for method in cfg.selectors if stop]
-        groups.append((*train, *cal, plan))
-        reps.append((seed, train, cal + test, compare, stop))
-    # one lock-step call; its traces are read below in the order of groups
+        compared = [(method, FixedSize(sizes[-1])) for method in cfg.selectors if compare]
+        stopped = [(method, cfg.stopping if method == "crfe" else FixedSize(1))
+                   for method in cfg.selectors if stop]
+        groups.append((*train, *cal, list(dict.fromkeys(compared + stopped))))
+        reps.append((seed, train, cal + test, compared, stopped))
     found = iter(_lockstep(groups, m, cfg.train, cfg.lam))
+    runs = [dict(zip(plan, found)) for *_, plan in groups]  # per repeat, (method, policy) -> trace
+    # the baseline stops at the size of its path with the best CV accuracy;
+    # every final subset was trained by a pass of its run: no refit
+    accs = iter(_cv_accuracies([(*train, run[key].models)
+                                for (_, train, _, _, stopped), run in zip(reps, runs)
+                                for key in stopped if key[0] == "rfe"], m, cfg.train))
 
-    def path(trace):  # the model trained at each size of an elimination
-        return {ms.n_features: ms for ms in trace.models}
-
-    rows, traces, done, cv = [], {}, [], []
-    for seed, (X_tr, y_tr), held_out, compare, stop in reps:
-        scored = []  # (method, size, model) of every size of each comparison path
-        for method in cfg.selectors if compare else ():
-            trace = next(found)
-            models_at = path(trace)
+    rows, traces, stops = [], {}, []
+    for (seed, _, held_out, compared, stopped), run in zip(reps, runs):
+        picks = []  # (method, size, model) of every size of each comparison path
+        for method, policy in compared:
+            trace = run[method, policy]
             traces[method, seed] = replace(trace, models=())  # the reports read only the steps
-            scored += [(method, s, models_at[s]) for s in sizes]
-        # each model once by id, the paths share the models of shared sets
-        unique = list({id(ms): ms for *_, ms in scored}.values())
-        known = dict(zip(map(id, unique), _evaluate(unique, *held_out, cfg.epsilon, m)))
-        rows += [ResultRow(name, method, s, seed, *known[id(ms)]) for method, s, ms in scored]
-        # per selector, crfe's final model set or the baseline's whole path;
-        # every final subset was trained by a pass of its run: no refit
-        stopped = [(method, next(found).models[-1] if method == "crfe" else path(next(found)))
-                   for method in (cfg.selectors if stop else ())]
-        cv += [(X_tr, y_tr, ms)
-               for method, models_at in stopped if method == "rfe" for ms in models_at.values()]
-        # a stop model alive when known was made is known by its own id
-        done.append((seed, held_out, stopped, known))
-    del groups, reps, found  # what the CV stage and the reports read is in rows and stopped
-
-    accs = iter(_cv_accuracies(cv, m, cfg.train))
-    stops = []
-    for seed, held_out, stopped, known in done:
-        finals = []
-        for method, final in stopped:
-            if method == "rfe":
-                acc = {size: next(accs) for size in final}
-                final = final[max(acc, key=lambda s: (acc[s], s))]  # ties: larger size
+            models_at = {ms.n_features: ms for ms in trace.models}
+            picks += [(method, s, models_at[s]) for s in sizes]
+        finals = []  # (method, final model) of each stopping run
+        for method, policy in stopped:
+            models = run[method, policy].models
+            final = models[-1]
+            if method == "rfe":  # the path's best CV accuracy, the first (larger size) of ties
+                acc = next(accs)
+                final = models[acc.index(max(acc))]
             finals.append((method, final))
-        fresh = list({id(f): f for _, f in finals if id(f) not in known}.values())
-        known.update(zip(map(id, fresh), _evaluate(fresh, *held_out, cfg.epsilon, m)))
-        stops += [(method, seed, final.active_features, known[id(final)][0])
-                  for method, final in finals]
+        # a repeat trains one model per active set, so its set names it
+        unique = {ms.active_features: ms for *_, ms in picks + finals}
+        scores = dict(zip(unique, _evaluate(list(unique.values()), *held_out, cfg.epsilon, m)))
+        rows += [ResultRow(name, method, s, seed, *scores[ms.active_features])
+                 for method, s, ms in picks]
+        stops += [(method, seed, ms.active_features, scores[ms.active_features][0])
+                  for method, ms in finals]
     return rows, traces, stops
 
 

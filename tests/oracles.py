@@ -270,7 +270,8 @@ def impute_knn(d, k: int) -> np.ndarray:
 
     Every row rebuilds its shared-feature masks, takes the mean squared
     difference over the shared features with NaN terms dropped as in
-    np.nansum, and picks its donors by a full stable argsort.
+    np.nansum, and picks its donors by a full stable argsort. Of the cells
+    short of k donors it names the first in column order, then row order.
     """
     X = d.X
     mask = d.missing_mask
@@ -280,6 +281,7 @@ def impute_knn(d, k: int) -> np.ndarray:
     unshared = np.empty_like(present)
     sq = np.empty_like(X)
 
+    shorts = []  # (column, row, donors) of each cell short of k donors
     rows_with_missing = np.flatnonzero(mask.any(axis=1))
     for i in rows_with_missing:
         np.logical_and(present, present[i], out=shared)
@@ -298,9 +300,11 @@ def impute_knn(d, k: int) -> np.ndarray:
             donor_ok = present[:, j] & np.isfinite(dist)
             donors = np.flatnonzero(donor_ok)
             if donors.size < k:
-                raise NotEnoughDonorsError(
-                    f"column {d.feature_names[j]!r}: {donors.size} donors < k={k}"
-                )
+                shorts.append((j, i, donors.size))
+                continue
             order = donors[np.argsort(dist[donors], kind="stable")[:k]]
             filled[i, j] = X[order, j].mean()
+    if shorts:  # the first short cell in column order, then row order
+        j, _, count = min(shorts)
+        raise NotEnoughDonorsError(f"column {d.feature_names[j]!r}: {count} donors < k={k}")
     return filled

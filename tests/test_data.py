@@ -1,3 +1,4 @@
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -380,8 +381,8 @@ def test_impute_knn_matches_per_row_oracle(problem):
                 class_names=("n", "p"), missing_mask=mask)
     try:
         want = per_row_impute_knn(d, k)
-    except NotEnoughDonorsError:
-        with pytest.raises(NotEnoughDonorsError):
+    except NotEnoughDonorsError as e:
+        with pytest.raises(NotEnoughDonorsError, match=f"^{re.escape(str(e))}$"):
             impute_knn(d, k)
         return
     assert impute_knn(d, k).X.tobytes() == want.tobytes()
@@ -468,8 +469,8 @@ def test_impute_knn_matches_per_row_oracle_under_cancellation_and_overflow(probl
     with np.errstate(over="ignore"):
         try:
             want = per_row_impute_knn(d, k)
-        except NotEnoughDonorsError:
-            with pytest.raises(NotEnoughDonorsError):
+        except NotEnoughDonorsError as e:
+            with pytest.raises(NotEnoughDonorsError, match=f"^{re.escape(str(e))}$"):
                 impute_knn(d, k)
             return
         assert impute_knn(d, k).X.tobytes() == want.tobytes()
@@ -512,10 +513,9 @@ def test_impute_knn_names_the_first_short_cell_in_column_order(monkeypatch, bloc
                   [4.0, 7.0, 2.0, 3.0]])
     d = Dataset(X=X, y=np.arange(6) % 2, feature_names=tuple("abcd"),
                 class_names=("n", "p"), missing_mask=np.isnan(X))
-    with pytest.raises(NotEnoughDonorsError, match=r"^column 'a': 2 donors < k=5$"):
-        impute_knn(d, k=5)
-    with pytest.raises(NotEnoughDonorsError, match=r"^column 'b': 3 donors < k=5$"):
-        per_row_impute_knn(d, 5)
+    for impute in (lambda: impute_knn(d, k=5), lambda: per_row_impute_knn(d, 5)):
+        with pytest.raises(NotEnoughDonorsError, match=r"^column 'a': 2 donors < k=5$"):
+            impute()
 
 
 @pytest.mark.parametrize("block", [None, 1, 1 << 40])

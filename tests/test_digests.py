@@ -30,6 +30,11 @@ BENCH_DIGESTS = {
     "consistency.csv": "77ca29e6301951d398010e853b6fa40d7d8f48dce1b7e6c9594b3a1f36cdc77e",
     "stopping.csv": "8f04740701bcbab3068759d2e9ffdd270f15656cba1d42937db063f3cbc9eb78",
     "frequencies.csv": "c84688f55879b5e7381d22ee3298bd37433bd5755f820990664fce9a98db78ff",
+    "trace_crfe_3.json": "c29603867e747d227fdd1d8a3a03daa788fdde1ae759bdf75b1f6b95ed05b577",
+    "trace_crfe_4.json": "dd7993d7a89f3b696188ec358ad6c012e176bb8382fed0e8390147b71069d7d7",
+    "trace_rfe_3.json": "a85804c19a3c4ae3be01bde399f3cef0aab36b5c89598a76f901c9b56600f510",
+    "trace_rfe_4.json": "388e7281692042ce892030438ef79538ba42acf0ecf01285c99bf4c4ac8f5d5f",
+    "plot_inefficiency_rfe.svg": "302b23b2fea17be53a9f8f82b6d8fd41182a7ebfd997dbefd023532411a6d76a",
 }
 
 SELECT_SPEC = SyntheticSpec(n_samples=150, n_features=12, n_informative=4,

@@ -333,7 +333,7 @@ def test_evaluate_scores_a_path_like_each_model_alone(seed):
 
 
 def cv_of_all_columns(X, y, n_classes, tcfg):
-    return _cv_accuracies([(X, y, train_ova(X, y, n_classes, tcfg))], n_classes, tcfg)[0]
+    return _cv_accuracies([(X, y, [train_ova(X, y, n_classes, tcfg)])], n_classes, tcfg)[0][0]
 
 
 @pytest.mark.parametrize("n", [36, 37, 41, 43, 44])
@@ -407,13 +407,57 @@ def test_run_all_trains_each_repeat_model_once(tmp_path, monkeypatch):
     assert [cols for _, cols in trained if len(cols) == 8] == [tuple(range(8))] * 2
 
 
+def test_run_all_runs_each_elimination_once_per_repeat(tmp_path, monkeypatch):
+    """With sizes ending at 1, the comparison's and the stop's baseline run
+    is one elimination per repeat, and its criterion scores each pass once."""
+    runs, scored = [], []
+    real_elimination, real_criterion = selection._elimination, selection.rfe_criterion
+
+    def elimination(X_train, X_cal, y_cal, method, policy):
+        runs.append(method)
+        return real_elimination(X_train, X_cal, y_cal, method, policy)
+
+    def criterion(ms):
+        scored.append(ms.n_features)
+        return real_criterion(ms)
+
+    monkeypatch.setattr(selection, "_elimination", elimination)
+    monkeypatch.setattr(selection, "rfe_criterion", criterion)
+    run_all(config_from_dict(BENCH_CFG), tmp_path)
+    # per repeat: crfe to size 1 and crfe's beta stop, one baseline run for both
+    assert sorted(runs) == ["crfe"] * 4 + ["rfe"] * 2
+    assert sorted(scored) == sorted(list(range(1, 9)) * 2)
+
+
+def test_comparison_and_stop_with_custom_sizes_match_each_run_alone():
+    # sizes end at 2, so the comparison's baseline run (to 2) and the
+    # stop's (to 1) stay apart; both run in one lock-step with crfe's
+    cfg = tiny_config(sizes=(6, 4, 2), stopping=StoppingParams(repeats=2))
+    table, stopping = harness._run_repeats(cfg, 2, 2)
+    alone = harness._run_repeats(cfg, 2, 0)[0]
+    assert harness._run_repeats(cfg, 0, 2)[1] == stopping
+    assert ([(r.method, r.subset_size, r.seed) for r in table.rows]
+            == [(r.method, r.subset_size, r.seed) for r in alone.rows])
+    for got, want in zip(table.rows, alone.rows):
+        np.testing.assert_array_equal([got.metric(c) for c in METRIC_COLUMNS],
+                                      [want.metric(c) for c in METRIC_COLUMNS])
+    assert sorted(table.traces) == sorted(alone.traces)
+    for key, trace in table.traces.items():
+        assert trace.selected == alone.traces[key].selected
+        assert (selection.trace_to_json(trace)["steps"]
+                == selection.trace_to_json(alone.traces[key])["steps"])
+    assert {len(t.selected) for t in table.traces.values()} == {2}
+
+
 def test_run_all_scores_each_model_once_per_split(tmp_path, monkeypatch):
     # a stopping repeat that shares its split with a comparison repeat
-    # reuses the comparison's scores of the path models it stops on
+    # scores the path models it stops on in the comparison's one pass
     scored = []  # (model, calibration matrix) per model scored, both kept alive
+    calls = []  # the calibration matrix of each call
     real = harness._evaluate
 
     def recording(models, X_cal, *rest):
+        calls.append(X_cal)
         scored.extend((ms, X_cal) for ms in models)
         return real(models, X_cal, *rest)
 
@@ -421,6 +465,7 @@ def test_run_all_scores_each_model_once_per_split(tmp_path, monkeypatch):
     run_all(config_from_dict({**BENCH_CFG, "stopping": {"repeats": 3}}), tmp_path)
     keys = [(id(ms), id(X_cal)) for ms, X_cal in scored]
     assert len(keys) == len(set(keys))
+    assert len(calls) == len({id(X_cal) for X_cal in calls}) == 3  # one pass per split
     # fewer than 2 comparison repeats x 2 methods x 7 sizes plus 3 stopping
     # repeats x 2 methods: the paths share sets, the stops reuse scores
     assert len(keys) < 2 * 2 * 7 + 3 * 2
