@@ -9,8 +9,8 @@ the statistical acceptance tests at seed 3, in a temporary directory.
 It prints the CPU seconds of the run, the process's peak resident set
 (``ru_maxrss``) and the SHA-256 of the written files' bytes concatenated
 in sorted path order: two checkouts that print the same SHA-256 wrote
-the same reports. It scores the crfe package first on the import path,
-this checkout's src/ when PYTHONPATH names none.
+the same reports. It runs the crfe package that comes first on the
+import path, this checkout's src/ when PYTHONPATH names none.
 """
 
 from __future__ import annotations
