@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import _whole_labels
+from .data import _labels_below
 from .exceptions import (
     ConfigError,
     ConvergenceError,
@@ -240,11 +240,9 @@ def _train_stacked(ZX, config: TrainConfig, w0=None) -> tuple[np.ndarray, np.nda
 
 def _check_labels(y, n_rows: int, n_classes: int) -> np.ndarray:
     """y as an int array, after checking it can train n_classes models."""
-    y = _whole_labels(y)
+    y = _labels_below(y, n_classes, "labels")
     if y.shape != (n_rows,):
         raise DimensionMismatchError("y length does not match X rows")
-    if y.size and (y.min() < 0 or y.max() >= n_classes):
-        raise DegenerateLabelsError("labels outside [0, n_classes)")
     counts = np.bincount(y, minlength=n_classes)
     if (counts == 0).any():
         raise DegenerateLabelsError(

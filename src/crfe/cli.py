@@ -10,7 +10,6 @@ configuration mistakes, 3 for data problems.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -18,6 +17,7 @@ from .classifier import save_model
 from .conformal import calibrate, conformal_predict, write_prediction_csv
 from .data import (
     SyntheticSpec,
+    _write_json,
     impute_knn,
     load_csv,
     save_synthetic,
@@ -93,9 +93,7 @@ def _cmd_select(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     trace_to_csv(trace, os.path.join(args.out, "trace.csv"))
-    with open(os.path.join(args.out, "trace.json"), "w", encoding="utf-8") as fh:
-        json.dump(trace_to_json(trace, d.feature_names), fh, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "trace.json"), trace_to_json(trace, d.feature_names))
     ms = trace.models[-1]  # the last pass trained on the selected subset
     cols = list(trace.selected)
     save_model(ms, os.path.join(args.out, "model.json"))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import LinearModelSet, decision_matrix
-from .data import _whole_labels, write_csv
+from .data import _labels_below, write_csv
 from .exceptions import (
     ConfigError,
     DimensionMismatchError,
@@ -89,11 +89,9 @@ def _calibrations(models, X_cals, y_cal) -> list[CalibrationRecord]:
     stacked decision matrices, each entry with the operations of one
     model scored alone.
     """
-    y_cal = _whole_labels(y_cal)
+    y_cal = _labels_below(y_cal, models[0].n_classes, "calibration labels", ConfigError)
     if y_cal.size == 0:
         raise EmptyCalibrationError("calibration set is empty")
-    if y_cal.min() < 0 or y_cal.max() >= models[0].n_classes:
-        raise ConfigError("calibration labels outside model's class range")
     D = np.stack([decision_matrix(ms, X) for ms, X in zip(models, X_cals)])
     if D.shape[1] != y_cal.shape[0]:
         raise DimensionMismatchError("X_cal rows do not match y_cal length")

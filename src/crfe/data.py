@@ -50,6 +50,14 @@ def _whole_labels(y) -> np.ndarray:
     return y.astype(int)
 
 
+def _labels_below(y, m: int, what: str, error=DegenerateLabelsError) -> np.ndarray:
+    """y as whole-number labels, each in [0, m); ``error`` names ``what`` otherwise."""
+    y = _whole_labels(y)
+    if y.size and (y.min() < 0 or y.max() >= m):
+        raise error(f"{what} outside [0, {m})")
+    return y
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """A dense feature matrix with integer class labels.
@@ -90,8 +98,7 @@ class Dataset:
         m = len(self.class_names)
         if m < 2:
             raise SingleClassError("a dataset needs at least two classes")
-        if self.y.size and (self.y.min() < 0 or self.y.max() >= m):
-            raise DegenerateLabelsError("class ids out of range")
+        _labels_below(self.y, m, "class ids")
         counts = np.bincount(self.y, minlength=m)
         if (counts == 0).any():
             missing = [self.class_names[i] for i in np.flatnonzero(counts == 0)]
@@ -345,6 +352,13 @@ def write_csv(path, columns, rows) -> None:
             writer.writerow(map(csv_cell, row))
 
 
+def _write_json(path, obj, **options) -> None:
+    """json.dump ``obj`` to ``path`` with an indent of 2 and a final line feed."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, **options)
+        fh.write("\n")
+
+
 # entries per (cells, rows) bound array of a block of rows and per (pairs,
 # features) square array of the exact pass; about the pairs scored together
 _IMPUTE_BLOCK = 1 << 16
@@ -555,12 +569,12 @@ def apply_scaler(s: Scaler, d: Dataset) -> Dataset:
     )
 
 
-def split(d: Dataset, seed) -> DataSplit:
+def split(d: Dataset, seed: int) -> DataSplit:
     """Shuffle rows and carve out test/train/calibration indices.
 
     The test set takes round(0.25 * n) rows (half-up); the remainder is
     halved between train and calibration, train taking the extra row when
-    odd. Deterministic for a given seed, an int or a SeedSequence.
+    odd. Deterministic for a given seed.
     """
     n = d.n_samples
     if n < 8:
@@ -576,26 +590,34 @@ def split(d: Dataset, seed) -> DataSplit:
     )
 
 
-def split_with_all_classes(d: Dataset, seed: int, max_tries: int = 10) -> DataSplit:
-    """Split, retrying while train or calibration misses a class.
+def split_with_all_classes(d: Dataset, seed: int) -> DataSplit:
+    """split(d, seed), repaired so that train and calibration hold every class.
 
-    The first attempt shuffles with ``seed``; attempt a > 0 with
-    SeedSequence([seed, a]), which no integer seed below 2**32 draws, so
-    a retried split does not copy the split of the repeat seeded seed + a.
-    Raises TooFewSamplesError when no class-preserving split is found in
-    ``max_tries`` attempts.
+    Every class needs 2 rows and calibration as many rows as there are
+    classes, else TooFewSamplesError names what is short. For each class
+    that train, then calibration, misses, the part takes the first row of
+    it that another part can spare, test rows first, and gives in its
+    place its last row of a class it holds twice. No random number is
+    drawn, and a split that holds every class is returned as drawn.
     """
-    m = d.n_classes
-    for attempt in range(max_tries):
-        sp = split(d, np.random.SeedSequence([seed, attempt]) if attempt else seed)
-        ok = all(
-            np.unique(d.y[idx]).size == m for idx in (sp.train_idx, sp.calib_idx)
-        )
-        if ok:
-            return sp
-    raise TooFewSamplesError(
-        f"no split kept all {m} classes in train and calibration after {max_tries} tries"
-    )
+    m, y = d.n_classes, d.y
+    counts = np.bincount(y, minlength=m)
+    if counts.min() < 2:
+        k = int(counts.argmin())
+        raise TooFewSamplesError(f"class {d.class_names[k]!r} has {counts[k]} row;"
+                                 " train and calibration need one each")
+    sp = split(d, seed)
+    parts = (sp.train_idx, sp.calib_idx, sp.test_idx)  # fresh arrays, repaired in place
+    if parts[1].size < m:  # calibration is never larger than train
+        raise TooFewSamplesError(f"calibration holds {parts[1].size} rows, under {m} classes")
+    for p in (0, 1):
+        for k in np.flatnonzero(np.bincount(y[parts[p]], minlength=m) == 0):
+            q = 2 if (y[parts[2]] == k).any() else 1 - p  # the other part then holds k twice
+            i = np.flatnonzero(y[parts[q]] == k)[0]
+            held = y[parts[p]]
+            j = np.flatnonzero(np.bincount(held, minlength=m)[held] >= 2)[-1]
+            parts[p][j], parts[q][i] = parts[q][i], parts[p][j]
+    return sp
 
 
 def scaled_split(d: Dataset, seed: int):
@@ -674,7 +696,5 @@ def save_synthetic(spec: SyntheticSpec, path) -> tuple[Dataset, np.ndarray]:
     sidecar = str(path)
     if sidecar.endswith(".csv"):
         sidecar = sidecar[: -len(".csv")]
-    with open(sidecar + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(sidecar + ".meta.json", meta, sort_keys=True)
     return dataset, informative

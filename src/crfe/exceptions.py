@@ -77,7 +77,7 @@ class EmptyRowSetError(CrfeError):
 
 
 class TooFewSamplesError(CrfeError):
-    """Dataset too small to split (or no class-preserving split found)."""
+    """Dataset too small to split, or to keep every class in train and calibration."""
 
 
 class InvalidSpecError(ConfigError):

@@ -33,6 +33,7 @@ from .consistency import SubsetFamily, jaccard_multi, kuncheva, weighted_consist
 from .data import (
     Dataset,
     SyntheticSpec,
+    _write_json,
     generate_synthetic,
     impute_knn,
     load_csv,
@@ -566,11 +567,8 @@ def emit_outputs(
     emit("stopping.csv", lambda p: write_csv(p, STOPPING_COLUMNS, stopping_summary))
     emit("frequencies.csv", lambda p: write_csv(p, FREQUENCY_COLUMNS, frequencies))
     for (method, seed), trace in sorted(table.traces.items()):
-        path = os.path.join(out_dir, f"trace_{method}_{seed}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(trace_to_json(trace, table.feature_names), fh, indent=2)
-            fh.write("\n")
-        written.append(path)
+        emit(f"trace_{method}_{seed}.json",
+             lambda p: _write_json(p, trace_to_json(trace, table.feature_names)))
     xs = np.array(table.sizes, dtype=float)
     for method in table.methods:
         rows = {a["subset_size"]: a for a in aggs if a["method"] == method}

@@ -6,21 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _whole_labels
-from .exceptions import (
-    DegenerateLabelsError,
-    EmptyTestSetError,
-    LengthMismatchError,
-    require_int,
-)
-
-
-def _labels_below(y, m: int, what: str) -> np.ndarray:
-    """y as whole-number labels, each in [0, m)."""
-    y = _whole_labels(y)
-    if y.size and (y.min() < 0 or y.max() >= m):
-        raise DegenerateLabelsError(f"{what} outside [0, {m})")
-    return y
+from .data import _labels_below
+from .exceptions import EmptyTestSetError, LengthMismatchError, require_int
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .classifier import LinearModelSet, TrainConfig, _train_sets
-from .data import _whole_labels, write_csv
+from .data import _labels_below, write_csv
 from .exceptions import (
     DimensionMismatchError,
     EmptyVectorError,
@@ -54,13 +54,11 @@ def beta_measures(ms: LinearModelSet, X, y) -> np.ndarray:
     numbers.
     """
     X = np.asarray(X, dtype=float)
-    y = _whole_labels(y)
+    y = _labels_below(y, ms.n_classes, "labels", DimensionMismatchError)
     if X.ndim != 2 or X.shape[1] != ms.n_features:
         raise DimensionMismatchError("X columns do not match the model's features")
     if y.shape != (X.shape[0],):
         raise DimensionMismatchError("y length does not match X rows")
-    if y.size and (y.min() < 0 or y.max() >= ms.n_classes):
-        raise DimensionMismatchError("labels outside the model's class range")
     t1 = (X * ms.W[y]).sum(axis=0)
     t2 = ms.W.sum(axis=0) * X.sum(axis=0) - t1
     return -ms.lam * t1 + ms.lambda_prime * t2

@@ -308,3 +308,24 @@ def impute_knn(d, k: int) -> np.ndarray:
         j, _, count = min(shorts)
         raise NotEnoughDonorsError(f"column {d.feature_names[j]!r}: {count} donors < k={k}")
     return filled
+
+
+def class_repaired_split(y, n_classes: int, parts):
+    """The train, calibration and test rows of crfe.data.split_with_all_classes
+    from the seeded split's ``parts``, as lists, one missing class at a time.
+
+    A part that misses class k takes the first row of k from the test
+    rows, or else from the other part, which then holds every row of k;
+    it gives in its place its last row of a class it holds at least twice.
+    """
+    parts = [list(part) for part in parts]
+    for p in (0, 1):
+        for k in range(n_classes):
+            if any(y[r] == k for r in parts[p]):
+                continue
+            q = 2 if any(y[r] == k for r in parts[2]) else 1 - p
+            i = next(pos for pos, r in enumerate(parts[q]) if y[r] == k)
+            held = [y[r] for r in parts[p]]
+            j = max(pos for pos, c in enumerate(held) if held.count(c) >= 2)
+            parts[p][j], parts[q][i] = parts[q][i], parts[p][j]
+    return parts

@@ -6,6 +6,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crfe import classifier, cli, harness, selection
@@ -139,6 +140,35 @@ def test_select_on_a_column_whose_spread_overflows_exits_3(tmp_path, capsys, no_
     assert ("crfe: data error: feature 'a': its mean or standard deviation over the training"
             " rows is not finite") in capsys.readouterr().err
     assert not out.exists()
+
+
+def write_classes(path, sizes, names=("a", "b", "rare")):
+    """A CSV of 4 seeded features and one class per name, of the given sizes."""
+    rng = np.random.default_rng(0)
+    rows = [",".join(f"{v:.6f}" for v in rng.standard_normal(4) + k) + f",{name}"
+            for k, (name, size) in enumerate(zip(names, sizes)) for _ in range(size)]
+    path.write_text("f0,f1,f2,f3,label\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def test_select_with_a_two_row_class_exits_0_at_every_seed(tmp_path):
+    # when a split missing a class was retried with new seeds, up to 10
+    # times, seeds 0, 3, 14 and 15 ran out of tries and exited 3
+    data = write_classes(tmp_path / "data.csv", (20, 20, 2))
+    for seed in range(21):
+        out = tmp_path / f"o{seed}"
+        assert main(["select", "--data", str(data), "--label", "label", "--method", "crfe",
+                     "--stop", "fixed:2", "--seed", str(seed), "--out", str(out)]) == 0, seed
+
+
+def test_select_with_a_one_row_class_exits_3_naming_it(tmp_path, capsys, no_training):
+    data = write_classes(tmp_path / "data.csv", (20, 1, 20), names=("a", "lone", "c"))
+    for seed in range(21):
+        out = tmp_path / "o"
+        assert main(["select", "--data", str(data), "--label", "label", "--method", "crfe",
+                     "--stop", "fixed:2", "--seed", str(seed), "--out", str(out)]) == 3
+        assert "crfe: data error: class 'lone' has 1 row;" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("body, reason", [

@@ -1,3 +1,4 @@
+import math
 import re
 import tempfile
 import tracemalloc
@@ -11,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from crfe import data
 from crfe.data import (
+    DataSplit,
     Dataset,
     SyntheticSpec,
     apply_scaler,
@@ -38,6 +40,7 @@ from crfe.exceptions import (
     TooFewSamplesError,
     UnparsableCellError,
 )
+from oracles import class_repaired_split
 from oracles import impute_knn as per_row_impute_knn
 
 
@@ -655,43 +658,104 @@ def test_split_too_few_samples():
         split(d, 0)
 
 
-def test_split_with_all_classes_retries():
-    # class 1 has two rows; both must not land in the same non-train part
-    y = np.zeros(20, dtype=int)
-    y[[3, 17]] = 1
-    d = make_dataset(np.arange(40).reshape(20, 2), y)
-    bad = None
-    for seed in range(300):
-        sp = split(d, seed)
-        if np.unique(d.y[sp.train_idx]).size < 2 or np.unique(d.y[sp.calib_idx]).size < 2:
-            bad = seed
-            break
-    assert bad is not None
-    with pytest.raises(TooFewSamplesError):
-        split_with_all_classes(d, bad, max_tries=1)
-    sp = split_with_all_classes(d, bad)
-    assert np.unique(d.y[sp.train_idx]).size == 2
-    assert np.unique(d.y[sp.calib_idx]).size == 2
+# y of the hand-made splits below: rows 0-5 are class 0, 6-9 class 1, 10-11 class 2
+SWAP_Y = [0] * 6 + [1] * 4 + [2] * 2
+
+
+@pytest.mark.parametrize("drawn, repaired", [
+    # train and calibration both miss class 2: each takes a test row of it,
+    # giving its last row of a class it holds twice
+    (([0, 6, 1, 7, 2], [3, 8, 9, 4], [10, 11, 5]),
+     ([0, 6, 1, 7, 10], [3, 8, 9, 11], [2, 4, 5])),
+    # no test row of class 2: calibration takes train's first of its two
+    (([10, 0, 11, 6, 1], [2, 7, 8, 3], [4, 9, 5]),
+     ([3, 0, 11, 6, 1], [2, 7, 8, 10], [4, 9, 5])),
+    # train gives row 9, not row 0 (its only class-0 row); calibration then
+    # takes row 9 back from test for class 1 and row 11 for class 2
+    (([6, 7, 8, 9, 0], [1, 2, 3, 4], [10, 11, 5]),
+     ([6, 7, 8, 10, 0], [1, 2, 11, 9], [4, 3, 5])),
+], ids=["from_test", "from_train", "skips_a_class_held_once"])
+def test_split_with_all_classes_repairs_by_the_swap_rule(monkeypatch, drawn, repaired):
+    d = make_dataset(np.arange(24).reshape(12, 2), SWAP_Y)
+    calls = []
+
+    def drawing(_, seed):
+        calls.append(seed)
+        return DataSplit(*(np.array(part) for part in drawn))
+
+    monkeypatch.setattr(data, "split", drawing)
+    sp = split_with_all_classes(d, 4)
+    assert calls == [4]  # one seeded split, looked up in the module
+    assert [sp.train_idx.tolist(), sp.calib_idx.tolist(), sp.test_idx.tolist()] \
+        == [list(part) for part in repaired]
+    assert class_repaired_split(d.y, 3, drawn) == [list(part) for part in repaired]
 
 
 def test_split_retry_does_not_take_the_next_seed():
-    """A retried split draws a stream of its own, not the next repeat's split."""
+    """A repaired split is its seed's split, not the next repeat's split."""
     y = np.zeros(20, dtype=int)
-    y[[3, 9, 17]] = 1  # 129 of these 300 seeds retry; none runs out of tries
+    y[[3, 9, 17]] = 1  # 129 of these 300 seeds need a repair
     d = make_dataset(np.arange(40).reshape(20, 2), y)
-    retried = 0
+    repaired = 0
     for seed in range(300):
         sp = split(d, seed)
         if np.unique(d.y[sp.train_idx]).size == 2 and np.unique(d.y[sp.calib_idx]).size == 2:
-            # attempt 0 keeps the plain seed
+            # a split that holds every class is kept
             assert np.array_equal(split_with_all_classes(d, seed).train_idx, sp.train_idx)
             continue
-        retried += 1
+        repaired += 1
         got = split_with_all_classes(d, seed)
         nxt = split(d, seed + 1)
         assert not (np.array_equal(got.train_idx, nxt.train_idx)
                     and np.array_equal(got.calib_idx, nxt.calib_idx))
-    assert retried >= 5
+    assert repaired >= 5
+
+
+def calibration_rows(n: int) -> int:
+    """The calibration size split gives n rows."""
+    rest = n - math.floor(0.25 * n + 0.5)
+    return rest // 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts=st.lists(st.integers(2, 12), min_size=2, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+@example(counts=[20, 20, 2], seed=0)
+@example(counts=[2, 2, 2, 2], seed=1)  # 8 rows, calibration holds 3 < 4 classes
+def test_split_with_all_classes_keeps_every_class_or_says_why(counts, seed):
+    y = np.repeat(np.arange(len(counts)), counts)
+    d = make_dataset(np.zeros((y.size, 1)), y)
+    m = len(counts)
+    if y.size < 8 or calibration_rows(y.size) < m:
+        with pytest.raises(TooFewSamplesError):
+            split_with_all_classes(d, seed)
+        return
+    drawn = split(d, seed)
+    sp = split_with_all_classes(d, seed)
+    parts = (sp.train_idx, sp.calib_idx, sp.test_idx)
+    plain = (drawn.train_idx, drawn.calib_idx, drawn.test_idx)
+    assert sorted(np.concatenate(parts).tolist()) == list(range(y.size))
+    assert [p.size for p in parts] == [p.size for p in plain]
+    assert all(np.unique(y[p]).size == m for p in parts[:2])
+    assert [p.tolist() for p in parts] == class_repaired_split(y, m, plain)
+    if all(np.unique(y[p]).size == m for p in plain[:2]):  # kept bit for bit
+        assert all(p.dtype == q.dtype and np.array_equal(p, q) for p, q in zip(parts, plain))
+
+
+def test_split_with_all_classes_does_not_depend_on_the_seed():
+    # class sizes 20, 20 and 2: 1455 of these 2000 seeds draw a split that
+    # misses class 2 in train or calibration
+    d = make_dataset(np.zeros((42, 1)), np.repeat([0, 1, 2], [20, 20, 2]))
+    for seed in range(2000):
+        sp = split_with_all_classes(d, seed)
+        assert set(d.y[sp.train_idx]) == set(d.y[sp.calib_idx]) == {0, 1, 2}
+
+
+def test_split_with_all_classes_rejects_a_one_row_class_at_every_seed():
+    d = make_dataset(np.zeros((41, 1)), np.repeat([0, 1, 2], [20, 1, 20]))
+    for seed in range(50):
+        with pytest.raises(TooFewSamplesError, match="^class 'c1' has 1 row;"):
+            split_with_all_classes(d, seed)
 
 
 # ---------------------------------------------------------------- synthesis
