@@ -12,9 +12,13 @@ solver returns them and in which scoring and feature selection read them.
 
 _train_sets, the drivers' one entry, solves the K problems of every
 training set of one shape together, F sets times K classes in one
-stacked solve, each from zero or from a given start. Each problem's
-model is the one a solve over it alone returns, bit for bit, and the one
-a solve from zero returns unless a row lies within _TIE of its margin.
+stacked solve, each from zero or from a given start. A job is one set
+on every row of a matrix, returned as a LinearModelSet, or a block of
+sets on rows of it (a path model's cross-validation folds), returned as
+weight and bias arrays; its start is a model set or an earlier block.
+Each problem's model is the one a solve over it alone returns, bit for
+bit, and the one a solve from zero returns unless a row lies within
+_TIE of its margin.
 """
 
 from __future__ import annotations
@@ -26,12 +30,8 @@ import numpy as np
 
 from .data import _labels_below
 from .exceptions import (
-    ConfigError,
-    ConvergenceError,
-    DegenerateLabelsError,
-    DimensionMismatchError,
-    NonFiniteInputError,
-    require_real,
+    ConfigError, ConvergenceError, DegenerateLabelsError, DimensionMismatchError,
+    NonFiniteInputError, require_real,
 )
 
 DEFAULT_LAMBDA = 0.5
@@ -238,17 +238,19 @@ def _train_stacked(ZX, config: TrainConfig, w0=None) -> tuple[np.ndarray, np.nda
         f" did not converge in {_NEWTON_CAP} iterations")
 
 
-def _check_labels(y, n_rows: int, n_classes: int) -> np.ndarray:
-    """y as an int array, after checking it can train n_classes models."""
+def _label_signs(y, shape, n_classes: int) -> np.ndarray:
+    """The +-1 signs of labels y of the given shape (..., n), shape
+    (..., n_classes, n): +1 where y is class k, after checking that each
+    set of n labels can train n_classes models."""
     y = _labels_below(y, n_classes, "labels")
-    if y.shape != (n_rows,):
+    if y.shape != shape:
         raise DimensionMismatchError("y length does not match X rows")
-    counts = np.bincount(y, minlength=n_classes)
-    if (counts == 0).any():
+    Z = np.where(y[..., None, :] == np.arange(n_classes)[:, None], 1.0, -1.0)
+    absent = (Z < 0).all(axis=-1).reshape(-1, n_classes).any(axis=0)
+    if absent.any():
         raise DegenerateLabelsError(
-            f"classes absent from training labels: {np.flatnonzero(counts == 0).tolist()}"
-        )
-    return y
+            f"classes absent from training labels: {np.flatnonzero(absent).tolist()}")
+    return Z
 
 
 def train_ova(
@@ -270,56 +272,90 @@ def train_ova(
 
 
 def _train_sets(jobs, n_classes: int, config: TrainConfig, lam: float = DEFAULT_LAMBDA):
-    """Yield (job index, LinearModelSet) per job (X, y, rows, cols, start),
-    in solve order; rows is an index array, or None for every row of X,
-    and start is None for a solve from zero, or a LinearModelSet whose
-    active features include cols, whose weights on cols and biases the
-    solve starts from.
+    """Yield (job index, result) per job (X, y, rows, cols, start), once
+    its last set is solved.
 
-    Each set is train_ova(X[rows][:, cols], y[rows], n_classes, config,
-    lam, active_features=cols), whatever its start up to rows tied
-    within _TIE of the margin (see _train_stacked). Jobs of one
-    (row count, len(cols)) train together, in stacked solves of at most
-    _STACK_BYTES (one set at least). Each distinct X is checked once per
-    call, and each distinct (y, rows) once, with its +-1 label matrix,
-    when the first solve that reads it is filled; so of several bad jobs
-    the first in solve order raises.
+    rows is None for one set of every row of X, whose result is a
+    LinearModelSet on cols, or an (F, n) index array for a block of F
+    sets, whose result is their (F, K, len(cols)) weights and (F, K)
+    biases. start is None for a solve from zero; a LinearModelSet whose
+    active features include cols, whose weights on cols and biases every
+    set starts from; or the index of an earlier job of the same rows
+    whose cols include these, each set then starting from its set of the
+    same rows. A job so named is kept for the one job that names it, and
+    ConfigError is raised if it is unsolved, or read, when that job fills.
+
+    Each set is train_ova(X[r][:, cols], y[r], n_classes, config, lam,
+    active_features=cols) for its rows r, whatever its start up to rows
+    tied within _TIE of the margin (see _train_stacked). The sets of one
+    (n, len(cols)) train together, in job order, after the groups whose
+    first job comes earlier, in stacked solves of at most _STACK_BYTES
+    (one set at least), so a block may span solves; a solve fills each
+    job's sets with one gather and one multiply. Each
+    distinct X is checked once per call, and each distinct (y, rows)
+    once, with its label signs, when the first solve that reads it is
+    filled; so of several bad jobs the first in solve order raises.
     """
     if n_classes < 2:
         raise DegenerateLabelsError("need at least two classes")
-    groups: dict = {}
+    groups: dict = {}  # (n, len(cols)) -> (job, its number of sets) per job
     for i, (X, _, rows, cols, _) in enumerate(jobs):
-        groups.setdefault((X.shape[0] if rows is None else len(rows), len(cols)), []).append(i)
-    classes = np.arange(n_classes)[:, None]
+        F, n = (1, X.shape[0]) if rows is None else rows.shape
+        groups.setdefault((n, len(cols)), []).append((i, F))
+    named = {s for *_, s in jobs if s is not None and not isinstance(s, LinearModelSet)}
     matrices: dict = {}  # id(X) -> X as a checked float matrix
-    signs: dict = {}  # (id(y), id(rows)) -> the (K, n) label signs, +1 for class k
+    signs: dict = {}  # (id(y), id(rows)) -> the (F, K, n) label signs, +1 for class k
+    parts: dict = {}  # job -> the (weights, biases) of its sets solved so far
+    done: dict = {}  # named job -> its (weights, biases, cols)
     for (n, l), group in groups.items():
         step = max(1, _STACK_BYTES // (8 * n_classes * max(n, 1) * (2 * (l + 1) + 32)))
-        for first in range(0, len(group), step):
-            solve = group[first:first + step]
-            ZX = np.empty((len(solve), n_classes, n, l + 1))
-            w0 = np.zeros((len(solve), n_classes, l + 1))
-            for f, i in enumerate(solve):
+        solves: dict = {}  # solve -> (job, first set, end set, is it the last?) per job in it
+        first = 0  # the group's number of the job's first set
+        for i, F in group:
+            for lo in range(-(first % step), F, step):
+                solves.setdefault((first + max(lo, 0)) // step, []).append(
+                    (i, max(lo, 0), min(F, lo + step), lo + step >= F))
+            first += F
+        for solve in solves.values():
+            ZX = np.empty((sum(hi - lo for _, lo, hi, _ in solve), n_classes, n, l + 1))
+            w0 = np.zeros(ZX.shape[:2] + (l + 1,))
+            at = 0
+            for i, lo, hi, last in solve:
                 X, y, rows, cols, start = jobs[i]
                 if id(X) not in matrices:
                     matrices[id(X)] = _check_matrix(X)
-                X = matrices[id(X)]
-                # rows[:, None] with cols picks what np.ix_(rows, cols) does, without its set-up
-                X = X[:, cols] if rows is None else X[rows[:, None], cols]
                 key = (id(y), id(rows))
                 if key not in signs:
-                    y = _check_labels(y if rows is None else y[rows], n, n_classes)
-                    signs[key] = np.where(y == classes, 1.0, -1.0)
-                Z = signs[key]
-                np.multiply(Z[:, :, None], X, out=ZX[f, :, :, :l])
+                    signs[key] = (_label_signs(y, (n,), n_classes)[None] if rows is None
+                                  else _label_signs(y[rows], rows.shape, n_classes))
+                f, X, Z = slice(at, at + hi - lo), matrices[id(X)][:, cols], signs[key][lo:hi]
+                X = X[None] if rows is None else X[rows[lo:hi]]  # (sets, n, l)
+                np.multiply(Z[..., None], X[:, None], out=ZX[f, :, :, :l])
                 ZX[f, :, :, l] = Z
-                if start is not None:  # its active features ascend, so each of cols is found
-                    w0[f, :, :l] = start.W[:, np.searchsorted(start.active_features, cols)]
-                    w0[f, :, l] = start.b
+                if isinstance(start, LinearModelSet):
+                    W0, b0, has = start.W, start.b, start.active_features
+                elif start is not None:
+                    if start not in done:
+                        raise ConfigError(f"job {i} starts from job {start}, unsolved or read")
+                    W0, b0, has = done.pop(start) if last else done[start]
+                    W0, b0 = W0[lo:hi], b0[lo:hi]
+                if start is not None:  # its columns ascend, so each of cols is found
+                    w0[f, :, :l] = W0[..., np.searchsorted(has, cols)]
+                    w0[f, :, l] = b0
+                at += hi - lo
             W, b = _train_stacked(ZX, config, w0)
             del ZX  # freed before the next solve allocates its own
-            for f, i in enumerate(solve):
-                yield i, LinearModelSet(W=W[f], b=b[f], lam=lam, active_features=jobs[i][3])
+            at = 0
+            for i, lo, hi, last in solve:
+                parts.setdefault(i, []).append((W[at:at + hi - lo], b[at:at + hi - lo]))
+                at += hi - lo
+                if last:  # its sets as one C-contiguous block
+                    W_i, b_i = (np.concatenate(part) for part in zip(*parts.pop(i)))
+                    rows, cols = jobs[i][2:4]
+                    if i in named:
+                        done[i] = W_i, b_i, cols
+                    yield i, ((W_i, b_i) if rows is not None else
+                              LinearModelSet(W=W_i[0], b=b_i[0], lam=lam, active_features=cols))
 
 
 def decision_matrix(ms: LinearModelSet, X) -> np.ndarray:

@@ -16,31 +16,15 @@ import sys
 from .classifier import save_model
 from .conformal import calibrate, conformal_predict, write_prediction_csv
 from .data import (
-    SyntheticSpec,
-    _write_json,
-    impute_knn,
-    load_csv,
-    save_synthetic,
-    scaled_split,
-    write_csv,
+    SyntheticSpec, _write_json, impute_knn, load_csv, save_synthetic, scaled_split, write_csv,
 )
 from .exceptions import ConfigError, CrfeError, require_int
 from .harness import (
-    CONSISTENCY_COLUMNS,
-    config_from_json,
-    consistency_report,
-    read_json_object,
-    run_all,
+    CONSISTENCY_COLUMNS, config_from_json, consistency_report, read_json_object, run_all,
     run_comparison,
 )
 from .selection import (
-    DEFAULT_PSI,
-    DEFAULT_SIGMA,
-    BetaCriterion,
-    FixedSize,
-    run_crfe,
-    run_rfe,
-    trace_to_csv,
+    DEFAULT_PSI, DEFAULT_SIGMA, BetaCriterion, FixedSize, run_crfe, run_rfe, trace_to_csv,
     trace_to_json,
 )
 

@@ -15,11 +15,7 @@ import numpy as np
 
 from .classifier import LinearModelSet, decision_matrix
 from .data import _labels_below, write_csv
-from .exceptions import (
-    ConfigError,
-    DimensionMismatchError,
-    EmptyCalibrationError,
-)
+from .exceptions import ConfigError, DimensionMismatchError, EmptyCalibrationError
 
 
 def nonconformity_all_labels(D, lam: float) -> np.ndarray:

@@ -18,20 +18,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from .exceptions import (
-    ConfigError,
-    CrfeError,
-    DegenerateLabelsError,
-    DimensionMismatchError,
-    EmptyRowSetError,
-    InvalidSpecError,
-    MissingFileError,
-    MissingLabelColumnError,
-    NonFiniteInputError,
-    NotEnoughDonorsError,
-    SingleClassError,
-    TooFewSamplesError,
-    UnparsableCellError,
-    require_int,
+    ConfigError, CrfeError, DegenerateLabelsError, DimensionMismatchError, EmptyRowSetError,
+    InvalidSpecError, MissingFileError, MissingLabelColumnError, NonFiniteInputError,
+    NotEnoughDonorsError, SingleClassError, TooFewSamplesError, UnparsableCellError, require_int,
     require_real,
 )
 

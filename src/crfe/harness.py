@@ -15,7 +15,8 @@ that the comparison and the stop both want runs once.
 _run_block runs every repeat of a run in one lock-step: each pass trains
 the sets new to any repeat in one stacked solve per shape, and the
 baseline's cross-validated stop trains the folds of every stopping
-repeat in one solve per (fold training size, feature count).
+repeat in one solve per (fold training size, feature count), each path
+model's folds of one size as one block, filled and scored together.
 """
 
 from __future__ import annotations
@@ -31,31 +32,13 @@ from .classifier import TrainConfig, _train_sets, decision_matrix
 from .conformal import _calibrations, _nonconformity, p_value_matrix, prediction_mask
 from .consistency import SubsetFamily, jaccard_multi, kuncheva, weighted_consistency
 from .data import (
-    Dataset,
-    SyntheticSpec,
-    _write_json,
-    generate_synthetic,
-    impute_knn,
-    load_csv,
-    scaled_split,
+    Dataset, SyntheticSpec, _write_json, generate_synthetic, impute_knn, load_csv, scaled_split,
     write_csv,
 )
 from .exceptions import ConfigError, require_int, require_real
-from .metrics import (
-    PointMetricsReport,
-    SetMetricsReport,
-    _point_reports,
-    _set_reports,
-    point_predict,
-)
+from .metrics import PointMetricsReport, SetMetricsReport, _point_reports, _set_reports
 from .plots import save_plot
-from .selection import (
-    BetaCriterion,
-    FixedSize,
-    SelectionTrace,
-    _lockstep,
-    trace_to_json,
-)
+from .selection import BetaCriterion, FixedSize, SelectionTrace, _lockstep, trace_to_json
 
 METRIC_COLUMNS = (
     "coverage",
@@ -388,28 +371,40 @@ def _cv_accuracies(paths, n_classes, tcfg) -> list[list[float]]:
 
     Each is the mean held-out argmax accuracy over _CV_FOLDS contiguous
     folds, in fold order. A fold that holds out no row, or whose training
-    rows miss a class, is skipped; -1.0 when every fold is skipped. Every
-    fold that trains is one job of classifier._train_sets, started from
-    ms. A path's folds, their training rows and held-out blocks are built
-    once for all its models.
+    rows miss a class, is skipped; -1.0 when every fold is skipped. A
+    path's folds are cut once, into a block per held-out size (two when
+    its row count is not a multiple of _CV_FOLDS), and each (model, block)
+    is one job of classifier._train_sets. Its fold models are scored
+    together, with decision_matrix's arithmetic per fold. A block starts
+    from the path's block of the model before, which must hold its
+    columns and train in an earlier solve, and otherwise from ms.
     """
-    jobs, held, blocks, accs = [], [], [], []  # held: (path, model, fold) of each job
+    jobs, held, accs = [], [], []  # held: (path, model, first fold, held-out rows) of each job
+    order: dict = {}  # (row count, column count) -> the rank in which _train_sets solves it
     for p, (X, y, models) in enumerate(paths):
-        n = X.shape[0]
-        folds = []  # (training rows, held-out rows, their labels) of each fold that trains
-        for hold in np.array_split(np.arange(n), _CV_FOLDS):
-            rows = np.setdiff1d(np.arange(n), hold)
+        every = np.arange(X.shape[0])
+        blocks: dict = {}  # held-out size -> (training rows, held-out rows) of its folds that train
+        for hold in np.array_split(every, _CV_FOLDS):
+            rows = np.delete(every, hold)
             if hold.size and np.bincount(y[rows], minlength=n_classes).all():
-                folds.append((rows, X[hold], y[hold]))
-        jobs += [(X, y, rows, ms.active_features, ms) for ms in models for rows, *_ in folds]
-        held += [(p, k, f) for k in range(len(models)) for f in range(len(folds))]
-        blocks.append(folds)
-        accs.append(np.empty((len(models), len(folds))))
-    for j, ms in _train_sets(jobs, n_classes, tcfg):
-        p, k, f = held[j]
-        _, X_hold, y_hold = blocks[p][f]
-        pred = point_predict(decision_matrix(ms, X_hold[:, list(ms.active_features)]))
-        accs[p][k, f] = np.count_nonzero(pred == y_hold) / y_hold.size
+                blocks.setdefault(hold.size, []).append((rows, hold))
+        blocks = [tuple(map(np.array, zip(*folds))) for folds in blocks.values()]
+        firsts = np.cumsum([0] + [len(rows) for rows, _ in blocks]).tolist()
+        for k, ms in enumerate(models):
+            cols, up = ms.active_features, models[k - 1].active_features if k else ()
+            for (rows, hold), first in zip(blocks, firsts):
+                rank = order.setdefault((rows.shape[1], len(cols)), len(order))
+                chain = k and set(cols) <= set(up) and order[rows.shape[1], len(up)] < rank
+                jobs.append((X, y, rows, cols, len(jobs) - len(blocks) if chain else ms))
+                held.append((p, k, first, hold))
+        accs.append(np.empty((len(models), firsts[-1])))
+    for j, (W, b) in _train_sets(jobs, n_classes, tcfg):
+        p, k, first, hold = held[j]
+        X, y, _ = paths[p]
+        # per fold, X_hold @ W.T + b, as decision_matrix scores it
+        D = np.matmul(X[:, jobs[j][3]][hold], W.transpose(0, 2, 1)) + b[:, None]
+        hits = np.count_nonzero(D.argmax(axis=2) == y[hold], axis=1)
+        accs[p][k, first:first + len(hold)] = hits / hold.shape[1]
     return [a.mean(axis=1).tolist() if a.shape[1] else [-1.0] * len(a) for a in accs]
 
 

@@ -26,11 +26,7 @@ import numpy as np
 from .classifier import LinearModelSet, TrainConfig, _train_sets
 from .data import _labels_below, write_csv
 from .exceptions import (
-    DimensionMismatchError,
-    EmptyVectorError,
-    InvalidPolicyError,
-    require_int,
-    require_real,
+    DimensionMismatchError, EmptyVectorError, InvalidPolicyError, require_int, require_real,
 )
 
 DEFAULT_SIGMA = 5.0
@@ -228,11 +224,13 @@ def _elimination(X_train, X_cal, y_cal, method: str, policy):
     """The backward loop shared by both selectors, as a generator.
 
     It yields each pass's active set as a tuple and is sent that set's
-    LinearModelSet; it returns the SelectionTrace, which keeps every model
-    it was sent. Its checks run at the first next(), before anything
-    trains. Each pass scores the active features with the method's
-    criterion (beta for crfe, squared weights for rfe) and removes the one
-    it picks. For crfe the criterion's mean is the mean beta: its history
+    LinearModelSet with its scores, a dict method -> criterion that every
+    run on the set and the same calibration data shares; it returns the
+    SelectionTrace, which keeps every model it was sent. Its checks run
+    at the first next(), before anything trains. Each pass scores the
+    active features with the method's criterion (beta for crfe, squared
+    weights for rfe), unless a run of the same method scored them, and
+    removes the one it picks. For crfe the criterion's mean is the mean beta: its history
     and second difference are recorded under either policy, and only
     BetaCriterion stops on them.
     """
@@ -267,9 +265,11 @@ def _elimination(X_train, X_cal, y_cal, method: str, policy):
     mean_hist: list[float] = []
     fired = False
     while not fired:
-        ms = yield tuple(active)
+        ms, scores = yield tuple(active)
         models.append(ms)
-        crit = score(ms, X_cal[:, active], y_cal)
+        if method not in scores:
+            scores[method] = score(ms, X_cal[:, active], y_cal)
+        crit = scores[method]
         if beta:
             mean = float(crit.mean())
             mean_hist.append(mean)
@@ -301,13 +301,13 @@ def _lockstep(groups, n_classes: int, config: TrainConfig, lam: float) -> list[S
 
     A group is (X_train, y_train, X_cal, y_cal, plan), plan a list of
     (method, policy); the runs of a group share the model of each active
-    set they train. Every policy is checked before anything trains. Each
-    round, the sets new to their group train in one
-    classifier._train_sets call, each started from the model its run was
-    last sent, on the columns the run keeps. A set that several runs want
-    starts from the first of them in run order.
+    set they train, and each method's scores of it. Every policy is
+    checked before anything trains. Each round, the sets new to their
+    group train in one classifier._train_sets call, each started from the
+    model its run was last sent, on the columns the run keeps. A set that
+    several runs want starts from the first of them in run order.
     """
-    models = [{} for _ in groups]  # per group, tuple(active) -> the model trained on it
+    models = [{} for _ in groups]  # per group, tuple(active) -> its model and scores
     data, runs = [], []  # per group (X_train, y_train); per run (group, generator)
     for X_train, y_train, X_cal, y_cal, plan in groups:
         X_train, X_cal = np.asarray(X_train, dtype=float), np.asarray(X_cal, dtype=float)
@@ -326,12 +326,12 @@ def _lockstep(groups, n_classes: int, config: TrainConfig, lam: float) -> list[S
         jobs = [(*data[g], None, a, last.get(i)) for (g, a), i in new.items()]
         for j, ms in _train_sets(jobs, n_classes, config, lam):
             g, a = keys[j]
-            models[g][a] = ms
+            models[g][a] = ms, {}
         for i, active in list(wants.items()):
             g, gen = runs[i]
-            last[i] = models[g][active]
+            last[i], scores = models[g][active]
             try:
-                wants[i] = gen.send(last[i])
+                wants[i] = gen.send((last[i], scores))
             except StopIteration as done:
                 traces[i] = done.value
                 del wants[i]

@@ -33,9 +33,12 @@ from oracles import (
 
 
 def train_sets(jobs, n_classes, config):
-    """The model sets of classifier._train_sets, in job order."""
+    """The model sets of classifier._train_sets, one per training set in
+    job order: a job of rows None gives one, a block of F rows F."""
     got = dict(classifier._train_sets(jobs, n_classes, config))
-    return [got[i] for i in range(len(jobs))]
+    return [ms for i, (*_, rows, cols, _) in enumerate(jobs)
+            for ms in ([got[i]] if rows is None else
+                       [LinearModelSet(W=W, b=b, active_features=cols) for W, b in zip(*got[i])])]
 
 
 def train_binary(X, z, config=TrainConfig()):
@@ -237,13 +240,13 @@ def test_jobs_with_starts_train_as_without(monkeypatch):
     part = LinearModelSet(W=rng.standard_normal((3, 4)), b=rng.standard_normal(3),
                           active_features=(0, 2, 3, 5))
     plan = [((0, 1, 2, 3, 4, 5), full), ((0, 2, 3, 5), full), ((0, 3, 5), part), ((0, 2, 3, 5), part)]
-    cold = [(X, y, rows, c, None) for rows in folds for c, _ in plan]
-    warm = [(X, y, rows, c, start) for rows in folds for c, start in plan]
+    cold = [(X, y, np.array(folds), c, None) for c, _ in plan]
+    warm = [(X, y, np.array(folds), c, start) for c, start in plan]
     starts, real = [], classifier._train_stacked
     monkeypatch.setattr(classifier, "_train_stacked",
                         lambda ZX, config, w0=None: starts.extend(w0) or real(ZX, config, w0))
-    order = [i for i, _ in classifier._train_sets(warm, 3, TrainConfig())]
-    # each solve starts from its jobs' start models on the jobs' columns, in solve order
+    order = [i for i, _ in classifier._train_sets(warm, 3, TrainConfig()) for _ in folds]
+    # each set starts from its job's start model on the job's columns, in solve order
     for w0, i in zip(starts, order, strict=True):
         _, _, _, cols, start = warm[i]
         keep = [start.active_features.index(f) for f in cols]
@@ -251,6 +254,76 @@ def test_jobs_with_starts_train_as_without(monkeypatch):
     for got, want in zip(train_sets(warm, 3, TrainConfig()), train_sets(cold, 3, TrainConfig())):
         assert np.array_equal(got.W, want.W) and np.array_equal(got.b, want.b)
         assert got.active_features == want.active_features
+
+
+def fold_rows(rng, y, k, f, n_train):
+    """A block of f training sets of n_train rows of y, shape (f, n_train)."""
+    folds = []
+    for _ in range(f):
+        perm = rng.permutation(len(y))
+        # one row of every class first, so that no training set misses one
+        firsts = [int(perm[y[perm] == c][0]) for c in range(k)]
+        rest = [int(i) for i in perm if i not in firsts]
+        folds.append(firsts + rest[:n_train - k])
+    return np.array(folds)
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("f,k,n,l", [(4, 2, 30, 3), (3, 3, 36, 8), (2, 4, 131, 35), (5, 2, 5, 0),
+                                     (2, 3, 200, 12)])
+@pytest.mark.parametrize("c", [0.01, 0.1, 10.0])
+def test_a_chained_start_gives_the_cold_model_bit_for_bit(tied, f, k, n, l, c):
+    # a block started from the block of its rows one column up, as the
+    # baseline's CV starts each fold from the same fold one size up
+    rng = np.random.default_rng(f * 1000 + n + l)
+    X, y = random_problem(rng, n + 10, l + 1, k)
+    rows = fold_rows(rng, y, k, f, n)
+    if tied:  # every row twice
+        rows = np.concatenate([rows, rows[:, ::-1]], axis=1)
+    narrow = np.delete(np.arange(l + 1), rng.integers(l + 1))
+    config = TrainConfig(c=c)
+    jobs = [(X, y, rows, np.arange(l + 1), None), (X, y, rows, narrow, 0)]
+    W, b = dict(classifier._train_sets(jobs, k, config))[1]
+    (_, (W0, b0)), = classifier._train_sets([(X, y, rows, narrow, None)], k, config)
+    assert np.array_equal(W, W0) and np.array_equal(b, b0)
+
+
+def test_a_start_names_a_job_solved_before_it_and_read_once(monkeypatch):
+    rng = np.random.default_rng(11)
+    X, y = random_problem(rng, 40, 4, 3)
+    rows = fold_rows(rng, y, 3, 3, 30)
+    wide, narrow = (X, y, rows, (0, 1, 2, 3), None), (X, y, rows, (0, 2, 3), 0)
+    starts, real = [], classifier._train_stacked
+    monkeypatch.setattr(classifier, "_train_stacked",
+                        lambda ZX, config, w0=None: starts.append(w0) or real(ZX, config, w0))
+    got = dict(classifier._train_sets([wide, narrow], 3, TrainConfig()))
+    # each set of the narrow block starts from the wide block's set of its rows
+    W, b = got[0]
+    assert np.array_equal(starts[1], np.concatenate([W[:, :, [0, 2, 3]], b[..., None]], axis=2))
+    # a job of a later group, the job itself, a job its one reader has read
+    for jobs in ([(X, y, rows, (0, 2, 3), 1), wide], [(X, y, rows, (0, 1), 0)],
+                 [wide, narrow, (X, y, rows, (0, 3), 0)]):
+        with pytest.raises(ConfigError, match="starts from job 0|starts from job 1"):
+            list(classifier._train_sets(jobs, 3, TrainConfig()))
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_blocks_cut_across_solves_train_as_whole(monkeypatch, step):
+    rng = np.random.default_rng(13)
+    X, y = random_problem(rng, 60, 5, 3)
+    jobs = [(X, y, fold_rows(rng, y, 3, f, 50), cols, None)
+            for f, cols in ((3, range(5)), (4, range(5)), (2, (0, 2)), (5, range(5)))]
+    whole = train_sets(jobs, 3, TrainConfig())
+    sets, real = [], classifier._train_stacked
+    monkeypatch.setattr(classifier, "_train_stacked",
+                        lambda ZX, config, w0=None: sets.append(len(ZX)) or real(ZX, config, w0))
+    # the bytes of `step` sets of 50 rows and 5 columns
+    monkeypatch.setattr(classifier, "_STACK_BYTES", step * 8 * 3 * 50 * (2 * 6 + 32))
+    cut = train_sets(jobs, 3, TrainConfig())
+    # 12 sets on 5 columns in solves of `step`, blocks cut between them; 2 on 2 columns
+    assert sets == [step] * (12 // step) + [12 % step] * (12 % step > 0) + ([1, 1] if step == 1 else [2])
+    for got, want in zip(cut, whole, strict=True):
+        assert np.array_equal(got.W, want.W) and np.array_equal(got.b, want.b)
 
 
 def test_random_stacks_never_hit_the_iteration_cap():
@@ -294,14 +367,8 @@ def test_fold_trainer_matches_train_ova_per_fold(problem):
     rng = np.random.default_rng(data_seed)
     X = rng.standard_normal((n, l)) * rng.uniform(0.1, 10.0)
     y = rng.permutation(np.arange(n) % k)
-    folds = []
-    for _ in range(f):
-        perm = rng.permutation(n)
-        # one row of every class first, so that no training set misses one
-        firsts = [int(perm[y[perm] == c][0]) for c in range(k)]
-        rest = [int(i) for i in perm if i not in firsts]
-        folds.append(np.array(firsts + rest[:n_train - k]))
-    got = train_sets([(X, y, rows, range(l), None) for rows in folds], k, config)
+    folds = fold_rows(rng, y, k, f, n_train)
+    got = train_sets([(X, y, folds, range(l), None)], k, config)
     assert len(got) == f
     for ms, rows in zip(got, folds):
         want = train_ova(X[rows], y[rows], k, config)
@@ -341,7 +408,7 @@ def test_labels_must_be_whole_numbers():
 def test_fold_trainer_rejects_a_fold_missing_a_class():
     X = np.random.default_rng(2).standard_normal((8, 2))
     y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-    good, bad = np.arange(1, 5), np.arange(4)
+    good, bad = np.arange(1, 5)[None], np.arange(4)[None]
     with pytest.raises(DegenerateLabelsError):
         train_sets([(X, y, rows, range(2), None) for rows in (good, bad)], 2, TrainConfig())
     # the labels of (y, good) are checked once for both its jobs; (y, bad) still raises
@@ -356,7 +423,7 @@ def test_a_bad_cell_in_a_jobs_matrix_raises():
     X[3, 2] = np.nan
     # the matrix is checked whole, so the job raises though it reads neither row 3 nor column 2
     with pytest.raises(NonFiniteInputError, match="NaN or infinite"):
-        train_sets([(X, y, np.arange(10, 30), (0, 1), None)], 2, TrainConfig())
+        train_sets([(X, y, np.arange(10, 30)[None], (0, 1), None)], 2, TrainConfig())
 
 
 def test_ova_structure_and_accuracy():

@@ -1,10 +1,14 @@
-"""Random `select` inputs end in exit 0, 2 or 3, never in an exception.
+"""Random `select` and `bench` inputs end in exit 0, 2 or 3, never in an
+exception.
 
 The CSVs vary in row count, class count and class sizes (1-row classes
 and single-class files included), in missing and non-numeric cells, and
-the arguments in seed, stop rule and method.
+the arguments in seed, stop rule and method. The bench configs vary in
+their synthetic spec (invalid ones included), repeats, stopping repeats
+and stop settings, selectors and sizes.
 """
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -53,5 +57,51 @@ def test_select_exits_0_2_or_3(text, seed, stop, method):
         data.write_text(text)
         rc = main(["select", "--data", str(data), "--label", "label", "--method", method,
                    "--stop", stop, "--seed", str(seed), "--out", str(Path(tmp) / "o")])
+    event(f"exit {rc}")
+    assert rc in (0, 2, 3)
+
+
+# one bad setting each: a config error (exit 2), or too few features to compare
+FAULTS = [("spec", "n_informative", 9), ("spec", "class_sep", 0.0), ("spec", "n_features", 1),
+          ("cfg", "repeats", 0), ("cfg", "sizes", [9]), ("cfg", "sizes", [1, 2]),
+          ("cfg", "sizes", "3"), ("cfg", "selectors", []), ("cfg", "selectors", ["rfe", "rfe"]),
+          ("stopping", "psi", 2), ("stopping", "warmup", -1)]
+
+
+@st.composite
+def bench_configs(draw):
+    """A small synthetic spec and bench settings, valid but for at most one fault."""
+    l = draw(st.integers(2, 5))
+    informative = draw(st.integers(1, l))
+    k = draw(st.integers(2, min(4, 2 ** informative)))
+    spec = {"n_samples": draw(st.integers(k, 30)), "n_features": l, "n_informative": informative,
+            "n_redundant": draw(st.integers(0, min(1, l - informative))), "n_classes": k,
+            "class_sep": draw(st.sampled_from([0.5, 2.0])),
+            "flip_y": draw(st.sampled_from([0.0, 0.1, 1.0])), "seed": draw(st.integers(0, 99))}
+    stopping = {"repeats": draw(st.integers(1, 2)), "psi": draw(st.integers(3, 10)),
+                "warmup": draw(st.integers(0, 5))}
+    cfg = {"dataset": {"synthetic": spec}, "repeats": draw(st.integers(1, 2)),
+           "master_seed": draw(st.integers(0, 999)), "stopping": stopping,
+           "selectors": draw(st.sampled_from([["crfe", "rfe"], ["rfe"], ["crfe"]]))}
+    sizes = draw(st.lists(st.integers(1, l - 1), unique=True))
+    if sizes:
+        cfg["sizes"] = sorted(sizes, reverse=True)
+    if draw(st.integers(0, 2)) == 0:
+        part, key, value = draw(st.sampled_from(FAULTS))
+        {"spec": spec, "cfg": cfg, "stopping": stopping}[part][key] = value
+    return cfg
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=bench_configs())
+@example(cfg={"dataset": {"synthetic": {"n_samples": 12, "n_features": 3, "n_informative": 2,
+                                        "n_redundant": 0, "n_classes": 3, "class_sep": 2.0,
+                                        "flip_y": 0.0, "seed": 0}},
+              "repeats": 1, "stopping": {"repeats": 2}})  # runs: folds of 1 or 2 rows
+def test_bench_exits_0_2_or_3(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["bench", "--config", str(path), "--out", str(Path(tmp) / "o")])
     event(f"exit {rc}")
     assert rc in (0, 2, 3)

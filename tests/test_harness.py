@@ -338,13 +338,35 @@ def cv_of_all_columns(X, y, n_classes, tcfg):
 
 @pytest.mark.parametrize("n", [36, 37, 41, 43, 44])
 def test_cv_accuracy_matches_per_fold_oracle(n):
-    # n % 5 != 0 gives folds of two training-set sizes, trained in two solves
+    # n % 5 != 0 gives folds of two training and two held-out sizes, so a
+    # path's models train in two blocks each
     rng = np.random.default_rng(n)
     X = rng.standard_normal((n, 4))
     y = rng.permutation(np.arange(n) % 3)
     X[:, 0] += y
     tcfg = TrainConfig()
     assert cv_of_all_columns(X, y, 3, tcfg) == cv_accuracy(X, y, 3, tcfg)
+
+    def data(rows, cols, y):
+        X = rng.standard_normal((rows, cols))
+        X[:, 0] += y
+        return X, y
+
+    sorted_y = np.repeat([0, 1, 2], [3, (n + 2) // 2, n - 1 - (n + 2) // 2])
+    paths = [
+        (X, y, [(0, 1, 2, 3), (0, 2, 3), (2, 3), (3,)]),  # one column fewer each model
+        # other data of as many rows, so the first path's shapes come first:
+        # (1, 2, 4, 5) cannot start from (0, 1, 2, 4, 5), nor (0, 3) from (1, 5)
+        (*data(n, 6, rng.permutation(np.arange(n) % 3)),
+         [(0, 1, 2, 3, 4, 5), (0, 1, 2, 4, 5), (1, 2, 4, 5), (1, 5), (0, 3)]),
+        (*data(n + 2, 3, sorted_y), [(0, 1, 2), (0, 2)]),  # class 0 in fold 0 alone: skipped
+        (*data(3, 2, np.arange(3)), [(0, 1), (1,)]),  # each fold holds out a class or nothing
+    ]
+    got = _cv_accuracies([(X, y, [train_ova(X[:, c], y, 3, tcfg, active_features=c) for c in cols])
+                          for X, y, cols in paths], 3, tcfg)
+    want = [[cv_accuracy(X[:, c], y, 3, tcfg) for c in cols] for X, y, cols in paths]
+    assert got == want
+    assert want[-1] == [-1.0, -1.0] and min(want[2]) >= 0.0
 
 
 def test_cv_accuracy_skips_degenerate_folds_like_oracle():
@@ -427,6 +449,29 @@ def test_run_all_runs_each_elimination_once_per_repeat(tmp_path, monkeypatch):
     # per repeat: crfe to size 1 and crfe's beta stop, one baseline run for both
     assert sorted(runs) == ["crfe"] * 4 + ["rfe"] * 2
     assert sorted(scored) == sorted(list(range(1, 9)) * 2)
+
+
+def test_run_all_scores_each_crfe_model_once_per_repeat(tmp_path, monkeypatch):
+    """crfe's beta stop and its comparison path share the passes before the
+    stop fires, and compute the beta of each shared model once."""
+    scored, passes = [], []
+    real_elimination, real_beta = selection._elimination, selection.beta_measures
+
+    def elimination(X_train, X_cal, y_cal, method, policy):
+        trace = yield from real_elimination(X_train, X_cal, y_cal, method, policy)
+        passes.extend([method] * len(trace.models))
+        return trace
+
+    def beta(ms, X, y):
+        scored.append((y.tobytes(), ms.active_features))  # a repeat's labels name it
+        return real_beta(ms, X, y)
+
+    monkeypatch.setattr(selection, "_elimination", elimination)
+    monkeypatch.setattr(selection, "beta_measures", beta)
+    run_all(config_from_dict({**BENCH_CFG, "stopping": {"repeats": 3}}), tmp_path)
+    # 2 comparison paths of 8 passes and 3 stops of 6, 6 and 8: 36 passes, 24 models
+    assert passes.count("crfe") == 36
+    assert len(scored) == len(set(scored)) == 24
 
 
 def test_comparison_and_stop_with_custom_sizes_match_each_run_alone():
