@@ -12,10 +12,10 @@ solver returns them and in which scoring and feature selection read them.
 
 _train_sets, the drivers' one entry, solves the K problems of every
 training set of one shape together, F sets times K classes in one
-stacked solve, each from zero or from a given start. A job is one set
-on every row of a matrix, returned as a LinearModelSet, or a block of
-sets on rows of it (a path model's cross-validation folds), returned as
-weight and bias arrays; its start is a model set or an earlier block.
+stacked solve, each from zero or from a given start. A job is a block
+of sets on rows of a matrix (one set on every row, or a path model's
+cross-validation folds), returned as weight and bias arrays; its start
+is a model set or the block of a job with more columns, solved first.
 Each problem's model is the one a solve over it alone returns, bit for
 bit, and the one a solve from zero returns unless a row lies within
 _TIE of its margin.
@@ -24,7 +24,7 @@ _TIE of its margin.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,8 +135,8 @@ _NEWTON_CAP = 1000
 # rows whose margin is within this of 1 may change sides without forcing a step
 _TIE = 1e-9
 
-# bytes one stacked solve may hold: its label-signed rows, their masked copy and
-# about 32 values of solver state per row; larger groups take several solves
+# bytes a stacked solve is filled to: its label-signed rows, their masked copy and
+# about 32 values of solver state per row; it takes whole jobs, so its last may pass it
 _STACK_BYTES = 1 << 21
 
 
@@ -212,6 +212,7 @@ def _train_stacked(ZX, config: TrainConfig, w0=None) -> tuple[np.ndarray, np.nda
             rows *= act[:, s:s + _ROW_BLOCK, None]
             H += np.matmul(rows.transpose(0, 2, 1), rows)
             g += np.matmul(np.ones((1, rows.shape[1])), rows)
+            del rows  # freed before the next block, or A[live] below, is copied
         with np.errstate(over="ignore"):  # a c that overflows is caught just below
             H *= c
             g *= c
@@ -226,8 +227,8 @@ def _train_stacked(ZX, config: TrainConfig, w0=None) -> tuple[np.ndarray, np.nda
         moved = ((r_new > 0) != act) & (np.abs(r_new) > _TIE)
         on = moved.any(axis=1)
         live, r_new = live[on], r_new[on]
-        if not live.size:
-            return W[:, :-1].reshape(F, K, d - 1), W[:, -1].reshape(F, K)
+        if not live.size:  # weights C-contiguous, as a LinearModelSet holds them
+            return np.ascontiguousarray(W[:, :-1]).reshape(F, K, d - 1), W[:, -1].reshape(F, K)
         delta = W[live] - w[live]
         dd = r[live] - r_new  # A delta
         t = _line_search(w[live], delta, r[live], dd, c)
@@ -238,15 +239,16 @@ def _train_stacked(ZX, config: TrainConfig, w0=None) -> tuple[np.ndarray, np.nda
         f" did not converge in {_NEWTON_CAP} iterations")
 
 
-def _label_signs(y, shape, n_classes: int) -> np.ndarray:
-    """The +-1 signs of labels y of the given shape (..., n), shape
-    (..., n_classes, n): +1 where y is class k, after checking that each
-    set of n labels can train n_classes models."""
+def _label_signs(y, rows, n_rows: int, n_classes: int) -> np.ndarray:
+    """The +-1 signs of labels y[rows] for rows of shape (F, n), shape
+    (F, n_classes, n): +1 where the label is class k, after checking that
+    y labels n_rows rows and each set of n labels can train n_classes
+    models."""
     y = _labels_below(y, n_classes, "labels")
-    if y.shape != shape:
+    if y.shape != (n_rows,):
         raise DimensionMismatchError("y length does not match X rows")
-    Z = np.where(y[..., None, :] == np.arange(n_classes)[:, None], 1.0, -1.0)
-    absent = (Z < 0).all(axis=-1).reshape(-1, n_classes).any(axis=0)
+    Z = np.where(y[rows][..., None, :] == np.arange(n_classes)[:, None], 1.0, -1.0)
+    absent = (Z < 0).all(axis=-1).any(axis=0)
     if absent.any():
         raise DegenerateLabelsError(
             f"classes absent from training labels: {np.flatnonzero(absent).tolist()}")
@@ -267,95 +269,86 @@ def train_ova(
     must occur in y.
     """
     X = _check_matrix(X)
-    (_, ms), = _train_sets([(X, y, None, range(X.shape[1]), None)], n_classes, config, lam)
-    return ms if active_features is None else replace(ms, active_features=active_features)
+    cols = range(X.shape[1])
+    (_, (W, b)), = _train_sets([(X, y, np.arange(X.shape[0])[None], cols, None)], n_classes, config)
+    return LinearModelSet(W=W[0], b=b[0], lam=lam,
+                          active_features=cols if active_features is None else active_features)
 
 
-def _train_sets(jobs, n_classes: int, config: TrainConfig, lam: float = DEFAULT_LAMBDA):
-    """Yield (job index, result) per job (X, y, rows, cols, start), once
-    its last set is solved.
+def _train_sets(jobs, n_classes: int, config: TrainConfig):
+    """Yield (job index, (W, b)) per job (X, y, rows, cols, start), once
+    it is solved.
 
-    rows is None for one set of every row of X, whose result is a
-    LinearModelSet on cols, or an (F, n) index array for a block of F
-    sets, whose result is their (F, K, len(cols)) weights and (F, K)
-    biases. start is None for a solve from zero; a LinearModelSet whose
-    active features include cols, whose weights on cols and biases every
-    set starts from; or the index of an earlier job of the same rows
-    whose cols include these, each set then starting from its set of the
-    same rows. A job so named is kept for the one job that names it, and
-    ConfigError is raised if it is unsolved, or read, when that job fills.
+    rows is an (F, n) index array, F training sets of n rows of X each
+    (np.arange(n)[None] is one set of every row); W is their
+    (F, K, len(cols)) weights and b their (F, K) biases. start is None
+    for a solve from zero; a LinearModelSet whose active features include
+    cols, whose weights on cols and biases every set starts from; or the
+    index of a job of the same rows whose cols include these and more,
+    each set then starting from its set of the same rows. A job so named
+    is kept for the one job that names it, and ConfigError is raised if
+    it has no more columns than that job, or is read twice.
 
-    Each set is train_ova(X[r][:, cols], y[r], n_classes, config, lam,
+    Each set is train_ova(X[r][:, cols], y[r], n_classes, config,
     active_features=cols) for its rows r, whatever its start up to rows
-    tied within _TIE of the margin (see _train_stacked). The sets of one
-    (n, len(cols)) train together, in job order, after the groups whose
-    first job comes earlier, in stacked solves of at most _STACK_BYTES
-    (one set at least), so a block may span solves; a solve fills each
-    job's sets with one gather and one multiply. Each
-    distinct X is checked once per call, and each distinct (y, rows)
-    once, with its label signs, when the first solve that reads it is
-    filled; so of several bad jobs the first in solve order raises.
+    tied within _TIE of the margin (see _train_stacked). The jobs of one
+    (n, len(cols)) train together, in job order, the groups with the most
+    columns first (so a named job is solved before the job naming it), in
+    stacked solves that each take whole jobs until they hold at least the
+    sets _STACK_BYTES allows; a solve fills each job's sets with one
+    gather and one multiply. Each distinct X is checked once per call,
+    and each distinct (X, y, rows) once, with its label signs, when the
+    first solve that reads it is filled; so of several bad jobs the first
+    in solve order raises.
     """
     if n_classes < 2:
         raise DegenerateLabelsError("need at least two classes")
-    groups: dict = {}  # (n, len(cols)) -> (job, its number of sets) per job
-    for i, (X, _, rows, cols, _) in enumerate(jobs):
-        F, n = (1, X.shape[0]) if rows is None else rows.shape
-        groups.setdefault((n, len(cols)), []).append((i, F))
+    groups: dict = {}  # (n, len(cols)) -> its jobs
+    for i, (_, _, rows, cols, _) in enumerate(jobs):
+        groups.setdefault((rows.shape[1], len(cols)), []).append(i)
     named = {s for *_, s in jobs if s is not None and not isinstance(s, LinearModelSet)}
     matrices: dict = {}  # id(X) -> X as a checked float matrix
-    signs: dict = {}  # (id(y), id(rows)) -> the (F, K, n) label signs, +1 for class k
-    parts: dict = {}  # job -> the (weights, biases) of its sets solved so far
+    signs: dict = {}  # (id(X), id(y), id(rows)) -> the (F, K, n) label signs, +1 for class k
     done: dict = {}  # named job -> its (weights, biases, cols)
-    for (n, l), group in groups.items():
+    for (n, l), group in sorted(groups.items(), key=lambda g: -g[0][1]):  # widest first, stable
         step = max(1, _STACK_BYTES // (8 * n_classes * max(n, 1) * (2 * (l + 1) + 32)))
-        solves: dict = {}  # solve -> (job, first set, end set, is it the last?) per job in it
-        first = 0  # the group's number of the job's first set
-        for i, F in group:
-            for lo in range(-(first % step), F, step):
-                solves.setdefault((first + max(lo, 0)) // step, []).append(
-                    (i, max(lo, 0), min(F, lo + step), lo + step >= F))
-            first += F
-        for solve in solves.values():
-            ZX = np.empty((sum(hi - lo for _, lo, hi, _ in solve), n_classes, n, l + 1))
+        solves, held = [], step  # held: the sets of the last solve
+        for i in group:
+            if held >= step:
+                solves.append([])
+                held = 0
+            solves[-1].append(i)
+            held += len(jobs[i][2])
+        for solve in solves:
+            ends = np.cumsum([len(jobs[i][2]) for i in solve]).tolist()  # where each job's sets end
+            ZX = np.empty((ends[-1], n_classes, n, l + 1))
             w0 = np.zeros(ZX.shape[:2] + (l + 1,))
-            at = 0
-            for i, lo, hi, last in solve:
+            for i, at, end in zip(solve, [0] + ends, ends):
                 X, y, rows, cols, start = jobs[i]
-                if id(X) not in matrices:
-                    matrices[id(X)] = _check_matrix(X)
-                key = (id(y), id(rows))
+                key = id(X), id(y), id(rows)
+                if key[0] not in matrices:
+                    matrices[key[0]] = _check_matrix(X)
+                X = matrices[key[0]]
                 if key not in signs:
-                    signs[key] = (_label_signs(y, (n,), n_classes)[None] if rows is None
-                                  else _label_signs(y[rows], rows.shape, n_classes))
-                f, X, Z = slice(at, at + hi - lo), matrices[id(X)][:, cols], signs[key][lo:hi]
-                X = X[None] if rows is None else X[rows[lo:hi]]  # (sets, n, l)
-                np.multiply(Z[..., None], X[:, None], out=ZX[f, :, :, :l])
+                    signs[key] = _label_signs(y, rows, len(X), n_classes)
+                f, Z = slice(at, end), signs[key]
+                np.multiply(Z[..., None], X[:, cols][rows][:, None], out=ZX[f, :, :, :l])
                 ZX[f, :, :, l] = Z
                 if isinstance(start, LinearModelSet):
                     W0, b0, has = start.W, start.b, start.active_features
                 elif start is not None:
-                    if start not in done:
-                        raise ConfigError(f"job {i} starts from job {start}, unsolved or read")
-                    W0, b0, has = done.pop(start) if last else done[start]
-                    W0, b0 = W0[lo:hi], b0[lo:hi]
+                    if start not in done or len(done[start][2]) <= l:
+                        raise ConfigError(f"job {i} starts from job {start}, no unread wider job")
+                    W0, b0, has = done.pop(start)
                 if start is not None:  # its columns ascend, so each of cols is found
                     w0[f, :, :l] = W0[..., np.searchsorted(has, cols)]
                     w0[f, :, l] = b0
-                at += hi - lo
             W, b = _train_stacked(ZX, config, w0)
             del ZX  # freed before the next solve allocates its own
-            at = 0
-            for i, lo, hi, last in solve:
-                parts.setdefault(i, []).append((W[at:at + hi - lo], b[at:at + hi - lo]))
-                at += hi - lo
-                if last:  # its sets as one C-contiguous block
-                    W_i, b_i = (np.concatenate(part) for part in zip(*parts.pop(i)))
-                    rows, cols = jobs[i][2:4]
-                    if i in named:
-                        done[i] = W_i, b_i, cols
-                    yield i, ((W_i, b_i) if rows is not None else
-                              LinearModelSet(W=W_i[0], b=b_i[0], lam=lam, active_features=cols))
+            for i, at, end in zip(solve, [0] + ends, ends):
+                if i in named:
+                    done[i] = W[at:end], b[at:end], jobs[i][3]
+                yield i, (W[at:end], b[at:end])
 
 
 def decision_matrix(ms: LinearModelSet, X) -> np.ndarray:
@@ -401,12 +394,14 @@ def model_set_to_json(ms: LinearModelSet) -> str:
 def model_set_from_json(text: str) -> LinearModelSet:
     """Read what model_set_to_json writes.
 
-    A document of any other shape, or with a non-finite weight or bias
-    (LinearModelSet checks that), raises ConfigError; weight lists of
-    different lengths raise DimensionMismatchError.
+    A document of any other shape, with a value that is not a JSON number
+    where a number belongs (true, false and strings included), or with a
+    non-finite weight or bias (LinearModelSet checks that), raises
+    ConfigError; weight lists of different lengths raise
+    DimensionMismatchError.
     """
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=float)  # no integer is then too large for a float
     except json.JSONDecodeError as e:
         raise ConfigError(f"invalid model JSON: {e}") from None
     if not isinstance(data, dict):
@@ -423,16 +418,18 @@ def model_set_from_json(text: str) -> LinearModelSet:
     # numpy raises ValueError on ragged rows, so their lengths are compared first
     if len({len(m["w"]) for m in entries}) > 1:
         raise DimensionMismatchError("model weight lists differ in length")
-    try:
-        W = [[float(v) for v in m["w"]] for m in entries]
-        b = [float(m["b"]) for m in entries]
-        lam = float(data["lambda"])
-        active = [int(a) for a in data["active_features"]]
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad value in model JSON: {e}") from None
-    if active != data["active_features"]:
+
+    def number(v) -> float:  # not float(v), which also reads a JSON bool or a numeric string
+        if not isinstance(v, float):
+            raise ConfigError(f"bad value in model JSON: {v!r} is not a number")
+        return v
+
+    feats = data["active_features"]
+    if not isinstance(feats, list) or not all(number(a).is_integer() for a in feats):
         raise ConfigError("model JSON active_features must be whole numbers")
-    return LinearModelSet(W=W, b=b, lam=lam, active_features=active)
+    return LinearModelSet(W=[[number(v) for v in m["w"]] for m in entries],
+                          b=[number(m["b"]) for m in entries], lam=number(data["lambda"]),
+                          active_features=[int(a) for a in feats])
 
 
 def save_model(ms: LinearModelSet, path) -> None:

@@ -376,11 +376,10 @@ def _cv_accuracies(paths, n_classes, tcfg) -> list[list[float]]:
     its row count is not a multiple of _CV_FOLDS), and each (model, block)
     is one job of classifier._train_sets. Its fold models are scored
     together, with decision_matrix's arithmetic per fold. A block starts
-    from the path's block of the model before, which must hold its
-    columns and train in an earlier solve, and otherwise from ms.
+    from the path's block of the model before when that model's columns
+    strictly include its own, and otherwise from ms.
     """
     jobs, held, accs = [], [], []  # held: (path, model, first fold, held-out rows) of each job
-    order: dict = {}  # (row count, column count) -> the rank in which _train_sets solves it
     for p, (X, y, models) in enumerate(paths):
         every = np.arange(X.shape[0])
         blocks: dict = {}  # held-out size -> (training rows, held-out rows) of its folds that train
@@ -391,10 +390,9 @@ def _cv_accuracies(paths, n_classes, tcfg) -> list[list[float]]:
         blocks = [tuple(map(np.array, zip(*folds))) for folds in blocks.values()]
         firsts = np.cumsum([0] + [len(rows) for rows, _ in blocks]).tolist()
         for k, ms in enumerate(models):
-            cols, up = ms.active_features, models[k - 1].active_features if k else ()
+            cols = ms.active_features
+            chain = k and set(cols) < set(models[k - 1].active_features)
             for (rows, hold), first in zip(blocks, firsts):
-                rank = order.setdefault((rows.shape[1], len(cols)), len(order))
-                chain = k and set(cols) <= set(up) and order[rows.shape[1], len(up)] < rank
                 jobs.append((X, y, rows, cols, len(jobs) - len(blocks) if chain else ms))
                 held.append((p, k, first, hold))
         accs.append(np.empty((len(models), firsts[-1])))

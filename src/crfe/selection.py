@@ -303,18 +303,21 @@ def _lockstep(groups, n_classes: int, config: TrainConfig, lam: float) -> list[S
     (method, policy); the runs of a group share the model of each active
     set they train, and each method's scores of it. Every policy is
     checked before anything trains. Each round, the sets new to their
-    group train in one classifier._train_sets call, each started from the
-    model its run was last sent, on the columns the run keeps. A set that
-    several runs want starts from the first of them in run order.
+    group train in one classifier._train_sets call, each a job of every
+    training row (one row array per group, so its labels are signed once a
+    call), started from the model its run was last sent, on the columns
+    the run keeps. A set that several runs want starts from the first of
+    them in run order.
     """
     models = [{} for _ in groups]  # per group, tuple(active) -> its model and scores
-    data, runs = [], []  # per group (X_train, y_train); per run (group, generator)
+    data, runs = [], []  # per group (X_train, y_train), then its rows; per run (group, generator)
     for X_train, y_train, X_cal, y_cal, plan in groups:
         X_train, X_cal = np.asarray(X_train, dtype=float), np.asarray(X_cal, dtype=float)
         runs += [(len(data), _elimination(X_train, X_cal, y_cal, method, policy))
                  for method, policy in plan]
         data.append((X_train, y_train))
     wants = {i: next(gen) for i, (_, gen) in enumerate(runs)}  # each live run's active set
+    data = [(X, y, np.arange(len(X))[None]) for X, y in data]  # every row as one set, once
     last: dict = {}  # each run's model of its last pass
     traces = [None] * len(runs)
     while wants:
@@ -323,10 +326,10 @@ def _lockstep(groups, n_classes: int, config: TrainConfig, lam: float) -> list[S
             if a not in models[runs[i][0]]:
                 new.setdefault((runs[i][0], a), i)
         keys = list(new)
-        jobs = [(*data[g], None, a, last.get(i)) for (g, a), i in new.items()]
-        for j, ms in _train_sets(jobs, n_classes, config, lam):
+        jobs = [(*data[g], a, last.get(i)) for (g, a), i in new.items()]
+        for j, (W, b) in _train_sets(jobs, n_classes, config):
             g, a = keys[j]
-            models[g][a] = ms, {}
+            models[g][a] = LinearModelSet(W=W[0], b=b[0], lam=lam, active_features=a), {}
         for i, active in list(wants.items()):
             g, gen = runs[i]
             last[i], scores = models[g][active]

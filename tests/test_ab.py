@@ -17,4 +17,6 @@ def test_two_bench_operations_with_this_checkout_on_both_sides():
     faster = [int(re.search(r"faster in (\d+)/2$", line).group(1)) for line in lines[:2]]
     assert [line[:2] for line in lines[:2]] == ["a ", "b "] and sum(faster) <= 2
     assert float(re.fullmatch(r"ratio b/a (\S+)", lines[2]).group(1)) > 0
-    assert lines[3] == "same reports 2/2"
+    # the median of the per-operation ratios, next to the ratio of the medians
+    assert float(re.fullmatch(r"paired ratio b/a (\S+)", lines[3]).group(1)) > 0
+    assert lines[4] == "same reports 2/2"

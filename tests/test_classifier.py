@@ -33,12 +33,10 @@ from oracles import (
 
 
 def train_sets(jobs, n_classes, config):
-    """The model sets of classifier._train_sets, one per training set in
-    job order: a job of rows None gives one, a block of F rows F."""
+    """The model sets of classifier._train_sets, one per training set in job order."""
     got = dict(classifier._train_sets(jobs, n_classes, config))
-    return [ms for i, (*_, rows, cols, _) in enumerate(jobs)
-            for ms in ([got[i]] if rows is None else
-                       [LinearModelSet(W=W, b=b, active_features=cols) for W, b in zip(*got[i])])]
+    return [LinearModelSet(W=W, b=b, active_features=job[3])
+            for i, job in enumerate(jobs) for W, b in zip(*got[i])]
 
 
 def train_binary(X, z, config=TrainConfig()):
@@ -140,8 +138,12 @@ def test_ova_input_validation():
         bad = X.copy()
         bad[0, 0] = np.nan
         train_ova(bad, y, 2)
-    with pytest.raises(DimensionMismatchError):
-        train_ova(X, y[:-1], 2)
+    for labels in (y[:-1], np.append(y, 0)):
+        with pytest.raises(DimensionMismatchError):
+            train_ova(X, labels, 2)
+    # a block whose rows lie within a shorter y still needs y to label every row of X
+    with pytest.raises(DimensionMismatchError, match="y length"):
+        train_sets([(X, y[:-1], np.arange(10)[None], range(2), None)], 2, TrainConfig())
     with pytest.raises(DegenerateLabelsError):
         train_ova(X, 2 * y, 2)
 
@@ -300,30 +302,47 @@ def test_a_start_names_a_job_solved_before_it_and_read_once(monkeypatch):
     # each set of the narrow block starts from the wide block's set of its rows
     W, b = got[0]
     assert np.array_equal(starts[1], np.concatenate([W[:, :, [0, 2, 3]], b[..., None]], axis=2))
-    # a job of a later group, the job itself, a job its one reader has read
-    for jobs in ([(X, y, rows, (0, 2, 3), 1), wide], [(X, y, rows, (0, 1), 0)],
-                 [wide, narrow, (X, y, rows, (0, 3), 0)]):
-        with pytest.raises(ConfigError, match="starts from job 0|starts from job 1"):
-            list(classifier._train_sets(jobs, 3, TrainConfig()))
+    # the widest jobs train first, so a wider job later in job order may be named too
+    late = dict(classifier._train_sets([(X, y, rows, (0, 2, 3), 1), wide], 3, TrainConfig()))[0]
+    cold = dict(classifier._train_sets([(X, y, rows, (0, 2, 3), None)], 3, TrainConfig()))[0]
+    assert np.array_equal(late[0], cold[0]) and np.array_equal(late[1], cold[1])
+    # a job of fewer or equal columns, the job itself, a job its one reader has
+    # read; under a cap of one set a solve too, where the job of equal columns
+    # is solved before the job that names it
+    for cap in (classifier._STACK_BYTES, 1):
+        monkeypatch.setattr(classifier, "_STACK_BYTES", cap)
+        for jobs in ([(X, y, rows, (0, 2, 3), None), (X, y, rows, (0, 1, 2, 3), 0)],
+                     [(X, y, rows, (0, 1, 3), None), (X, y, rows, (0, 2, 3), 0)],
+                     [(X, y, rows, (0, 1), 0)], [wide, narrow, (X, y, rows, (0, 3), 0)]):
+            with pytest.raises(ConfigError, match="starts from job 0"):
+                list(classifier._train_sets(jobs, 3, TrainConfig()))
 
 
 @pytest.mark.parametrize("step", [1, 2, 3])
-def test_blocks_cut_across_solves_train_as_whole(monkeypatch, step):
+def test_a_capped_solve_takes_whole_jobs(monkeypatch, step):
     rng = np.random.default_rng(13)
     X, y = random_problem(rng, 60, 5, 3)
     jobs = [(X, y, fold_rows(rng, y, 3, f, 50), cols, None)
-            for f, cols in ((3, range(5)), (4, range(5)), (2, (0, 2)), (5, range(5)))]
-    whole = train_sets(jobs, 3, TrainConfig())
-    sets, real = [], classifier._train_stacked
+            for f, cols in ((1, range(5)), (1, range(5)), (2, (0, 2)), (2, range(5)),
+                            (1, range(5)), (3, range(5)), (1, range(5)))]
+    whole = dict(classifier._train_sets(jobs, 3, TrainConfig()))
+    sizes, real = [], classifier._train_stacked
     monkeypatch.setattr(classifier, "_train_stacked",
-                        lambda ZX, config, w0=None: sets.append(len(ZX)) or real(ZX, config, w0))
+                        lambda ZX, config, w0=None: sizes.append(len(ZX)) or real(ZX, config, w0))
     # the bytes of `step` sets of 50 rows and 5 columns
     monkeypatch.setattr(classifier, "_STACK_BYTES", step * 8 * 3 * 50 * (2 * 6 + 32))
-    cut = train_sets(jobs, 3, TrainConfig())
-    # 12 sets on 5 columns in solves of `step`, blocks cut between them; 2 on 2 columns
-    assert sets == [step] * (12 // step) + [12 % step] * (12 % step > 0) + ([1, 1] if step == 1 else [2])
-    for got, want in zip(cut, whole, strict=True):
-        assert np.array_equal(got.W, want.W) and np.array_equal(got.b, want.b)
+    solves, cut = {}, {}  # solve -> the jobs yielded after it; job -> its (W, b)
+    for i, Wb in classifier._train_sets(jobs, 3, TrainConfig()):
+        solves.setdefault(len(sizes), []).append(i)
+        cut[i] = Wb
+    # the jobs on 5 columns first, whole, each solve closed once it holds `step`
+    # sets (but the group's last); then the one job on 2 columns
+    sets = [[len(jobs[i][2]) for i in solve] for solve in solves.values()]
+    assert sorted(sum(solves.values(), [])) == list(range(7)) and solves[len(sizes)] == [2]
+    assert [sum(s) for s in sets] == sizes
+    assert all(sum(s[:-1]) < step for s in sets) and all(sum(s) >= step for s in sets[:-2])
+    for i, (W, b) in whole.items():
+        assert np.array_equal(cut[i][0], W) and np.array_equal(cut[i][1], b)
 
 
 def test_random_stacks_never_hit_the_iteration_cap():
@@ -380,7 +399,8 @@ def test_fold_trainer_matches_train_ova_per_fold(problem):
 def test_stacked_sets_match_train_ova():
     """Sets of one shape from different data train together as each alone."""
     rng = np.random.default_rng(0)
-    sets = [(*random_problem(rng, 36, 8, 3), None, range(8), None) for _ in range(5)]
+    sets = [(*random_problem(rng, 36, 8, 3), np.arange(36)[None], range(8), None)
+            for _ in range(5)]
     with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("drew")):
         got = train_sets(sets, 3, TrainConfig())
     assert len(got) == len(sets)
@@ -398,7 +418,8 @@ def test_labels_must_be_whole_numbers():
     with pytest.raises(DegenerateLabelsError, match="whole numbers"):
         train_ova(X, [0, 1, 0, 1, 0, np.nan], 2)
     with pytest.raises(DegenerateLabelsError, match="whole numbers"):
-        train_sets([(X, np.array(fractional), None, range(2), None)], 2, TrainConfig())
+        train_sets([(X, np.array(fractional), np.arange(6)[None], range(2), None)], 2,
+                   TrainConfig())
     # whole-valued floats are the same labels as their ints
     whole = train_ova(X, [0.0, 1.0, 0.0, 1.0, 0.0, 1.0], 2)
     ints = train_ova(X, [0, 1, 0, 1, 0, 1], 2)
@@ -579,6 +600,21 @@ def test_json_rejects_garbage():
         two.join(['{"lambda": 0.5, "active_features": [-1, 0], "models": ', "}"]),
         two.join(['{"lambda": 0.5, "active_features": [1, 0], "models": ', "}"]),
         two.join(['{"lambda": 0.5, "active_features": [2, 2], "models": ', "}"]),
+        two.join(['{"lambda": 0.5, "active_features": [Infinity, 1], "models": ', "}"]),
+        two.join(['{"lambda": 0.5, "active_features": [NaN, 1], "models": ', "}"]),
+        two.join(['{"lambda": 0.5, "active_features": [1' + "0" * 400 + ', 1], "models": ', "}"]),
+        # float() reads JSON booleans and numeric strings; neither is a number here
+        '{"lambda": true, "active_features": [false, true], "models": '
+        '[{"w": [true, 0.5], "b": false}, {"w": [3, 4], "b": 1}]}',
+        two.join(['{"lambda": true, "active_features": [0, 1], "models": ', "}"]),
+        two.join(['{"lambda": "0.5", "active_features": [0, 1], "models": ', "}"]),
+        two.join(['{"lambda": 0.5, "active_features": [false, true], "models": ', "}"]),
+        two.join(['{"lambda": 0.5, "active_features": ["0", "1"], "models": ', "}"]),
+        head + '[{"w": ["1e3", 2], "b": 0}, {"w": [3, 4], "b": 1}]}',
+        head + '[{"w": [true, 2], "b": 0}, {"w": [3, 4], "b": 1}]}',
+        head + '[{"w": [1, 2], "b": false}, {"w": [3, 4], "b": 1}]}',
+        head + '[{"w": [1, 2], "b": "0"}, {"w": [3, 4], "b": 1}]}',
+        head + '[{"w": [1' + "0" * 400 + ', 2], "b": 0}, {"w": [3, 4], "b": 1}]}',
         # Python's JSON parser reads these literals as floats
         *(head + f'[{{"w": [{v}, 1], "b": 0}}, {{"w": [3, 4], "b": 1}}]}}'
           for v in ("NaN", "Infinity", "-Infinity")),

@@ -416,10 +416,10 @@ def test_run_all_trains_each_repeat_model_once(tmp_path, monkeypatch):
     trained = []
     real = selection._train_sets
 
-    def recording(jobs, n_classes, config, lam):
+    def recording(jobs, n_classes, config):
         # a repeat's training labels name the repeat
         trained.extend((y.tobytes(), tuple(cols)) for _, y, _, cols, _ in jobs)
-        return real(jobs, n_classes, config, lam)
+        return real(jobs, n_classes, config)
 
     monkeypatch.setattr(selection, "_train_sets", recording)
     run_all(config_from_dict(BENCH_CFG), tmp_path)

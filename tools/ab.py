@@ -9,11 +9,14 @@ are written once, by this checkout's ``perfbench/workloads.py``, for
 ``--seed``. After one untimed warm-up operation per side, operation k
 runs on both sides back to back, as one ``cli.main`` call each, timed in
 process CPU seconds; even operations run ``a`` first and odd ones ``b``
-first. It prints each side's median CPU seconds per operation, the ratio
-b / a of the medians, how many operations each side ran faster, and on
-how many both sides wrote the same report bytes. Timing within one
-process, alternated operation by operation, resolves differences of a
-few percent that separate timed runs on a drifting host do not.
+first. It prints each side's median CPU seconds per operation, how many
+operations each side ran faster, the ratio b / a of the two medians, the
+median of the per-operation ratios b / a, and on how many operations
+both sides wrote the same report bytes. Timing within one process,
+alternated operation by operation, resolves differences of a few percent
+that separate timed runs on a drifting host do not. The paired ratio
+compares each operation's two sides, timed back to back, so drift over
+the run, which moves both medians, moves it far less.
 """
 
 from __future__ import annotations
@@ -83,6 +86,7 @@ def compare(a, b, workload: str, ops: int, seed: int = 0) -> dict:
         "cpu_s": cpu,
         "median_cpu_s": med,
         "ratio": med["b"] / med["a"],
+        "paired_ratio": statistics.median(b / a for a, b in zip(cpu["a"], cpu["b"])),
         "faster": {side: sum(x < y for x, y in zip(cpu[side], cpu[other]))
                    for side, other in zip(SIDES, SIDES[::-1])},
         "same_reports": same,
@@ -104,6 +108,7 @@ def main(argv=None) -> int:
         print(f"{side}  median cpu {r['median_cpu_s'][side] * 1e3:.3f} ms/op"
               f"  faster in {r['faster'][side]}/{r['ops']}")
     print(f"ratio b/a {r['ratio']:.4f}")
+    print(f"paired ratio b/a {r['paired_ratio']:.4f}")
     print(f"same reports {r['same_reports']}/{r['ops']}")
     return 0
 
