@@ -15,7 +15,8 @@ training set of one shape together, F sets times K classes in one
 stacked solve, each from zero or from a given start. A job is a block
 of sets on rows of a matrix (one set on every row, or a path model's
 cross-validation folds), returned as weight and bias arrays; its start
-is a model set or the block of a job with more columns, solved first.
+is a model set or the block of a job with more columns, solved first,
+which is how _cv_accuracies, the baseline's CV stop, chains its folds.
 Each problem's model is the one a solve over it alone returns, bit for
 bit, and the one a solve from zero returns unless a row lies within
 _TIE of its margin.
@@ -139,6 +140,8 @@ _TIE = 1e-9
 # about 32 values of solver state per row; it takes whole jobs, so its last may pass it
 _STACK_BYTES = 1 << 21
 
+_CV_FOLDS = 5  # folds of the baseline's cross-validated stop
+
 
 def _line_search(w, delta, r, dd, c):
     """For each problem p, the t >= 0 minimizing f(w[p] + t delta[p])
@@ -196,23 +199,22 @@ def _train_stacked(ZX, config: TrainConfig, w0=None) -> tuple[np.ndarray, np.nda
     Returns the weights, shape (F, K, l), and biases, shape (F, K).
     """
     F, K, n, d = ZX.shape
-    A = ZX.reshape(F * K, n, d)
+    A = ZX.reshape(F * K, n, d)  # the rows of each unsettled problem, as w and r below
     c = config.c
     W = np.zeros((F * K, d))  # each problem's last system solution
-    # each problem's line search point, and its rows' residuals 1 - A w
+    # each unsettled problem's line search point, and its rows' residuals 1 - A w
     w = np.zeros((F * K, d)) if w0 is None else np.array(w0, dtype=float).reshape(F * K, d)
     r = 1.0 - np.matmul(A, w[:, :, None])[..., 0]
-    live = np.arange(F * K)
+    live = np.arange(F * K)  # where each unsettled problem's solution is written in W
     for _ in range(_NEWTON_CAP):
-        act = r[live] > 0
+        act = r > 0
         H = np.zeros((live.size, d, d))
         g = np.zeros((live.size, 1, d))
         for s in range(0, n, _ROW_BLOCK):  # masked rows one block at a time
-            rows = A[live, s:s + _ROW_BLOCK]
-            rows *= act[:, s:s + _ROW_BLOCK, None]
+            rows = A[:, s:s + _ROW_BLOCK] * act[:, s:s + _ROW_BLOCK, None]
             H += np.matmul(rows.transpose(0, 2, 1), rows)
             g += np.matmul(np.ones((1, rows.shape[1])), rows)
-            del rows  # freed before the next block, or A[live] below, is copied
+            del rows  # freed before the next block is masked
         with np.errstate(over="ignore"):  # a c that overflows is caught just below
             H *= c
             g *= c
@@ -223,17 +225,18 @@ def _train_stacked(ZX, config: TrainConfig, w0=None) -> tuple[np.ndarray, np.nda
         if not np.isfinite(Wl).all():
             raise ConfigError("weights and biases must be finite")
         W[live] = Wl[..., 0]
-        r_new = 1.0 - np.matmul(A[live], Wl)[..., 0]
+        r_new = 1.0 - np.matmul(A, Wl)[..., 0]
         moved = ((r_new > 0) != act) & (np.abs(r_new) > _TIE)
         on = moved.any(axis=1)
-        live, r_new = live[on], r_new[on]
-        if not live.size:  # weights C-contiguous, as a LinearModelSet holds them
-            return np.ascontiguousarray(W[:, :-1]).reshape(F, K, d - 1), W[:, -1].reshape(F, K)
-        delta = W[live] - w[live]
-        dd = r[live] - r_new  # A delta
-        t = _line_search(w[live], delta, r[live], dd, c)
-        w[live] += t * delta
-        r[live] -= t * dd
+        if not on.all():  # some problems settled: only the others keep their state
+            if not on.any():  # weights C-contiguous, as a LinearModelSet holds them
+                return np.ascontiguousarray(W[:, :-1]).reshape(F, K, d - 1), W[:, -1].reshape(F, K)
+            live, A, w, r, r_new, Wl = live[on], A[on], w[on], r[on], r_new[on], Wl[on]
+        delta = Wl[..., 0] - w
+        dd = r - r_new  # A delta
+        t = _line_search(w, delta, r, dd, c)
+        w += t * delta
+        r -= t * dd
     raise ConvergenceError(
         f"finite-Newton solve of {live.size} of {F * K} problems of {n} rows and {d} columns"
         f" did not converge in {_NEWTON_CAP} iterations")
@@ -351,6 +354,45 @@ def _train_sets(jobs, n_classes: int, config: TrainConfig):
                 yield i, (W[at:end], b[at:end])
 
 
+def _cv_accuracies(paths, n_classes, tcfg) -> list[list[float]]:
+    """Per (X, y, models) in ``paths``, the cross-validated accuracy of
+    X[:, ms.active_features] per ms in models, each ms a model trained on
+    those columns of every row of X.
+
+    Each is the mean held-out argmax accuracy over _CV_FOLDS contiguous
+    folds, in fold order. A fold that holds out no row, or whose training
+    rows miss a class, is skipped; -1.0 when every fold is skipped. A
+    path's folds are cut once, into a block per held-out size (two when
+    its row count is not a multiple of _CV_FOLDS), and each (model, block)
+    is one job of _train_sets, whose fold models are scored together as
+    they are trained. A block starts from the path's block of the model
+    before when that model's columns strictly include its own (so it is
+    solved first), and otherwise from ms.
+    """
+    jobs, held, accs = [], [], []  # held: (path, model, first fold, held-out rows) of each job
+    for p, (X, y, models) in enumerate(paths):
+        every = np.arange(X.shape[0])
+        blocks: dict = {}  # held-out size -> (training rows, held-out rows) of its folds that train
+        for hold in np.array_split(every, _CV_FOLDS):
+            rows = np.delete(every, hold)
+            if hold.size and np.bincount(y[rows], minlength=n_classes).all():
+                blocks.setdefault(hold.size, []).append((rows, hold))
+        blocks = [tuple(map(np.array, zip(*folds))) for folds in blocks.values()]
+        firsts = np.cumsum([0] + [len(rows) for rows, _ in blocks]).tolist()
+        for k, ms in enumerate(models):
+            cols = ms.active_features
+            chain = k and set(cols) < set(models[k - 1].active_features)
+            for (rows, hold), first in zip(blocks, firsts):
+                jobs.append((X, y, rows, cols, len(jobs) - len(blocks) if chain else ms))
+                held.append((p, k, first, hold))
+        accs.append(np.empty((len(models), firsts[-1])))
+    for j, (W, b) in _train_sets(jobs, n_classes, tcfg):
+        (X, y, _, cols, _), (p, k, first, hold) = jobs[j], held[j]
+        hits = np.count_nonzero(_scores(X[:, cols][hold], W, b).argmax(axis=2) == y[hold], axis=1)
+        accs[p][k, first:first + len(hold)] = hits / hold.shape[1]
+    return [a.mean(axis=1).tolist() if a.shape[1] else [-1.0] * len(a) for a in accs]
+
+
 def decision_matrix(ms: LinearModelSet, X) -> np.ndarray:
     """All per-class scores, shape (n_samples, n_classes).
 
@@ -362,7 +404,12 @@ def decision_matrix(ms: LinearModelSet, X) -> np.ndarray:
         raise DimensionMismatchError(
             f"X has {X.shape[1]} columns, model set expects {ms.n_features}"
         )
-    return X @ ms.W.T + ms.b
+    return _scores(X, ms.W, ms.b)
+
+
+def _scores(X, W, b) -> np.ndarray:
+    """X @ W.T + b, per stacked (W, b) if W is (F, K, l) and X (F, n, l)."""
+    return np.matmul(X, np.swapaxes(W, -1, -2)) + b[..., None, :]
 
 
 # ------------------------------------------------------------- serialization

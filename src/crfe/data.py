@@ -296,8 +296,11 @@ def save_csv(d: Dataset, path, label_column: str = "label") -> None:
     """Write a Dataset back to CSV (label column last, class names as labels).
 
     A masked cell is left empty; every other cell is the round-trip repr
-    of its value, so an unmasked NaN is written as ``nan``.
+    of its value, so an unmasked NaN is written as ``nan``. A label column
+    named like a feature raises ConfigError before the file is opened.
     """
+    if label_column in d.feature_names:
+        raise ConfigError(f"label_column {label_column!r} is also the name of a feature")
     mask = d.missing_mask if d.has_missing() else np.zeros(d.X.shape, dtype=bool)
     rows = (
         [None if gap else repr(v) for v, gap in zip(values, gaps)] + [d.class_names[c]]

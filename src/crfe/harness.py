@@ -11,12 +11,10 @@ table so a whole run is a pure function of its config.
 A run loads its dataset once. Repeat r has one split (seed master_seed
 + r) shared by all its eliminations, and they share the model of each
 active set, so each (repeat, active set) model is trained once; a run
-that the comparison and the stop both want runs once.
-_run_block runs every repeat of a run in one lock-step: each pass trains
-the sets new to any repeat in one stacked solve per shape, and the
-baseline's cross-validated stop trains the folds of every stopping
-repeat in one solve per (fold training size, feature count), each path
-model's folds of one size as one block, filled and scored together.
+that the comparison and the stop both want runs once. This module only
+plans the repeats and writes the reports: _run_block hands every
+elimination to one selection._lockstep, every baseline's CV stop to one
+classifier._cv_accuracies and each split's models to one metrics._evaluate.
 """
 
 from __future__ import annotations
@@ -28,15 +26,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classifier import TrainConfig, _train_sets, decision_matrix
-from .conformal import _calibrations, _nonconformity, p_value_matrix, prediction_mask
+from .classifier import TrainConfig, _cv_accuracies
 from .consistency import SubsetFamily, jaccard_multi, kuncheva, weighted_consistency
 from .data import (
     Dataset, SyntheticSpec, _write_json, generate_synthetic, impute_knn, load_csv, scaled_split,
     write_csv,
 )
 from .exceptions import ConfigError, require_int, require_real
-from .metrics import PointMetricsReport, SetMetricsReport, _point_reports, _set_reports
+from .metrics import PointMetricsReport, SetMetricsReport, _evaluate
 from .plots import save_plot
 from .selection import BetaCriterion, FixedSize, SelectionTrace, _lockstep, trace_to_json
 
@@ -71,8 +68,6 @@ STOPPING_COLUMNS = (
 FREQUENCY_COLUMNS = ("dataset", "method", "feature_index", "feature_name", "count")
 
 SELECTORS = ("crfe", "rfe")
-
-_CV_FOLDS = 5  # folds of the baseline's cross-validated stop
 
 
 @dataclass(frozen=True)
@@ -273,28 +268,6 @@ class ResultsTable:
         return aggs
 
 
-def _evaluate(models, X_cal, y_cal, X_test, y_test, epsilon, n_classes):
-    """(SetMetricsReport, PointMetricsReport) per model of ``models``, all
-    scored on one split: bit for bit what calibrate, conformal_predict,
-    set_metrics and point_metrics give per model, whose stacked cores it
-    calls.
-
-    Each label vector is checked once per core. The decision matrices of
-    all models are stacked, and non-conformity and metrics are computed
-    over the stack, each model's along its own rows; p-values stay per
-    model. No temporary is larger than (models x rows x classes).
-    """
-    if not models:
-        return []
-    cols = [list(ms.active_features) for ms in models]
-    records = _calibrations(models, [X_cal[:, c] for c in cols], y_cal)
-    D = np.stack([decision_matrix(ms, X_test[:, c]) for ms, c in zip(models, cols)])
-    lam = np.array([ms.lam for ms in models])[:, None, None]
-    P = np.stack([p_value_matrix(rec, A) for rec, A in zip(records, _nonconformity(D, lam))])
-    return list(zip(_set_reports(prediction_mask(P, epsilon), y_test),
-                    _point_reports(D.argmax(axis=2), y_test, n_classes)))
-
-
 # -------------------------------------------------------------- consistency
 
 
@@ -359,51 +332,6 @@ def consistency_report(table: ResultsTable) -> list[dict]:
                 "kuncheva_std": float(np.std(kun)) if kun else math.nan,
             })
     return rows
-
-
-# ---------------------------------------------------------------- stopping
-
-
-def _cv_accuracies(paths, n_classes, tcfg) -> list[list[float]]:
-    """Per (X, y, models) in ``paths``, the cross-validated accuracy of
-    X[:, ms.active_features] per ms in models, each ms a model trained on
-    those columns of every row of X.
-
-    Each is the mean held-out argmax accuracy over _CV_FOLDS contiguous
-    folds, in fold order. A fold that holds out no row, or whose training
-    rows miss a class, is skipped; -1.0 when every fold is skipped. A
-    path's folds are cut once, into a block per held-out size (two when
-    its row count is not a multiple of _CV_FOLDS), and each (model, block)
-    is one job of classifier._train_sets. Its fold models are scored
-    together, with decision_matrix's arithmetic per fold. A block starts
-    from the path's block of the model before when that model's columns
-    strictly include its own, and otherwise from ms.
-    """
-    jobs, held, accs = [], [], []  # held: (path, model, first fold, held-out rows) of each job
-    for p, (X, y, models) in enumerate(paths):
-        every = np.arange(X.shape[0])
-        blocks: dict = {}  # held-out size -> (training rows, held-out rows) of its folds that train
-        for hold in np.array_split(every, _CV_FOLDS):
-            rows = np.delete(every, hold)
-            if hold.size and np.bincount(y[rows], minlength=n_classes).all():
-                blocks.setdefault(hold.size, []).append((rows, hold))
-        blocks = [tuple(map(np.array, zip(*folds))) for folds in blocks.values()]
-        firsts = np.cumsum([0] + [len(rows) for rows, _ in blocks]).tolist()
-        for k, ms in enumerate(models):
-            cols = ms.active_features
-            chain = k and set(cols) < set(models[k - 1].active_features)
-            for (rows, hold), first in zip(blocks, firsts):
-                jobs.append((X, y, rows, cols, len(jobs) - len(blocks) if chain else ms))
-                held.append((p, k, first, hold))
-        accs.append(np.empty((len(models), firsts[-1])))
-    for j, (W, b) in _train_sets(jobs, n_classes, tcfg):
-        p, k, first, hold = held[j]
-        X, y, _ = paths[p]
-        # per fold, X_hold @ W.T + b, as decision_matrix scores it
-        D = np.matmul(X[:, jobs[j][3]][hold], W.transpose(0, 2, 1)) + b[:, None]
-        hits = np.count_nonzero(D.argmax(axis=2) == y[hold], axis=1)
-        accs[p][k, first:first + len(hold)] = hits / hold.shape[1]
-    return [a.mean(axis=1).tolist() if a.shape[1] else [-1.0] * len(a) for a in accs]
 
 
 # ----------------------------------------------------------------- repeats
@@ -478,8 +406,8 @@ def _run_repeats(cfg: ExperimentConfig, n_compare: int, n_stop: int):
     sizes = cfg.sizes if cfg.sizes is not None else tuple(range(l - 1, 0, -1))
     if n_compare and not sizes:
         raise ConfigError(f"a comparison needs at least 2 features, the data has {l}")
-    if n_compare and sizes[0] > l:
-        raise ConfigError(f"sizes start at {sizes[0]} but the data has {l} features")
+    if n_compare and (sizes[0] > l or sizes[-1] >= l):
+        raise ConfigError(f"sizes must not exceed the data's {l} features and must end below {l}")
     rows, traces, stops = _run_block(d, name, sizes, cfg, [(r, r < n_compare, r < n_stop)
                                                            for r in range(max(n_compare, n_stop))])
     table = ResultsTable(

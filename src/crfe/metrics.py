@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classifier import decision_matrix
+from .conformal import _calibrations, _nonconformity, p_value_matrix, prediction_mask
 from .data import _labels_below
 from .exceptions import EmptyTestSetError, LengthMismatchError, require_int
 
@@ -137,3 +139,25 @@ def _point_reports(y_pred, y_true, n_classes: int) -> list[PointMetricsReport]:
         )
         for i, (acc, mp, mr, mf) in enumerate(means)
     ]
+
+
+def _evaluate(models, X_cal, y_cal, X_test, y_test, epsilon, n_classes):
+    """(SetMetricsReport, PointMetricsReport) per model of ``models``, all
+    scored on one split: bit for bit what calibrate, conformal_predict,
+    set_metrics and point_metrics give per model, whose stacked cores it
+    calls.
+
+    Each label vector is checked once per core. The decision matrices of
+    all models are stacked, and non-conformity and metrics are computed
+    over the stack, each model's along its own rows; p-values stay per
+    model. No temporary is larger than (models x rows x classes).
+    """
+    if not models:
+        return []
+    cols = [list(ms.active_features) for ms in models]
+    records = _calibrations(models, [X_cal[:, c] for c in cols], y_cal)
+    D = np.stack([decision_matrix(ms, X_test[:, c]) for ms, c in zip(models, cols)])
+    lam = np.array([ms.lam for ms in models])[:, None, None]
+    P = np.stack([p_value_matrix(rec, A) for rec, A in zip(records, _nonconformity(D, lam))])
+    return list(zip(_set_reports(prediction_mask(P, epsilon), y_test),
+                    _point_reports(D.argmax(axis=2), y_test, n_classes)))

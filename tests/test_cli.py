@@ -38,7 +38,7 @@ def no_training(monkeypatch):
         raise AssertionError("trained before the bad value was rejected")
 
     monkeypatch.setattr(selection, "_train_sets", refuse)
-    monkeypatch.setattr(harness, "_train_sets", refuse)  # the CV folds
+    monkeypatch.setattr(classifier, "_train_sets", refuse)  # the CV folds
 
 
 @pytest.fixture()
@@ -300,6 +300,7 @@ BAD_CONFIG_VALUES = [
     {"repeats": "abc"},
     {"lambda": None},
     {"sizes": 5},
+    {"sizes": [8]},  # ends at the data's feature count
     {"master_seed": -5},
     {"train": {"seed": -1}},
     {"train": {"seed": 1.5}},

@@ -289,6 +289,18 @@ def test_csv_round_trip_missing_cells(tmp_path):
     assert back.missing_mask.tolist() == mask.tolist()
 
 
+def test_save_csv_refuses_a_label_column_named_like_a_feature(tmp_path):
+    # the header would be label,b,label, which load_csv rejects
+    d = Dataset(X=np.eye(2), y=np.array([0, 1]), feature_names=("label", "b"),
+                class_names=("n", "p"))
+    p = tmp_path / "clash.csv"
+    with pytest.raises(ConfigError, match="'label' is also the name of a feature"):
+        save_csv(d, p)
+    assert not p.exists()
+    save_csv(d, p, label_column="class")
+    assert load_csv(p, label_column="class").feature_names == d.feature_names
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 6).flatmap(lambda n: st.tuples(
     arrays(np.float64, (n, 3), elements=st.floats(allow_nan=False, allow_infinity=False)),

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crfe import classifier, harness, selection
-from crfe.classifier import LinearModelSet, TrainConfig, decision_matrix, train_ova
+from crfe.classifier import LinearModelSet, TrainConfig, _cv_accuracies, decision_matrix, train_ova
 from crfe.conformal import calibrate, conformal_predict
 from crfe.consistency import SubsetFamily
 from crfe.data import SyntheticSpec
@@ -21,8 +21,6 @@ from crfe.harness import (
     METRIC_COLUMNS,
     ExperimentConfig,
     StoppingParams,
-    _cv_accuracies,
-    _evaluate,
     config_from_dict,
     consistency_report,
     emit_outputs,
@@ -31,7 +29,7 @@ from crfe.harness import (
     run_stopping_benchmark,
     subsets_by_size,
 )
-from crfe.metrics import point_metrics, point_predict, set_metrics
+from crfe.metrics import _evaluate, point_metrics, point_predict, set_metrics
 from oracles import cv_accuracy, kuncheva_family
 from test_digests import BENCH_CFG
 
@@ -202,8 +200,10 @@ def test_custom_sizes_subset(tmp_path):
 
 
 def test_bad_sizes_for_data():
-    with pytest.raises(ConfigError):
-        run_comparison(tiny_config(sizes=(9, 2)))  # only 8 features
+    # only 8 features: the first size may be 8, the last must be below it
+    for sizes in [(9, 2), (8,), (9,)]:
+        with pytest.raises(ConfigError, match="^sizes must not exceed the data's 8 features"):
+            run_comparison(tiny_config(sizes=sizes))
 
 
 # -------------------------------------------------------------- consistency
